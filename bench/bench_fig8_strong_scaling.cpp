@@ -32,6 +32,7 @@
 #include "cluster/distributed_ti.hpp"
 #include "cluster/scaling_model.hpp"
 #include "cluster/sim_comm.hpp"
+#include "core/time_iteration.hpp"
 #include "olg/olg_model.hpp"
 #include "sparse_grid/regular.hpp"
 #include "util/stats.hpp"
@@ -94,7 +95,7 @@ void run_point_solve(benchlib::State& state) {
 /// Benchmark: one real distributed time step on nranks in-process ranks.
 void run_distributed(benchlib::State& state, int nranks) {
   const olg::OlgModel& model = reduced_model();
-  cluster::DistributedOptions opts;
+  core::TimeIterationOptions opts;
   opts.base_level = 3;
   opts.max_iterations = 1;
   opts.tolerance = 0.0;

@@ -11,6 +11,7 @@
 #include "cluster/group_assign.hpp"
 #include "cluster/scaling_model.hpp"
 #include "cluster/sim_comm.hpp"
+#include "core/time_iteration.hpp"
 #include "olg/olg_model.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
                 sizes[0], sizes[1]);
   }
 
-  cluster::DistributedOptions opts;
+  core::TimeIterationOptions opts;
   opts.base_level = 2;
   opts.refine_epsilon = 5e-3;
   opts.max_level = 4;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "kernels/kernel_api.hpp"
 #include "util/env.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -34,31 +35,13 @@ std::string detect_hostname() {
   return "unknown";
 }
 
-// Mirrors kernels::kernel_supported exactly — CPUID *and* the
-// HDDM_WITH_AVX512 compile gate — without linking the kernels module, so the
-// recorded tier is the one dispatch will actually construct. A CPU with
-// avx512f under a compiler that failed the configure probe reports "avx2":
-// that is what the benchmarks ran.
-std::string detect_isa_tier() {
-#if defined(__x86_64__) || defined(__i386__)
-#ifdef HDDM_WITH_AVX512
-  if (__builtin_cpu_supports("avx512f")) return "avx512";
-#endif
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return "avx2";
-  if (__builtin_cpu_supports("avx")) return "avx";
-  return "x86";
-#else
-  return "scalar";
-#endif
-}
-
 }  // namespace
 
 HostInfo host_info() {
   HostInfo h;
   h.hostname = hddm::util::env_string("HDDM_BENCH_HOST", detect_hostname());
   h.hardware_threads = std::max(1u, std::thread::hardware_concurrency());
-  h.isa_tier = detect_isa_tier();
+  h.isa_tier = std::string(kernels::kernel_name(kernels::best_supported_kernel()));
   return h;
 }
 

@@ -15,7 +15,7 @@ namespace hddm::benchlib {
 struct HostInfo {
   std::string hostname;        ///< HDDM_BENCH_HOST overrides (stable CI naming)
   unsigned hardware_threads = 1;
-  std::string isa_tier;        ///< widest vector ISA the host executes: avx512/avx2/avx/x86
+  std::string isa_tier;        ///< kernels::best_supported_kernel() here: avx512/avx2/avx/x86
 };
 
 struct BuildInfo {

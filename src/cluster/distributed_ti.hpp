@@ -4,23 +4,25 @@
 // Per time step, every rank:
 //   1. sizes the per-state MPI groups proportionally to the previous
 //      iteration's grid sizes (Sec. IV-A) and splits the world communicator;
-//   2. builds its state's ASG level by level: the level's new points are
+//   2. builds its state's ASG with core::level_step, the level loop the
+//      single-node driver runs too: the level's new points are
 //      block-partitioned over the group's ranks, each rank solves its block
-//      (given p_next), and the nodal values are allgathered within the
-//      group; hierarchization and (deterministic) adaptive refinement then
-//      run redundantly on every group rank, keeping the grids bit-identical
-//      without further communication;
-//   3. serializes its state's finished grid and exchanges it world-wide
-//      (the "merge policy" step), so every rank holds the complete policy
-//      p = (p(1), ..., p(Ns)) for the next iteration;
+//      (given p_next) on its own thread pool, and the nodal values are
+//      allgathered within the group; hierarchization and (deterministic)
+//      adaptive refinement then run redundantly on every group rank, keeping
+//      the grids bit-identical without further communication;
+//   3. ships its state's finished grid world-wide in the dense-grid block
+//      format (sg::append_dense_grid_bytes — the "merge policy" step), so
+//      every rank holds the complete policy p = (p(1), ..., p(Ns)) for the
+//      next iteration;
 //   4. synchronizes on a world barrier (footnote 4).
 //
-// With fewer ranks than states, a rank serializes several states (each rank
+// With fewer ranks than states, a rank builds several states (each rank
 // forms a singleton group per state).
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <vector>
 
 #include "cluster/sim_comm.hpp"
 #include "core/model.hpp"
@@ -29,22 +31,6 @@
 
 namespace hddm::cluster {
 
-struct DistributedOptions {
-  int base_level = 2;
-  double refine_epsilon = 0.0;  ///< <= 0: regular grid only
-  int max_level = 6;
-  int max_iterations = 50;
-  double tolerance = 1e-4;
-  kernels::KernelKind kernel = kernels::KernelKind::X86;
-  /// Per-rank batched device offload, inheriting the single-node pipeline:
-  /// every rank attaches its own dispatcher (one accelerator per node) to
-  /// the merged policy, and warm-start interpolations of the rank's point
-  /// block go through AsgPolicy::evaluate_batch en bloc.
-  bool use_device = false;
-  kernels::KernelKind device_kernel = kernels::KernelKind::SimGpu;
-  parallel::DispatcherOptions offload;  ///< dispatcher knobs (batch, capacity)
-};
-
 struct DistributedResult {
   std::shared_ptr<core::AsgPolicy> policy;  ///< identical on every rank
   std::vector<core::IterationStats> history;
@@ -52,15 +38,11 @@ struct DistributedResult {
 };
 
 /// Runs time iteration on an existing communicator (call from SimCluster
-/// rank_main). Every rank returns the same converged policy.
+/// rank_main). Every rank returns the same converged policy. The options
+/// mean what they mean for core::TimeIterationDriver; `threads` sizes each
+/// rank's own pool, and `use_device` attaches one dispatcher per rank (one
+/// accelerator per node).
 DistributedResult run_distributed_time_iteration(SimComm world, const core::DynamicModel& model,
-                                                 const DistributedOptions& options);
-
-/// Executes a single distributed policy update; exposed for scaling tests.
-std::shared_ptr<core::AsgPolicy> distributed_step(SimComm world, const core::DynamicModel& model,
-                                                  const core::PolicyEvaluator& p_next,
-                                                  const std::vector<std::uint64_t>& workload,
-                                                  const DistributedOptions& options,
-                                                  core::IterationStats& stats);
+                                                 const core::TimeIterationOptions& options);
 
 }  // namespace hddm::cluster

@@ -65,14 +65,4 @@ std::vector<int> rank_colors(const std::vector<int>& group_sizes) {
   return colors;
 }
 
-Range block_partition(std::uint64_t count, int parts, int index) {
-  if (parts <= 0 || index < 0 || index >= parts)
-    throw std::invalid_argument("block_partition: bad arguments");
-  const std::uint64_t base = count / static_cast<std::uint64_t>(parts);
-  const std::uint64_t extra = count % static_cast<std::uint64_t>(parts);
-  const auto idx = static_cast<std::uint64_t>(index);
-  const std::uint64_t begin = idx * base + std::min<std::uint64_t>(idx, extra);
-  return {begin, begin + base + (idx < extra ? 1 : 0)};
-}
-
 }  // namespace hddm::cluster

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/time_iteration.hpp"
+
 namespace hddm::cluster {
 
 /// Number of ranks per state. Guarantees: sizes sum to `nranks`; every state
@@ -21,13 +23,9 @@ std::vector<int> proportional_group_sizes(const std::vector<std::uint64_t>& work
 /// order, contiguous rank blocks — the MPI_Comm_split color argument).
 std::vector<int> rank_colors(const std::vector<int>& group_sizes);
 
-/// Block partition of `count` items over `parts` workers: returns half-open
-/// [begin, end) for `index`; earlier parts get the remainder.
-struct Range {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  [[nodiscard]] std::uint64_t size() const { return end - begin; }
-};
-Range block_partition(std::uint64_t count, int parts, int index);
+/// The block partition of a group's points lives with the level step that
+/// uses it (core::level_step); the scaling model reuses it from here.
+using core::block_partition;
+using core::Range;
 
 }  // namespace hddm::cluster

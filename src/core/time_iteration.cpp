@@ -1,7 +1,6 @@
 #include "core/time_iteration.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -25,31 +24,31 @@ TimeIterationDriver::TimeIterationDriver(const DynamicModel& model, TimeIteratio
   pool_ = std::make_unique<parallel::WorkStealingPool>(opts_.threads);
 }
 
-TimeIterationDriver::BuiltShock TimeIterationDriver::build_shock(int z,
-                                                                 const PolicyEvaluator& p_next,
-                                                                 IterationStats& stats) {
-  const int d = model_.state_dim();
-  const int nd = model_.ndofs();
-  const int nd_ind = model_.indicator_dofs();
+Range block_partition(std::uint64_t count, int parts, int index) {
+  if (parts <= 0 || index < 0 || index >= parts)
+    throw std::invalid_argument("block_partition: bad arguments");
+  const std::uint64_t base = count / static_cast<std::uint64_t>(parts);
+  const std::uint64_t extra = count % static_cast<std::uint64_t>(parts);
+  const auto idx = static_cast<std::uint64_t>(index);
+  const std::uint64_t begin = idx * base + std::min<std::uint64_t>(idx, extra);
+  return {begin, begin + base + (idx < extra ? 1 : 0)};
+}
 
-  sg::GridStorage storage(d);
-  sg::DenseGridData dense;
+LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluator& p_next,
+                           const TimeIterationOptions& opts, parallel::WorkStealingPool& pool,
+                           const LevelShare& share) {
+  const int d = model.state_dim();
+  const int nd = model.ndofs();
+  const int nd_ind = model.indicator_dofs();
+  const auto sd = static_cast<std::size_t>(d);
+  const auto snd = static_cast<std::size_t>(nd);
+
+  LevelStepResult out;
+  ShockTotals& totals = out.totals;
+  sg::DenseGridData& dense = out.grid;
   dense.dim = d;
   dense.ndofs = nd;
-
-  BuiltShock built;
-  std::atomic<std::uint32_t> failures{0};
-  std::atomic<std::uint64_t> interpolations{0};
-  std::atomic<std::uint64_t> gathers{0};
-  std::atomic<double> linf_acc{stats.policy_change_linf};
-  std::atomic<double> l2_acc{stats.policy_change_l2};
-  // Jacobian-provider counters (the point solves run on the pool, so the
-  // per-solve JacobianStats are summed through atomics like the rest).
-  std::atomic<int> jac_refreshes_analytic{0}, jac_refreshes_fd{0};
-  std::atomic<int> jac_columns_analytic{0}, jac_columns_fd{0};
-  std::atomic<int> jac_fd_check_flagged{0};
-  std::atomic<double> jac_fd_check_dev{0.0};
-  std::atomic<int> jac_mode{-1};
+  sg::GridStorage storage(d);
 
   // Per-dof normalization scales for the refinement indicator, measured from
   // the base-level nodal values (policy coefficients differ in magnitude
@@ -61,13 +60,13 @@ TimeIterationDriver::BuiltShock TimeIterationDriver::build_shock(int z,
   std::vector<double> last_indicators;  // g(alpha) of the newest level's points
   std::uint32_t last_first = 0;         // first id of the newest level
 
-  for (int level = 1; level <= opts_.max_level; ++level) {
+  for (int level = 1; level <= opts.max_level; ++level) {
     const std::uint32_t n_known = storage.size();
-    if (level <= opts_.base_level) {
+    if (level <= opts.base_level) {
       sg::append_level_increment(storage, level);
     } else {
-      if (opts_.refine_epsilon <= 0.0) break;
-      const sg::RefinementOptions ropts{opts_.refine_epsilon, opts_.max_level, true};
+      if (opts.refine_epsilon <= 0.0) break;
+      const sg::RefinementOptions ropts{opts.refine_epsilon, opts.max_level, true};
       sg::refine_by_surplus(storage, last_first, last_indicators, ropts);
     }
     if (storage.size() == n_known) break;  // nothing new -> done
@@ -79,31 +78,34 @@ TimeIterationDriver::BuiltShock TimeIterationDriver::build_shock(int z,
     dense.nno = storage.size();
     dense.surplus.resize(static_cast<std::size_t>(dense.nno) * nd, 0.0);
 
-    // --- Solve the equilibrium at every new point (the Fig. 2 inner loop).
-    {
-      const util::ScopedAccumulator acc(stats.solve_seconds);
-      const auto sd = static_cast<std::size_t>(d);
-      const auto snd = static_cast<std::size_t>(nd);
+    // This caller's block of the level: point ids [first, first + nmine).
+    const Range mine = block_partition(n_new, share.size, share.rank);
+    const auto first = static_cast<std::uint32_t>(n_known + mine.begin);
+    const auto nmine = static_cast<std::size_t>(mine.size());
 
-      // Warm starts = previous policy at the level's new points, collected
-      // per chunk and evaluated through the batched entry point in
-      // offload.max_batch-sized chunks — each chunk is one device ticket drained
-      // in a single launch (CPU-kernel fallback when the queue is full) —
-      // instead of one blocking per-point interpolation inside the workers.
-      // The coordinate gather runs inside the chunk workers too, so no
-      // serial O(n_new) section precedes the parallel solve.
-      std::vector<double> xs(n_new * sd);
-      std::vector<double> warm_values(n_new * snd);
-      const std::size_t chunk = std::max<std::size_t>(opts_.offload.max_batch, 1);
-      const std::size_t nchunks = (n_new + chunk - 1) / chunk;
+    // --- Solve the equilibrium at the block's points (the Fig. 2 inner loop).
+    {
+      const util::ScopedAccumulator acc(totals.solve_seconds);
+
+      // Warm starts = previous policy at the block's points, evaluated
+      // through the batched entry point in offload.max_batch-sized chunks —
+      // each chunk is one device ticket drained in a single launch
+      // (CPU-kernel fallback when the queue is full) — instead of one
+      // blocking per-point interpolation inside the workers. The coordinate
+      // gather runs inside the chunk workers too, so no serial O(n) section
+      // precedes the parallel solve.
+      std::vector<double> xs(nmine * sd);
+      std::vector<double> warm_values(nmine * snd);
+      const std::size_t chunk = std::max<std::size_t>(opts.offload.max_batch, 1);
+      const std::size_t nchunks = (nmine + chunk - 1) / chunk;
       parallel::parallel_for(
-          *pool_, 0, nchunks,
+          pool, 0, nchunks,
           [&](std::size_t ci) {
             const std::size_t begin = ci * chunk;
-            const std::size_t len = std::min(chunk, n_new - begin);
+            const std::size_t len = std::min(chunk, nmine - begin);
             for (std::size_t k = begin; k < begin + len; ++k) {
               const std::vector<double> x_unit =
-                  storage.coordinates(n_known + static_cast<std::uint32_t>(k));
+                  storage.coordinates(first + static_cast<std::uint32_t>(k));
               std::copy(x_unit.begin(), x_unit.end(),
                         xs.begin() + static_cast<std::ptrdiff_t>(k * sd));
             }
@@ -112,62 +114,62 @@ TimeIterationDriver::BuiltShock TimeIterationDriver::build_shock(int z,
                                   len);
           },
           /*grain=*/1);
-      interpolations.fetch_add(n_new, std::memory_order_relaxed);
+      totals.interpolations += nmine;
 
+      std::vector<PointSolveResult> solved(nmine);
       parallel::parallel_for(
-          *pool_, n_known, storage.size(),
-          [&](std::size_t idx) {
-            const auto id = static_cast<std::uint32_t>(idx);
-            const std::size_t k = idx - n_known;
+          pool, 0, nmine,
+          [&](std::size_t k) {
             const std::span<const double> x_unit(xs.data() + k * sd, sd);
             const std::span<const double> warm(warm_values.data() + k * snd, snd);
-
-            PointSolveResult res = model_.solve_point(z, x_unit, p_next, warm);
-            if (!res.converged) failures.fetch_add(1, std::memory_order_relaxed);
-            interpolations.fetch_add(static_cast<std::uint64_t>(res.interpolations),
-                                     std::memory_order_relaxed);
-            gathers.fetch_add(static_cast<std::uint64_t>(res.gathers),
-                              std::memory_order_relaxed);
-            jac_refreshes_analytic.fetch_add(res.jacobian.analytic_refreshes,
-                                             std::memory_order_relaxed);
-            jac_refreshes_fd.fetch_add(res.jacobian.fd_refreshes, std::memory_order_relaxed);
-            jac_columns_analytic.fetch_add(res.jacobian.analytic_columns,
-                                           std::memory_order_relaxed);
-            jac_columns_fd.fetch_add(res.jacobian.fd_columns, std::memory_order_relaxed);
-            jac_fd_check_flagged.fetch_add(res.jacobian.fd_check_flagged_columns,
-                                           std::memory_order_relaxed);
-            jac_mode.store(static_cast<int>(res.jacobian.mode), std::memory_order_relaxed);
-            double dev = jac_fd_check_dev.load(std::memory_order_relaxed);
-            while (res.jacobian.fd_check_max_rel_dev > dev &&
-                   !jac_fd_check_dev.compare_exchange_weak(dev,
-                                                           res.jacobian.fd_check_max_rel_dev)) {
-            }
-            std::copy(res.dofs.begin(), res.dofs.end(), dense.surplus_row(id));
-
-            // Policy-change metric: normalized difference to p_next at the
-            // point (warm holds the old policy's values here).
-            double linf = 0.0, l2 = 0.0;
-            for (int dof = 0; dof < nd_ind; ++dof) {
-              const double diff =
-                  std::fabs(res.dofs[static_cast<std::size_t>(dof)] - warm[static_cast<std::size_t>(dof)]) /
-                  (1.0 + std::fabs(warm[static_cast<std::size_t>(dof)]));
-              linf = std::max(linf, diff);
-              l2 += diff * diff;
-            }
-            // Lock-free max / sum accumulation (once per point, not per dof).
-            double cur = linf_acc.load(std::memory_order_relaxed);
-            while (linf > cur && !linf_acc.compare_exchange_weak(cur, linf)) {
-            }
-            cur = l2_acc.load(std::memory_order_relaxed);
-            while (!l2_acc.compare_exchange_weak(cur, cur + l2)) {
-            }
+            solved[k] = model.solve_point(z, x_unit, p_next, warm);
+            std::copy(solved[k].dofs.begin(), solved[k].dofs.end(),
+                      dense.surplus_row(first + static_cast<std::uint32_t>(k)));
           },
           /*grain=*/1);
+
+      // Reduce the block once, in point order. Policy-change metric: the
+      // normalized difference of the new nodal values to p_next's (the warm
+      // starts) on the indicator dofs.
+      for (std::size_t k = 0; k < nmine; ++k) {
+        const PointSolveResult& res = solved[k];
+        if (!res.converged) ++totals.solver_failures;
+        totals.interpolations += static_cast<std::uint64_t>(res.interpolations);
+        totals.gathers += static_cast<std::uint64_t>(res.gathers);
+        solver::JacobianStats& jac = totals.jacobian;
+        jac.mode = res.jacobian.mode;
+        jac.analytic_refreshes += res.jacobian.analytic_refreshes;
+        jac.fd_refreshes += res.jacobian.fd_refreshes;
+        jac.analytic_columns += res.jacobian.analytic_columns;
+        jac.fd_columns += res.jacobian.fd_columns;
+        jac.fd_check_flagged_columns += res.jacobian.fd_check_flagged_columns;
+        jac.fd_check_max_rel_dev =
+            std::max(jac.fd_check_max_rel_dev, res.jacobian.fd_check_max_rel_dev);
+
+        const double* warm = warm_values.data() + k * snd;
+        double l2 = 0.0;
+        for (int dof = 0; dof < nd_ind; ++dof) {
+          const double diff = std::fabs(res.dofs[static_cast<std::size_t>(dof)] - warm[dof]) /
+                              (1.0 + std::fabs(warm[dof]));
+          totals.change_linf = std::max(totals.change_linf, diff);
+          l2 += diff * diff;
+        }
+        totals.change_l2_sum += l2;
+      }
+    }
+
+    // --- Merge every caller's rows of the level (Fig. 2 "merge").
+    if (share.merge) {
+      const std::vector<double> all = share.merge(
+          std::span<const double>(dense.surplus_row(first), nmine * snd));
+      if (all.size() != static_cast<std::size_t>(n_new) * snd)
+        throw std::runtime_error("level_step: merged row count mismatch");
+      std::copy(all.begin(), all.end(), dense.surplus_row(n_known));
     }
 
     // --- Hierarchize the new nodal values into surpluses.
     {
-      const util::ScopedAccumulator acc(stats.hierarchize_seconds);
+      const util::ScopedAccumulator acc(totals.hierarchize_seconds);
       sg::hierarchize_tail(dense, n_known);
     }
 
@@ -192,73 +194,72 @@ TimeIterationDriver::BuiltShock TimeIterationDriver::build_shock(int z,
       last_indicators[k] = g;
     }
   }
+  return out;
+}
 
-  stats.policy_change_linf = linf_acc.load();
-  stats.policy_change_l2 = l2_acc.load();
-  built.solver_failures = failures.load();
-  built.interpolations = interpolations.load();
-  built.gathers = gathers.load();
-  built.jacobian.analytic_refreshes = jac_refreshes_analytic.load();
-  built.jacobian.fd_refreshes = jac_refreshes_fd.load();
-  built.jacobian.analytic_columns = jac_columns_analytic.load();
-  built.jacobian.fd_columns = jac_columns_fd.load();
-  built.jacobian.fd_check_flagged_columns = jac_fd_check_flagged.load();
-  built.jacobian.fd_check_max_rel_dev = jac_fd_check_dev.load();
-  if (jac_mode.load() >= 0) built.jacobian.mode = static_cast<solver::JacobianMode>(jac_mode.load());
-  built.grid = std::make_unique<ShockGrid>(storage, nd,
-                                           std::span<const double>(dense.surplus.data(),
-                                                                   dense.surplus.size()),
-                                           opts_.kernel);
-  return built;
+StepAccounting::StepAccounting(const PolicyEvaluator& p_next, IterationStats& stats)
+    : stats_(stats), prev_(dynamic_cast<const AsgPolicy*>(&p_next)) {
+  // Strict per-iteration reporting: zero every accumulator up front (a
+  // reused stats object must not carry earlier steps' counts into this one).
+  stats_.reset_for_step();
+  // Offload and gather counters are cumulative on p_next; the step reports
+  // its contribution as a delta of the snapshots taken here.
+  if (prev_ != nullptr) {
+    device_before_ = prev_->device_stats();
+    gather_before_ = prev_->gather_stats();
+  }
+}
+
+std::shared_ptr<AsgPolicy> StepAccounting::finish(const DynamicModel& model,
+                                                  const TimeIterationOptions& opts,
+                                                  std::vector<std::unique_ptr<ShockGrid>> grids) {
+  if (prev_ != nullptr) {
+    stats_.record_device_delta(prev_->device_stats().since(device_before_));
+    stats_.record_gather_delta(prev_->gather_stats().since(gather_before_));
+  }
+
+  auto policy = std::make_shared<AsgPolicy>(model.ndofs(), std::move(grids));
+  // One dispatcher per driver instance (per rank in the distributed one):
+  // each models a hybrid node with its own accelerator.
+  if (opts.use_device) policy->attach_default_device(opts.device_kernel, opts.offload);
+
+  stats_.total_points = policy->total_points();
+  stats_.points_per_shock = policy->points_per_shock();
+  // Normalize the accumulated L2 change into an RMS over (points x dofs).
+  const double cells = static_cast<double>(stats_.total_points) * model.indicator_dofs();
+  if (cells > 0.0) stats_.policy_change_l2 = std::sqrt(stats_.policy_change_l2 / cells);
+  stats_.seconds = timer_.seconds();
+  return policy;
+}
+
+double sampled_euler_residual(const DynamicModel& model, const PolicyEvaluator& policy,
+                              int samples, util::Rng& rng) {
+  util::RunningStats rs;
+  std::vector<double> x(static_cast<std::size_t>(model.state_dim()));
+  for (int z = 0; z < model.num_shocks(); ++z) {
+    for (int s = 0; s < samples; ++s) {
+      for (double& xi : x) xi = rng.uniform();
+      rs.add(model.equilibrium_residual(z, x, policy));
+    }
+  }
+  return rs.mean();
 }
 
 std::shared_ptr<AsgPolicy> TimeIterationDriver::step(const PolicyEvaluator& p_next,
                                                      IterationStats& stats) {
-  const util::Timer timer;
-  const int Ns = model_.num_shocks();
-
-  // Strict per-iteration reporting: zero every accumulator up front (a
-  // reused stats object must not carry earlier steps' counts into this one).
-  stats.reset_for_step();
-
-  // Offload and gather counters are cumulative on p_next; report this
-  // iteration's contribution as a delta of the snapshots taken here.
-  const auto* prev_asg = dynamic_cast<const AsgPolicy*>(&p_next);
-  const parallel::DispatcherStats device_before =
-      prev_asg ? prev_asg->device_stats() : parallel::DispatcherStats{};
-  const GatherStats gather_before = prev_asg ? prev_asg->gather_stats() : GatherStats{};
-
-  std::vector<std::unique_ptr<ShockGrid>> grids(static_cast<std::size_t>(Ns));
+  StepAccounting accounting(p_next, stats);
   // The top parallel layer (shocks -> MPI groups) lives in src/cluster/;
   // within one process the shocks are built in turn, each using the full
   // thread pool — matching one MPI group's view of Fig. 2.
-  std::uint32_t total_points = 0;
+  const int Ns = model_.num_shocks();
+  std::vector<std::unique_ptr<ShockGrid>> grids;
+  grids.reserve(static_cast<std::size_t>(Ns));
   for (int z = 0; z < Ns; ++z) {
-    BuiltShock built = build_shock(z, p_next, stats);
-    stats.solver_failures += built.solver_failures;
-    stats.interpolations += built.interpolations;
-    stats.solver_gathers += built.gathers;
-    stats.record_jacobian(built.jacobian);
-    total_points += built.grid->num_points();
-    grids[static_cast<std::size_t>(z)] = std::move(built.grid);
+    LevelStepResult built = level_step(model_, z, p_next, opts_, *pool_);
+    stats.record_shock(built.totals);
+    grids.push_back(std::make_unique<ShockGrid>(std::move(built.grid), opts_.kernel));
   }
-
-  if (prev_asg) {
-    stats.record_device_delta(prev_asg->device_stats().since(device_before));
-    stats.record_gather_delta(prev_asg->gather_stats().since(gather_before));
-  }
-
-  auto policy = std::make_shared<AsgPolicy>(model_.ndofs(), std::move(grids));
-  if (opts_.use_device) policy->attach_default_device(opts_.device_kernel, opts_.offload);
-
-  // Normalize the accumulated L2 change into an RMS over (points x dofs).
-  const double cells = static_cast<double>(total_points) * model_.indicator_dofs();
-  if (cells > 0.0) stats.policy_change_l2 = std::sqrt(stats.policy_change_l2 / cells);
-
-  stats.total_points = total_points;
-  stats.points_per_shock = policy->points_per_shock();
-  stats.seconds = timer.seconds();
-  return policy;
+  return accounting.finish(model_, opts_, std::move(grids));
 }
 
 TimeIterationResult TimeIterationDriver::run() {
@@ -274,17 +275,9 @@ TimeIterationResult TimeIterationDriver::run() {
     stats.iteration = it;
     std::shared_ptr<AsgPolicy> next = step(*p_next, stats);
 
-    if (opts_.residual_samples > 0) {
-      util::RunningStats rs;
-      std::vector<double> x(static_cast<std::size_t>(model_.state_dim()));
-      for (int z = 0; z < model_.num_shocks(); ++z) {
-        for (int s = 0; s < opts_.residual_samples; ++s) {
-          for (double& xi : x) xi = residual_rng.uniform();
-          rs.add(model_.equilibrium_residual(z, x, *next));
-        }
-      }
-      stats.euler_residual = rs.mean();
-    }
+    if (opts_.residual_samples > 0)
+      stats.euler_residual =
+          sampled_euler_residual(model_, *next, opts_.residual_samples, residual_rng);
 
     result.history.push_back(stats);
     if (on_iteration) on_iteration(stats);

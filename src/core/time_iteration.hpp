@@ -7,12 +7,18 @@
 // incrementally, refine adaptively where the surplus indicator exceeds the
 // threshold epsilon, and stop at the level cap. Convergence is measured as
 // the change between successive policies on the asset-demand coefficients.
-// The distributed (multi-rank) variant lives in src/cluster/.
+//
+// That per-shock level loop is written once, as level_step(). The
+// distributed (multi-rank) driver in src/cluster/ calls the same function
+// with a LevelShare naming its block of every level's points and the group
+// merge; the single-node driver solves every point and merges nothing.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/model.hpp"
@@ -20,6 +26,12 @@
 #include "kernels/kernel_api.hpp"
 #include "parallel/device_dispatcher.hpp"
 #include "parallel/work_stealing_pool.hpp"
+#include "sparse_grid/dense_format.hpp"
+#include "util/timer.hpp"
+
+namespace hddm::util {
+class Rng;
+}
 
 namespace hddm::core {
 
@@ -51,6 +63,18 @@ struct TimeIterationOptions {
   /// off-grid points per shock each iteration (0 disables).
   int residual_samples = 0;
   std::uint64_t seed = 42;
+};
+
+/// Totals of one shock's level_step() over the points this caller solved.
+struct ShockTotals {
+  std::uint32_t solver_failures = 0;
+  std::uint64_t interpolations = 0;  ///< warm starts + the solves' p_next evaluations
+  std::uint64_t gathers = 0;         ///< evaluate_gather calls inside the solves
+  solver::JacobianStats jacobian;    ///< summed over the point solves
+  double change_linf = 0.0;          ///< max normalized change vs. p_next
+  double change_l2_sum = 0.0;        ///< sum of squared normalized changes
+  double solve_seconds = 0.0;        ///< warm starts + point solves
+  double hierarchize_seconds = 0.0;
 };
 
 /// Per-iteration statistics. Every field is a delta of exactly one step():
@@ -108,17 +132,25 @@ struct IterationStats {
     fastpath_gathers = delta.fastpath_gathers;
     gradient_gathers = delta.gradient_gathers;
   }
-  /// Accumulates one point solve's Jacobian-provider counters (called by
-  /// both drivers for every PointSolveResult).
-  void record_jacobian(const solver::JacobianStats& js) {
+  /// Accumulates one shock's level_step() totals (both drivers, every
+  /// shock they build). policy_change_l2 holds the plain sum of squares
+  /// until StepAccounting::finish() turns it into an RMS.
+  void record_shock(const ShockTotals& t) {
+    solver_failures += t.solver_failures;
+    interpolations += t.interpolations;
+    solver_gathers += t.gathers;
+    policy_change_linf = std::max(policy_change_linf, t.change_linf);
+    policy_change_l2 += t.change_l2_sum;
+    solve_seconds += t.solve_seconds;
+    hierarchize_seconds += t.hierarchize_seconds;
+    const solver::JacobianStats& js = t.jacobian;
     jacobian_mode = js.mode;
     jacobian_refreshes_analytic += static_cast<std::uint64_t>(js.analytic_refreshes);
     jacobian_refreshes_fd += static_cast<std::uint64_t>(js.fd_refreshes);
     jacobian_columns_analytic += static_cast<std::uint64_t>(js.analytic_columns);
     jacobian_columns_fd += static_cast<std::uint64_t>(js.fd_columns);
     fd_check_flagged_columns += static_cast<std::uint64_t>(js.fd_check_flagged_columns);
-    if (js.fd_check_max_rel_dev > fd_check_max_rel_dev)
-      fd_check_max_rel_dev = js.fd_check_max_rel_dev;
+    fd_check_max_rel_dev = std::max(fd_check_max_rel_dev, js.fd_check_max_rel_dev);
   }
   /// Per-iteration reset: zero everything but the iteration index (called by
   /// the drivers at step entry so reused structs cannot accumulate).
@@ -145,6 +177,77 @@ struct TimeIterationResult {
   }
 };
 
+/// Half-open block [begin, end) of a partition of items over workers.
+struct Range {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  [[nodiscard]] std::uint64_t size() const { return end - begin; }
+};
+
+/// Block partition of `count` items over `parts` workers: returns the block
+/// of worker `index`; earlier parts get the remainder.
+Range block_partition(std::uint64_t count, int parts, int index);
+
+/// Which block of every level's new points one level_step() caller solves,
+/// and how the solved rows of all callers come together. The defaults (one
+/// caller, no merge) are the single-node driver; the distributed driver
+/// passes its group rank/size and the group's allgatherv.
+struct LevelShare {
+  int rank = 0;
+  int size = 1;
+  /// Takes this caller's solved rows (its block, point-major, ndofs each)
+  /// and returns every caller's rows of the level in point order. Empty:
+  /// the caller solved all points itself.
+  std::function<std::vector<double>(std::span<const double>)> merge;
+};
+
+/// One shock's finished grid plus the caller's totals.
+struct LevelStepResult {
+  sg::DenseGridData grid;
+  ShockTotals totals;
+};
+
+/// Builds shock z's ASG for the policy update given p_next, level by level
+/// (the Fig. 2 inner loop): add the level's points (the regular increment up
+/// to base_level, surplus-driven refinement above it), interpolate warm
+/// starts for this caller's block through p_next.evaluate_batch in
+/// offload.max_batch chunks, solve the block's points on `pool`, merge the
+/// rows of all callers, hierarchize the new rows, and compute the next
+/// round's refinement indicators. Hierarchization and refinement run
+/// redundantly on every caller, so all callers end with bit-identical grids.
+/// Per-point counters and policy changes are reduced once per level, in
+/// point order, so the totals do not depend on the pool's thread count.
+LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluator& p_next,
+                           const TimeIterationOptions& opts, parallel::WorkStealingPool& pool,
+                           const LevelShare& share = {});
+
+/// The bookkeeping both drivers' policy updates share. Construction resets
+/// `stats` (keeping the iteration index) and snapshots p_next's cumulative
+/// offload and gather counters. finish() reports this step's deltas of them,
+/// wraps the shock grids into the next policy (attaching the device when
+/// opts.use_device), fills the point counts, turns the summed squared change
+/// into an RMS over (points x indicator dofs) and stamps the wall time.
+class StepAccounting {
+ public:
+  StepAccounting(const PolicyEvaluator& p_next, IterationStats& stats);
+  std::shared_ptr<AsgPolicy> finish(const DynamicModel& model, const TimeIterationOptions& opts,
+                                    std::vector<std::unique_ptr<ShockGrid>> grids);
+
+ private:
+  util::Timer timer_;
+  IterationStats& stats_;
+  const AsgPolicy* prev_;
+  parallel::DispatcherStats device_before_;
+  GatherStats gather_before_;
+};
+
+/// Mean Euler residual of `policy` at `samples` uniform random states per
+/// shock — the IterationStats::euler_residual diagnostic of both run loops
+/// (TimeIterationOptions::residual_samples, drawn from a seed-initialized
+/// generator the run loop owns).
+double sampled_euler_residual(const DynamicModel& model, const PolicyEvaluator& policy,
+                              int samples, util::Rng& rng);
+
 class TimeIterationDriver {
  public:
   TimeIterationDriver(const DynamicModel& model, TimeIterationOptions options);
@@ -154,23 +257,13 @@ class TimeIterationDriver {
 
   /// Performs exactly one policy update given p_next; exposed for the
   /// single-node benchmark (Fig. 7 evaluates "a single time step") and for
-  /// the cluster runtime which orchestrates iterations itself.
+  /// step-by-step callers (restarts, tracing).
   std::shared_ptr<AsgPolicy> step(const PolicyEvaluator& p_next, IterationStats& stats);
 
   /// Optional per-iteration observer (progress logging in examples/benches).
   std::function<void(const IterationStats&)> on_iteration;
 
  private:
-  /// Builds one shock's grid + surpluses by level-wise solve/refine.
-  struct BuiltShock {
-    std::unique_ptr<ShockGrid> grid;
-    std::uint32_t solver_failures = 0;
-    std::uint64_t interpolations = 0;
-    std::uint64_t gathers = 0;
-    solver::JacobianStats jacobian;  ///< summed over the shock's point solves
-  };
-  BuiltShock build_shock(int z, const PolicyEvaluator& p_next, IterationStats& stats);
-
   const DynamicModel& model_;
   TimeIterationOptions opts_;
   std::unique_ptr<parallel::WorkStealingPool> pool_;

@@ -17,8 +17,8 @@ namespace {
 
 constexpr char kMagic[8] = {'H', 'D', 'D', 'M', 'S', 'N', 'A', 'P'};
 
-// Plausibility cap mirroring core::checkpoint's: a forged-but-CRC-valid
-// header must not drive allocation.
+// Plausibility caps: a forged-but-CRC-valid header must not drive
+// allocation.
 constexpr std::uint32_t kMaxShocks = 1u << 20;
 constexpr std::uint32_t kMaxMetaString = 1u << 20;
 

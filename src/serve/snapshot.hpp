@@ -2,11 +2,12 @@
 //
 // A converged core::AsgPolicy used to die with the process; a snapshot makes
 // it a durable, self-describing artifact a serving front end (PolicyServer,
-// the hddm-serve example) can load on any host. Contrast with
-// core::checkpoint, the *solve-side* restart format: snapshots add framing
-// for long-lived artifacts — format version for skew detection, a CRC over
-// the whole payload, and provenance metadata (model, params, git SHA, ISA
-// tier) — and validate all of it on load with typed errors.
+// the hddm-serve example) can load on any host, and the file a time
+// iteration restarts from (Sec. V-C). Around the per-shock dense-grid blocks
+// a snapshot adds framing for long-lived artifacts — format version for skew
+// detection, a CRC over the whole payload, and provenance metadata (model,
+// params, git SHA, ISA tier) — and validates all of it on load with typed
+// errors.
 //
 // File layout (little-endian, no padding):
 //

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "cluster/sim_comm.hpp"
 #include "olg/olg_model.hpp"
@@ -14,78 +16,91 @@ olg::OlgModel small_model() {
   return olg::OlgModel(olg::build_economy(olg::reduced_calibration(4, 2, 1)));
 }
 
-TEST(DistributedTi, SingleRankMatchesSingleProcessDriver) {
-  const olg::OlgModel model = small_model();
+core::TimeIterationOptions fixed_iterations(int iterations) {
+  core::TimeIterationOptions opts;
+  opts.base_level = 2;
+  opts.max_iterations = iterations;
+  opts.tolerance = 0.0;
+  return opts;
+}
 
-  // Distributed run on one rank.
-  DistributedOptions dopts;
-  dopts.base_level = 2;
-  dopts.max_iterations = 6;
-  dopts.tolerance = 0.0;
-  std::vector<core::IterationStats> dist_history;
-  SimCluster::run(1, [&](SimComm world) {
-    const DistributedResult r = run_distributed_time_iteration(world, model, dopts);
-    dist_history = r.history;
+core::TimeIterationOptions adaptive_iterations(int iterations) {
+  core::TimeIterationOptions opts = fixed_iterations(iterations);
+  opts.refine_epsilon = 1e-2;
+  opts.max_level = 4;
+  return opts;
+}
+
+/// Shock by shock, the same points in the same order (pairs compared field
+/// by field: LevelIndex has padding bytes) and memcmp-equal surpluses.
+void expect_identical_grids(const core::AsgPolicy& expected, const core::AsgPolicy& actual) {
+  ASSERT_EQ(actual.num_shocks(), expected.num_shocks());
+  for (int z = 0; z < expected.num_shocks(); ++z) {
+    const sg::DenseGridData& e = expected.grid(z).dense();
+    const sg::DenseGridData& a = actual.grid(z).dense();
+    ASSERT_EQ(a.nno, e.nno) << "shock " << z;
+    EXPECT_TRUE(a.pairs == e.pairs) << "shock " << z;
+    ASSERT_EQ(a.surplus.size(), e.surplus.size()) << "shock " << z;
+    EXPECT_EQ(std::memcmp(a.surplus.data(), e.surplus.data(), e.surplus.size() * sizeof(double)),
+              0)
+        << "shock " << z;
+  }
+}
+
+/// Runs the distributed driver on `nranks` ranks and requires every rank to
+/// reproduce the single-node driver (one pool thread) exactly: the same
+/// grids bit for bit, the same policy change and point count per iteration.
+void expect_matches_single_node(const core::TimeIterationOptions& opts, int nranks) {
+  const olg::OlgModel model = small_model();
+  core::TimeIterationOptions single = opts;
+  single.threads = 1;
+  const core::TimeIterationResult ref = core::solve_time_iteration(model, single);
+
+  std::vector<DistributedResult> per_rank(static_cast<std::size_t>(nranks));
+  SimCluster::run(nranks, [&](SimComm world) {
+    per_rank[static_cast<std::size_t>(world.rank())] =
+        run_distributed_time_iteration(world, model, opts);
   });
 
-  // Reference: the shared-memory driver with identical settings.
-  core::TimeIterationOptions sopts;
-  sopts.base_level = 2;
-  sopts.max_iterations = 6;
-  sopts.tolerance = 0.0;
-  const auto ref = core::solve_time_iteration(model, sopts);
-
-  ASSERT_EQ(dist_history.size(), ref.history.size());
-  for (std::size_t it = 0; it < dist_history.size(); ++it) {
-    EXPECT_NEAR(dist_history[it].policy_change_linf, ref.history[it].policy_change_linf, 1e-10)
-        << "iteration " << it;
-    EXPECT_EQ(dist_history[it].total_points, ref.history[it].total_points);
+  for (int rank = 0; rank < nranks; ++rank) {
+    const DistributedResult& r = per_rank[static_cast<std::size_t>(rank)];
+    SCOPED_TRACE("rank " + std::to_string(rank) + " of " + std::to_string(nranks));
+    ASSERT_EQ(r.history.size(), ref.history.size());
+    for (std::size_t it = 0; it < ref.history.size(); ++it) {
+      EXPECT_EQ(r.history[it].policy_change_linf, ref.history[it].policy_change_linf)
+          << "iteration " << it;
+      EXPECT_EQ(r.history[it].total_points, ref.history[it].total_points) << "iteration " << it;
+    }
+    expect_identical_grids(*ref.policy, *r.policy);
   }
+}
+
+TEST(DistributedTi, SingleRankMatchesSingleProcessDriver) {
+  expect_matches_single_node(fixed_iterations(6), 1);
 }
 
 class DistributedRankCountTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistributedRankCountTest, PolicyIndependentOfRankCount) {
-  const int nranks = GetParam();
-  const olg::OlgModel model = small_model();
-
-  DistributedOptions opts;
-  opts.base_level = 2;
-  opts.max_iterations = 4;
-  opts.tolerance = 0.0;
-
-  // Baseline with 1 rank.
-  std::vector<double> baseline;
-  SimCluster::run(1, [&](SimComm world) {
-    const DistributedResult r = run_distributed_time_iteration(world, model, opts);
-    std::vector<double> v(static_cast<std::size_t>(model.ndofs()));
-    r.policy->evaluate(0, std::vector<double>(3, 0.5), v);
-    baseline = v;
-  });
-
-  std::vector<std::vector<double>> per_rank(static_cast<std::size_t>(nranks));
-  SimCluster::run(nranks, [&](SimComm world) {
-    const DistributedResult r = run_distributed_time_iteration(world, model, opts);
-    std::vector<double> v(static_cast<std::size_t>(model.ndofs()));
-    r.policy->evaluate(0, std::vector<double>(3, 0.5), v);
-    per_rank[static_cast<std::size_t>(world.rank())] = v;
-  });
-
-  for (int rank = 0; rank < nranks; ++rank) {
-    ASSERT_EQ(per_rank[static_cast<std::size_t>(rank)].size(), baseline.size());
-    for (std::size_t k = 0; k < baseline.size(); ++k)
-      EXPECT_NEAR(per_rank[static_cast<std::size_t>(rank)][k], baseline[k], 1e-10)
-          << "rank " << rank << " dof " << k;
+  core::TimeIterationOptions pooled = adaptive_iterations(3);
+  pooled.threads = 2;  // each rank solves its block on its own two-thread pool
+  const std::pair<const char*, core::TimeIterationOptions> cases[] = {
+      {"regular grid", fixed_iterations(4)},
+      {"adaptive grid", adaptive_iterations(3)},
+      {"adaptive grid, two pool threads per rank", pooled}};
+  for (const auto& [name, opts] : cases) {
+    SCOPED_TRACE(name);
+    expect_matches_single_node(opts, GetParam());
   }
 }
 
-// 2 states: 1 rank (serial), 2 ranks (one per state), 3 ranks (proportional
-// split), 4 ranks (two per state).
-INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedRankCountTest, ::testing::Values(2, 3, 4));
+// 2 states: 1 rank (both states serially), 2 ranks (one per state), 3 ranks
+// (proportional split), 4 ranks (two per state).
+INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedRankCountTest, ::testing::Values(1, 2, 3, 4));
 
 TEST(DistributedTi, ConvergesOnSmallOlg) {
   const olg::OlgModel model = small_model();
-  DistributedOptions opts;
+  core::TimeIterationOptions opts;
   opts.base_level = 2;
   opts.max_iterations = 80;
   opts.tolerance = 1e-3;
@@ -98,7 +113,7 @@ TEST(DistributedTi, ConvergesOnSmallOlg) {
 
 TEST(DistributedTi, DeviceOffloadInheritsBatchedPipeline) {
   const olg::OlgModel model = small_model();
-  DistributedOptions opts;
+  core::TimeIterationOptions opts;
   opts.base_level = 2;
   opts.max_iterations = 4;
   opts.tolerance = 0.0;
@@ -113,7 +128,7 @@ TEST(DistributedTi, DeviceOffloadInheritsBatchedPipeline) {
     }
   });
 
-  DistributedOptions dopts = opts;
+  core::TimeIterationOptions dopts = opts;
   dopts.use_device = true;
   dopts.offload.max_batch = 8;
   std::vector<double> dev_policy;
@@ -143,7 +158,7 @@ TEST(DistributedTi, DeviceOffloadInheritsBatchedPipeline) {
 
 TEST(DistributedTi, AdaptiveRefinementStaysConsistentAcrossRanks) {
   const olg::OlgModel model = small_model();
-  DistributedOptions opts;
+  core::TimeIterationOptions opts;
   opts.base_level = 2;
   opts.refine_epsilon = 1e-2;
   opts.max_level = 4;
