@@ -8,6 +8,9 @@
 //                           queue in the serving path
 //   serve/swap_under_load — the readers keep querying while a writer
 //                           republishes fresh snapshots in a loop
+//   serve/load_and_serve  — one snapshot file saved by an x86 policy, loaded
+//                           through PolicyServer::load_and_publish with the
+//                           default ISA rule, then one query per shock
 //
 // Each benchmark records p50/p99 per-query latency (microseconds) in its
 // info block alongside the QPS implied by seconds_per_item. The report is an
@@ -15,7 +18,10 @@
 //   - any query during the swap storm returned values that are not bitwise
 //     identical to its serving snapshot's precomputed ground truth (a torn
 //     read), or threw / was dropped,
-//   - the writer failed to publish every scheduled swap (a blocked swap), or
+//   - the writer failed to publish every scheduled swap (a blocked swap),
+//   - a load_and_publish of the x86 snapshot served on the gold kernel (an
+//     ISA fallback on the host that can run x86) or answered differently
+//     from the saved policy, or
 //   - the untimed snapshot parity check fails: save -> load -> evaluate on
 //     the gold path must be bitwise identical to the source policy.
 //
@@ -68,6 +74,9 @@ struct Setup {
 std::atomic<std::uint64_t> g_torn_reads{0};
 std::atomic<std::uint64_t> g_failed_queries{0};
 std::atomic<std::uint64_t> g_missed_swaps{0};
+// load_and_serve failures: loads that fell back to gold, answers that differ.
+std::atomic<std::uint64_t> g_gold_loads{0};
+std::atomic<std::uint64_t> g_load_mismatches{0};
 
 std::uint64_t generation_seed(int gen) { return 0x5EED + static_cast<std::uint64_t>(gen); }
 
@@ -229,7 +238,8 @@ void bench_swap_under_load(benchlib::State& state) {
   state.run([&] {
     std::thread writer([&] {
       for (int w = 0; w < s.swaps; ++w) {
-        const int gen = (w + 1) % kGenerations;
+        // Version v serves generation (v - 1) % kGenerations across reps.
+        const auto gen = static_cast<int>((swaps_done + 1) % kGenerations);
         try {
           server.publish(make_generation(s, gen, kernels::KernelKind::X86));
           ++swaps_done;
@@ -244,6 +254,30 @@ void bench_swap_under_load(benchlib::State& state) {
   record_latency_info(state, load);
   state.info("swaps_per_rep", static_cast<double>(s.swaps));
   state.info("swaps_done_total", static_cast<double>(swaps_done));
+}
+
+void bench_load_and_serve(benchlib::State& state) {
+  Setup& s = setup();
+  const std::string path = "bench_serve_load.hsnap";
+  serve::SnapshotMeta meta;
+  meta.model = "bench-serve";
+  serve::save_snapshot(*make_generation(s, 0, kernels::KernelKind::X86), meta, path);
+  std::vector<double> out(s.batch * static_cast<std::size_t>(s.ndofs));
+  state.set_items_per_rep(1.0);
+  state.run([&] {
+    serve::PolicyServer server;
+    server.load_and_publish(path);
+    const serve::ServerStats stats = server.stats();
+    if (stats.isa_fallbacks != 0 || stats.kernel == kernels::KernelKind::Gold)
+      g_gold_loads.fetch_add(1, std::memory_order_relaxed);
+    for (int z = 0; z < kNshocks; ++z) {
+      server.evaluate_batch(z, s.xs, out, s.batch);
+      const auto& want = s.expected[0][static_cast<std::size_t>(z)];
+      if (std::memcmp(want.data(), out.data(), want.size() * sizeof(double)) != 0)
+        g_load_mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::remove(path.c_str());
 }
 
 int serve_report(const benchlib::RunReport& report) {
@@ -297,6 +331,22 @@ int serve_report(const benchlib::RunReport& report) {
                  static_cast<unsigned long long>(missed), missed == 1 ? "" : "es");
     rc = 1;
   }
+  const std::uint64_t gold = g_gold_loads.load();
+  const std::uint64_t mismatched = g_load_mismatches.load();
+  if (gold != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu load%s of an x86 snapshot served on the gold kernel (ISA "
+                 "fallback on a host that runs x86)\n",
+                 static_cast<unsigned long long>(gold), gold == 1 ? "" : "s");
+    rc = 1;
+  }
+  if (mismatched != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu quer%s after load_and_publish differ bitwise from the saved "
+                 "policy\n",
+                 static_cast<unsigned long long>(mismatched), mismatched == 1 ? "y" : "ies");
+    rc = 1;
+  }
   if (rc == 0)
     std::printf("swap-under-load proof: every query served by exactly one snapshot version, "
                 "bitwise consistent; no drops, no blocked swaps\n");
@@ -307,6 +357,7 @@ const bool registered = [] {
   benchlib::register_benchmark("serve/qps", bench_qps);
   benchlib::register_benchmark("serve/qps_device", bench_qps_device);
   benchlib::register_benchmark("serve/swap_under_load", bench_swap_under_load);
+  benchlib::register_benchmark("serve/load_and_serve", bench_load_and_serve);
   benchlib::register_report(serve_report);
   return true;
 }();

@@ -141,7 +141,9 @@ int main(int argc, char** argv) {
   prov.add_row({"params", snap->meta.params});
   prov.add_row({"git sha", snap->meta.git_sha});
   prov.add_row({"saved ISA tier", snap->meta.isa_tier});
-  prov.add_row({"serving kernel", std::string(kernels::kernel_name(snap->policy->kernel_kind()))});
+  const serve::ServerStats loaded = server.stats();
+  prov.add_row({"serving kernel", std::string(kernels::kernel_name(*loaded.kernel))});
+  prov.add_row({"gold fallbacks", std::to_string(loaded.isa_fallbacks)});
   prov.add_row({"shocks", std::to_string(snap->policy->num_shocks())});
   prov.add_row({"grid points", std::to_string(snap->policy->total_points())});
   std::fputs(prov.to_string().c_str(), stdout);
@@ -162,8 +164,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- hot swap under load ---------------------------------------\n");
   std::atomic<bool> swapped{false};
   std::thread writer([&] {
-    const serve::LoadedSnapshot refreshed = serve::load_snapshot(path);
-    server.publish(refreshed.policy, refreshed.meta);
+    server.load_and_publish(path);
     swapped.store(true);
   });
   const LoadReport during = run_load(server, nthreads, queries, batch);
@@ -176,10 +177,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(server.current()->version));
 
   const serve::ServerStats stats = server.stats();
-  std::printf("\nserver totals: %llu queries, %llu points, %llu snapshots published\n",
+  std::printf("\nserver totals: %llu queries, %llu points, %llu snapshots published, "
+              "%llu gold fallbacks; serving kernel %s\n",
               static_cast<unsigned long long>(stats.queries),
               static_cast<unsigned long long>(stats.points),
-              static_cast<unsigned long long>(stats.swaps));
+              static_cast<unsigned long long>(stats.swaps),
+              static_cast<unsigned long long>(stats.isa_fallbacks),
+              std::string(kernels::kernel_name(*stats.kernel)).c_str());
   if (!swapped.load() || stats.swaps < 2) {
     std::fprintf(stderr, "hddm-serve: hot swap did not complete\n");
     return 1;

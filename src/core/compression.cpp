@@ -67,21 +67,29 @@ CompressedGridData compress(const sg::DenseGridData& dense, const CompressOption
   // ---- Step 2+3: global unique-factor array xps. Slot 0 is the sentinel;
   // real entries are sorted by (dimension, level, index) so that factors of
   // the same dimension are contiguous in the xpv scratch.
+  // Every nonzero pair also keeps a pointer to its map entry, in point order,
+  // so step 4 reads the assigned slots without a second lookup.
   std::map<XpsKey, std::uint32_t> unique;  // key -> xps slot (assigned later)
+  std::vector<const std::uint32_t*> pair_slots;
+  pair_slots.reserve(static_cast<std::size_t>(dense.nno) * dim - zero_pairs);
   for (std::uint32_t p = 0; p < dense.nno; ++p) {
     const auto mi = dense.point(p);
     for (std::uint32_t t = 0; t < dim; ++t) {
       if (mi[t].l == 1) continue;
-      unique.emplace(XpsKey{t, mi[t].l, mi[t].i}, 0);
+      pair_slots.push_back(&unique.emplace(XpsKey{t, mi[t].l, mi[t].i}, 0).first->second);
     }
   }
   out.xps.resize(unique.size() + 1);
-  out.xps[0] = XpsEntry{};  // sentinel
+  out.factors.resize(unique.size() + 1);  // slot 0 stays the unused sentinel
   {
     std::uint32_t slot = 1;
     for (auto& [key, value] : unique) {
       value = slot;
       out.xps[slot] = XpsEntry{key.j, key.l, key.i};
+      // 2^(l-1) and i / 2^(l-1) are exact: the very doubles sg::hat_scale and
+      // sg::point_coordinate return, without their ldexp calls.
+      const auto scale = static_cast<double>(std::uint64_t{1} << (key.l - 1));
+      out.factors[slot] = HatFactor{static_cast<double>(key.i) / scale, scale, key.j};
       ++slot;
     }
   }
@@ -91,19 +99,16 @@ CompressedGridData compress(const sg::DenseGridData& dense, const CompressOption
   // sharing leading factors — the correspondences the transition matrices
   // T_freq encode — become adjacent, which also groups equal chain lengths.
   std::vector<std::uint32_t> chains(static_cast<std::size_t>(dense.nno) * std::max(nfreq, 1), 0);
-  std::uint32_t used_entries = 0;
+  const std::uint32_t* const* next_slot = pair_slots.data();
   for (std::uint32_t p = 0; p < dense.nno; ++p) {
     const auto mi = dense.point(p);
     std::uint32_t* row = chains.data() + static_cast<std::size_t>(p) * std::max(nfreq, 1);
     int slot = 0;
-    for (std::uint32_t t = 0; t < dim; ++t) {
-      if (mi[t].l == 1) continue;
-      row[slot++] = unique.at(XpsKey{t, mi[t].l, mi[t].i});
-      ++used_entries;
-    }
+    for (std::uint32_t t = 0; t < dim; ++t)
+      if (mi[t].l != 1) row[slot++] = **next_slot++;
     std::sort(row, row + slot);
   }
-  out.stats.chain_entries_used = used_entries;
+  out.stats.chain_entries_used = static_cast<std::uint32_t>(pair_slots.size());
 
   out.order.resize(dense.nno);
   std::iota(out.order.begin(), out.order.end(), 0);
@@ -116,16 +121,25 @@ CompressedGridData compress(const sg::DenseGridData& dense, const CompressOption
                      });
   }
 
-  // Materialize reordered chains and surpluses.
+  // Materialize reordered chains and surpluses, back to front so that each
+  // point's skip row derives from its successor's, written one step before:
+  // the successor starts a new prefix [0..f] once the two chains differ at or
+  // before slot f, and otherwise shares p's prefix and its skip target.
+  const auto stride = static_cast<std::size_t>(nfreq);
   out.chains.assign(static_cast<std::size_t>(dense.nno) * std::max(nfreq, 1), 0);
+  out.skip.resize(static_cast<std::size_t>(dense.nno) * stride);
   out.surplus.assign(static_cast<std::size_t>(dense.nno) * dense.ndofs, 0.0);
-  for (std::uint32_t newp = 0; newp < dense.nno; ++newp) {
+  for (std::uint32_t newp = dense.nno; newp-- > 0;) {
     const std::uint32_t oldp = out.order[newp];
-    if (nfreq > 0) {
-      std::copy_n(chains.data() + static_cast<std::size_t>(oldp) * nfreq, nfreq,
-                  out.chains.data() + static_cast<std::size_t>(newp) * nfreq);
-    }
+    std::uint32_t* row = out.chains.data() + newp * stride;
+    std::uint32_t* skip = out.skip.data() + newp * stride;
+    std::copy_n(chains.data() + oldp * stride, stride, row);
     std::copy_n(dense.surplus_row(oldp), dense.ndofs, out.surplus_row(newp));
+    bool same_prefix = newp + 1 < dense.nno;
+    for (std::size_t f = 0; f < stride; ++f) {
+      same_prefix = same_prefix && row[f] == row[stride + f];
+      skip[f] = same_prefix ? skip[stride + f] : newp + 1;
+    }
   }
 
   out.stats.dense_bytes = static_cast<std::size_t>(dense.nno) * dim * sizeof(sg::LevelIndex);

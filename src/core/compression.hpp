@@ -24,6 +24,19 @@
 // scratch (fits L1 / GPU shared memory) and walks nno * nfreq chain entries
 // instead of nno * d pairs — the ~d/nfreq ≈ one-order-of-magnitude work
 // reduction of Fig. 5.
+//
+// The same pass that writes the chains also builds the two tables the
+// kernels' chain walk (kernels/kernels_internal.hpp) runs on:
+//   * `factors`, one HatFactor per xps slot: the hat's center and 2^(l-1)
+//     scale as the exact doubles sg::hat_value derives from (l, i), so a
+//     factor costs one subtract, multiply and clamp instead of two ldexp;
+//   * `skip`, the prefix-skip pointers: skip[p * nfreq + f] is the first
+//     point after p whose chain prefix [0..f] differs from p's (nno if none
+//     does). When a point's prefix product hits 0 at slot f, every point up
+//     to that pointer multiplies the same factors in the same order and is
+//     exactly 0 too, so the walk jumps there — bit-exact, not approximate.
+//     The reordering of step 4 is what makes these runs long.
+// (See DESIGN.md, "Compressed chain walk".)
 #pragma once
 
 #include <cstdint>
@@ -44,6 +57,15 @@ struct XpsEntry {
   sg::index_t i = 1;
 
   friend bool operator==(const XpsEntry&, const XpsEntry&) = default;
+};
+
+/// The evaluation form of one xps slot: phi(x) = sg::hat_value(center,
+/// scale, x[j]), with center = sg::point_coordinate({l, i}) and scale =
+/// sg::hat_scale(l) of the slot's XpsEntry.
+struct HatFactor {
+  double center = 0.0;
+  double scale = 0.0;
+  std::uint32_t j = 0;
 };
 
 /// The remapped pair of the zero-elimination step (Fig. 3). Root pairs map to
@@ -77,8 +99,13 @@ struct CompressedGridData {
   /// Unique basis factors; xps[0] is the reserved sentinel (never evaluated,
   /// chains terminate on index 0).
   std::vector<XpsEntry> xps;
+  /// factors[k] evaluates xps[k] (slot 0, the sentinel, is unused).
+  std::vector<HatFactor> factors;
   /// nno x nfreq chain matrix, row-major; entries index xps, 0 terminates.
   std::vector<std::uint32_t> chains;
+  /// nno x nfreq prefix-skip pointers: skip[p * nfreq + f] is the first
+  /// point after p whose chain prefix [0..f] differs from p's, or nno.
+  std::vector<std::uint32_t> skip;
   /// Surplus matrix reordered to the compressed point order (nno x ndofs).
   util::aligned_vector<double> surplus;
   /// order[new_position] == original point id in the dense input.

@@ -1,70 +1,32 @@
 // The `avx` kernel: compressed-format interpolation with the surplus
 // accumulation loop manually vectorized for 256-bit AVX (4 doubles per
-// vector). The chain walk stays scalar — it is a short, data-dependent loop.
-// As the paper observes (Sec. V-A), the gain over `x86` is minimal because
-// the kernel is memory-bound on the surplus matrix traffic.
+// vector); the chain walk is the shared scalar detail::walk_chains — a
+// short, data-dependent loop. As the paper observes (Sec. V-A), the gain over
+// `x86` is minimal because the kernel is memory-bound on the surplus matrix
+// traffic.
 #include <immintrin.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "kernels/kernels_internal.hpp"
-#include "sparse_grid/basis.hpp"
 
 namespace hddm::kernels::detail {
 
-namespace {
-
-class AvxKernel final : public InterpolationKernel {
- public:
-  explicit AvxKernel(const core::CompressedGridData& grid) : grid_(grid) {}
-
-  [[nodiscard]] KernelKind kind() const override { return KernelKind::Avx; }
-  [[nodiscard]] int dim() const override { return grid_.dim; }
-  [[nodiscard]] int ndofs() const override { return grid_.ndofs; }
-
-  __attribute__((target("avx"))) void evaluate(const double* x, double* value) const override {
-    thread_local std::vector<double> xpv;
-    xpv.resize(grid_.xps.size());
-    compute_xpv(grid_, x, xpv.data());
-
-    const int nd = grid_.ndofs;
-    const int nfreq = grid_.nfreq;
-    const int nd4 = nd & ~3;
-    std::fill(value, value + nd, 0.0);
-
-    const std::uint32_t* chain = grid_.chains.data();
-    for (std::uint32_t p = 0; p < grid_.nno; ++p, chain += nfreq) {
-      double temp = 1.0;
-      for (int f = 0; f < nfreq; ++f) {
-        const std::uint32_t idx = chain[f];
-        if (!idx) break;
-        temp *= xpv[idx];
-        if (temp == 0.0) break;
-      }
-      if (temp == 0.0) continue;
-
-      const double* srow = grid_.surplus_row(p);
-      const __m256d vtemp = _mm256_set1_pd(temp);
-      int dof = 0;
-      for (; dof < nd4; dof += 4) {
-        const __m256d acc = _mm256_loadu_pd(value + dof);
-        const __m256d s = _mm256_loadu_pd(srow + dof);
-        // AVX has no FMA; multiply + add is the best available.
-        _mm256_storeu_pd(value + dof, _mm256_add_pd(acc, _mm256_mul_pd(vtemp, s)));
-      }
-      for (; dof < nd; ++dof) value[dof] += temp * srow[dof];
-    }
-  }
-
- private:
-  const core::CompressedGridData& grid_;
-};
-
-}  // namespace
-
-std::unique_ptr<InterpolationKernel> make_avx_kernel(const core::CompressedGridData& grid) {
-  return std::make_unique<AvxKernel>(grid);
+__attribute__((target("avx"), flatten)) void evaluate_avx(const core::CompressedGridData& grid,
+                                                          const double* x, double* value) {
+  const int nd = grid.ndofs;
+  const int nd4 = nd & ~3;
+  evaluate_compressed(
+      grid, x, value, [&](std::uint32_t p, double temp, std::size_t) __attribute__((target("avx"))) {
+        const double* srow = grid.surplus_row(p);
+        const __m256d vtemp = _mm256_set1_pd(temp);
+        int dof = 0;
+        for (; dof < nd4; dof += 4) {
+          const __m256d acc = _mm256_loadu_pd(value + dof);
+          const __m256d s = _mm256_loadu_pd(srow + dof);
+          // AVX has no FMA; multiply + add is the best available.
+          _mm256_storeu_pd(value + dof, _mm256_add_pd(acc, _mm256_mul_pd(vtemp, s)));
+        }
+        for (; dof < nd; ++dof) value[dof] += temp * srow[dof];
+      });
 }
 
 }  // namespace hddm::kernels::detail

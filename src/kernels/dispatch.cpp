@@ -1,10 +1,37 @@
-// Runtime kernel selection: name table, CPUID feature checks, factory.
+// Runtime kernel selection: name table, CPUID feature checks, factory. The
+// compressed CPU tiers share one kernel class over their evaluate entry
+// points (kernels_internal.hpp).
 #include <stdexcept>
 
 #include "kernels/kernel_api.hpp"
 #include "kernels/kernels_internal.hpp"
 
 namespace hddm::kernels {
+
+namespace {
+
+/// A compressed CPU kernel: one tier's evaluate entry point bound to a grid.
+template <KernelKind Kind, detail::CompressedEvaluate Evaluate>
+class CompressedKernel final : public InterpolationKernel {
+ public:
+  explicit CompressedKernel(const core::CompressedGridData& grid) : grid_(grid) {}
+
+  [[nodiscard]] KernelKind kind() const override { return Kind; }
+  [[nodiscard]] int dim() const override { return grid_.dim; }
+  [[nodiscard]] int ndofs() const override { return grid_.ndofs; }
+
+  void evaluate(const double* x, double* value) const override { Evaluate(grid_, x, value); }
+
+ private:
+  const core::CompressedGridData& grid_;
+};
+
+template <KernelKind Kind, detail::CompressedEvaluate Evaluate>
+std::unique_ptr<InterpolationKernel> bind(const core::CompressedGridData& grid) {
+  return std::make_unique<CompressedKernel<Kind, Evaluate>>(grid);
+}
+
+}  // namespace
 
 std::string_view kernel_name(KernelKind kind) {
   switch (kind) {
@@ -70,12 +97,12 @@ std::unique_ptr<InterpolationKernel> make_kernel(KernelKind kind, const sg::Dens
       if (compressed == nullptr)
         throw std::invalid_argument("compressed kernels require compressed grid data");
       switch (kind) {
-        case KernelKind::X86: return detail::make_x86_kernel(*compressed);
-        case KernelKind::Avx: return detail::make_avx_kernel(*compressed);
-        case KernelKind::Avx2: return detail::make_avx2_kernel(*compressed);
+        case KernelKind::X86: return bind<KernelKind::X86, detail::evaluate_x86>(*compressed);
+        case KernelKind::Avx: return bind<KernelKind::Avx, detail::evaluate_avx>(*compressed);
+        case KernelKind::Avx2: return bind<KernelKind::Avx2, detail::evaluate_avx2>(*compressed);
         case KernelKind::Avx512:
 #ifdef HDDM_WITH_AVX512
-          return detail::make_avx512_kernel(*compressed);
+          return bind<KernelKind::Avx512, detail::evaluate_avx512>(*compressed);
 #else
           throw std::runtime_error("avx512 kernel disabled at configure time");
 #endif

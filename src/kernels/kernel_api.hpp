@@ -72,9 +72,7 @@ bool kernel_supported(KernelKind kind);
 
 /// The widest-vector CPU kernel this host can execute (Avx512 > Avx2 > Avx >
 /// X86), honoring both CPUID and the HDDM_WITH_AVX512 compile gate. The
-/// benchmark harness's recorded ISA tier (benchlib/sysinfo.cpp) mirrors this
-/// logic without linking the kernels module; bench drivers print this kernel
-/// directly.
+/// benchmark harness records it as the host's ISA tier (benchlib/sysinfo.cpp).
 KernelKind best_supported_kernel();
 
 /// Creates a kernel bound to the given grids. `dense` may be null unless

@@ -8,11 +8,12 @@
 //     merges it into the output at the end (one merge per block).
 // Phases (barrier-separated, modeling __syncthreads()):
 //   0. cooperative xpv staging: thread t computes factors t, t+128, ...
-//   1. point loop: thread t owns dofs t, t+128, ... of the partial sum
+//   1. point loop — the chain walk every compressed tier shares
+//      (kernels_internal.hpp, prefix skip included): thread t owns dofs
+//      t, t+128, ... of the partial sum
 //   2. merge partials into the global output (block-serialized by the
 //      sequential device, mirroring CUDA atomics).
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "kernels/kernels_internal.hpp"
@@ -28,7 +29,7 @@ constexpr std::uint32_t kBlockDim = 128;
 class SimGpuKernel final : public InterpolationKernel {
  public:
   explicit SimGpuKernel(const core::CompressedGridData& grid) : grid_(grid) {
-    const std::size_t xpv_bytes = grid_.xps.size() * sizeof(double);
+    const std::size_t xpv_bytes = grid_.xps_size() * sizeof(double);
     const std::size_t partial_bytes = static_cast<std::size_t>(grid_.ndofs) * sizeof(double);
     shared_bytes_ = xpv_bytes + partial_bytes;
     // The paper maps xpv onto the 48 KB shared memory; grids whose factor
@@ -42,24 +43,25 @@ class SimGpuKernel final : public InterpolationKernel {
   [[nodiscard]] int dim() const override { return grid_.dim; }
   [[nodiscard]] int ndofs() const override { return grid_.ndofs; }
 
-  [[nodiscard]] bool shared_memory_fits() const { return shared_fits_; }
-  [[nodiscard]] const simgpu::Device& device() const { return device_; }
+  void evaluate(const double* x, double* value) const override { evaluate_batch(x, value, 1); }
 
   // On real hardware one kernel launch per evaluation would be dominated by
   // launch latency; production GPU codes batch evaluation points into a
   // single launch (one block row per point). The simulated device mirrors
-  // that: the batch shares one launch and the per-block staging of xpv
-  // happens once per (block, point) pair, matching the CUDA code's shape.
+  // that: the batch shares one launch of a single wave of blocks per point
+  // (Sec. V-A), points block-cyclically sliced, and the per-block staging of
+  // xpv happens once per (block, point) pair, matching the CUDA code's shape.
   void evaluate_batch(const double* x, double* value, std::size_t npoints) const override {
     const auto d = static_cast<std::size_t>(dim());
     const auto nd = static_cast<std::size_t>(ndofs());
     if (!shared_fits_) {
-      for (std::size_t k = 0; k < npoints; ++k)
-        evaluate(x + k * d, value + k * nd);
+      // Tiled fallback: stage xpv in host memory instead (still correct;
+      // flagged in the bench output). Rare — adaptive grids past ~6000
+      // unique factors.
+      for (std::size_t k = 0; k < npoints; ++k) evaluate_x86(grid_, x + k * d, value + k * nd);
       return;
     }
-    for (std::size_t k = 0; k < npoints; ++k)
-      std::fill(value + k * nd, value + (k + 1) * nd, 0.0);
+    std::fill(value, value + npoints * nd, 0.0);
     if (grid_.nno == 0 || npoints == 0) return;
 
     const std::uint32_t wave = device_.single_wave_blocks(kBlockDim);
@@ -67,9 +69,11 @@ class SimGpuKernel final : public InterpolationKernel {
         std::min(wave, std::max<std::uint32_t>((grid_.nno + kBlockDim - 1) / kBlockDim, 1));
     const std::uint32_t points_per_block = (grid_.nno + blocks_per_point - 1) / blocks_per_point;
     const std::uint32_t grid_dim = blocks_per_point * static_cast<std::uint32_t>(npoints);
-    const std::size_t nxps = grid_.xps.size();
+    const std::size_t nxps = grid_.xps_size();
 
     std::vector<simgpu::Phase> phases;
+    // Phase 0: cooperative staging of xpv into shared memory from the grid's
+    // factor table.
     phases.emplace_back([this, x, d, nxps, blocks_per_point](const simgpu::ThreadCtx& ctx) {
       const double* xk = x + (ctx.block_idx / blocks_per_point) * d;
       auto* xpv = reinterpret_cast<double*>(ctx.shared);
@@ -78,38 +82,30 @@ class SimGpuKernel final : public InterpolationKernel {
           xpv[0] = 1.0;
           continue;
         }
-        const core::XpsEntry& e = grid_.xps[k];
-        xpv[k] = sg::hat_value({e.l, e.i}, xk[e.j]);
+        const core::HatFactor& h = grid_.factors[k];
+        xpv[k] = sg::hat_value(h.center, h.scale, xk[h.j]);
       }
     });
+    // Phase 1: the shared chain walk over this block's slice of points;
+    // thread t accumulates dofs t, t+128, ... into the block-shared partial.
     phases.emplace_back([this, nxps, points_per_block, blocks_per_point](
                             const simgpu::ThreadCtx& ctx) {
-      auto* xpv = reinterpret_cast<double*>(ctx.shared);
-      auto* partial = xpv + nxps;
+      const auto* xpv = reinterpret_cast<const double*>(ctx.shared);
+      auto* partial = reinterpret_cast<double*>(ctx.shared) + nxps;
       const int nd_local = grid_.ndofs;
-      const int nfreq = grid_.nfreq;
-      const std::uint32_t slice = ctx.block_idx % blocks_per_point;
-      const std::uint32_t begin = slice * points_per_block;
+      const std::uint32_t begin = (ctx.block_idx % blocks_per_point) * points_per_block;
       const std::uint32_t end = std::min(grid_.nno, begin + points_per_block);
-      for (std::uint32_t p = begin; p < end; ++p) {
-        const std::uint32_t* chain = grid_.chain_row(p);
-        double temp = 1.0;
-        for (int f = 0; f < nfreq; ++f) {
-          const std::uint32_t idx = chain[f];
-          if (!idx) break;
-          temp *= xpv[idx];
-          if (temp == 0.0) break;
-        }
-        if (temp == 0.0) continue;
+      walk_chains(grid_, xpv, begin, end, [&](std::uint32_t p, double temp, std::size_t) {
         const double* srow = grid_.surplus_row(p);
         for (int dof = static_cast<int>(ctx.thread_idx); dof < nd_local;
              dof += static_cast<int>(ctx.block_dim))
           partial[dof] += temp * srow[dof];
-      }
+      });
     });
+    // Phase 2: merge the block partial into the point's output (the device
+    // serializes blocks, matching what CUDA atomicAdd would guarantee).
     phases.emplace_back([this, nxps, value, nd, blocks_per_point](const simgpu::ThreadCtx& ctx) {
-      const auto* xpv = reinterpret_cast<const double*>(ctx.shared);
-      const auto* partial = xpv + nxps;
+      const auto* partial = reinterpret_cast<const double*>(ctx.shared) + nxps;
       double* out = value + (ctx.block_idx / blocks_per_point) * nd;
       const int nd_local = grid_.ndofs;
       for (int dof = static_cast<int>(ctx.thread_idx); dof < nd_local;
@@ -120,102 +116,7 @@ class SimGpuKernel final : public InterpolationKernel {
     device_.launch(grid_dim, kBlockDim, shared_bytes_, phases);
   }
 
-  void evaluate(const double* x, double* value) const override {
-    const auto nno = grid_.nno;
-    const int nd = grid_.ndofs;
-    std::fill(value, value + nd, 0.0);
-    if (nno == 0) return;
-
-    if (!shared_fits_) {
-      // Tiled fallback: stage xpv in host memory instead (still correct;
-      // flagged in the bench output). Rare — adaptive grids past ~6000
-      // unique factors.
-      fallback_evaluate(x, value);
-      return;
-    }
-
-    // One wave of blocks (Sec. V-A): points are block-cyclically sliced.
-    const std::uint32_t wave = device_.single_wave_blocks(kBlockDim);
-    const std::uint32_t blocks_needed = (nno + kBlockDim - 1) / kBlockDim;
-    const std::uint32_t grid_dim = std::min(wave, std::max<std::uint32_t>(blocks_needed, 1));
-    const std::uint32_t points_per_block = (nno + grid_dim - 1) / grid_dim;
-
-    const std::size_t nxps = grid_.xps.size();
-
-    std::vector<simgpu::Phase> phases;
-    // Phase 0: cooperative staging of xpv into shared memory.
-    phases.emplace_back([this, x, nxps](const simgpu::ThreadCtx& ctx) {
-      auto* xpv = reinterpret_cast<double*>(ctx.shared);
-      for (std::size_t k = ctx.thread_idx; k < nxps; k += ctx.block_dim) {
-        if (k == 0) {
-          xpv[0] = 1.0;
-          continue;
-        }
-        const core::XpsEntry& e = grid_.xps[k];
-        xpv[k] = sg::hat_value({e.l, e.i}, x[e.j]);
-      }
-    });
-    // Phase 1: point loop; thread t accumulates dofs t, t+128, ... into the
-    // block-shared partial vector.
-    phases.emplace_back([this, nxps, points_per_block, nno](const simgpu::ThreadCtx& ctx) {
-      auto* xpv = reinterpret_cast<double*>(ctx.shared);
-      auto* partial = xpv + nxps;
-      const int nd = grid_.ndofs;
-      const int nfreq = grid_.nfreq;
-      const std::uint32_t begin = ctx.block_idx * points_per_block;
-      const std::uint32_t end = std::min(nno, begin + points_per_block);
-      for (std::uint32_t p = begin; p < end; ++p) {
-        const std::uint32_t* chain = grid_.chain_row(p);
-        double temp = 1.0;
-        for (int f = 0; f < nfreq; ++f) {
-          const std::uint32_t idx = chain[f];
-          if (!idx) break;
-          temp *= xpv[idx];
-          if (temp == 0.0) break;
-        }
-        if (temp == 0.0) continue;
-        const double* srow = grid_.surplus_row(p);
-        for (int dof = static_cast<int>(ctx.thread_idx); dof < nd;
-             dof += static_cast<int>(ctx.block_dim))
-          partial[dof] += temp * srow[dof];
-      }
-    });
-    // Phase 2: merge the block partial into the global output (the device
-    // serializes blocks, matching what CUDA atomicAdd would guarantee).
-    phases.emplace_back([this, nxps, value](const simgpu::ThreadCtx& ctx) {
-      const auto* xpv = reinterpret_cast<const double*>(ctx.shared);
-      const auto* partial = xpv + nxps;
-      const int nd = grid_.ndofs;
-      for (int dof = static_cast<int>(ctx.thread_idx); dof < nd;
-           dof += static_cast<int>(ctx.block_dim))
-        value[dof] += partial[dof];
-    });
-
-    device_.launch(grid_dim, kBlockDim, shared_bytes_, phases);
-  }
-
  private:
-  void fallback_evaluate(const double* x, double* value) const {
-    thread_local std::vector<double> xpv;
-    xpv.resize(grid_.xps.size());
-    compute_xpv(grid_, x, xpv.data());
-    const int nd = grid_.ndofs;
-    const int nfreq = grid_.nfreq;
-    for (std::uint32_t p = 0; p < grid_.nno; ++p) {
-      const std::uint32_t* chain = grid_.chain_row(p);
-      double temp = 1.0;
-      for (int f = 0; f < nfreq; ++f) {
-        const std::uint32_t idx = chain[f];
-        if (!idx) break;
-        temp *= xpv[idx];
-        if (temp == 0.0) break;
-      }
-      if (temp == 0.0) continue;
-      const double* srow = grid_.surplus_row(p);
-      for (int dof = 0; dof < nd; ++dof) value[dof] += temp * srow[dof];
-    }
-  }
-
   const core::CompressedGridData& grid_;
   mutable simgpu::Device device_;
   std::size_t shared_bytes_ = 0;

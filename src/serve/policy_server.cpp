@@ -44,7 +44,16 @@ std::uint64_t PolicyServer::publish(std::shared_ptr<core::AsgPolicy> policy, Sna
 
 std::uint64_t PolicyServer::load_and_publish(const std::string& path) {
   LoadedSnapshot loaded = load_snapshot(path);
+  if (loaded.isa_fallback) isa_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   return publish(std::move(loaded.policy), std::move(loaded.meta));
+}
+
+ServerStats PolicyServer::stats() const {
+  ServerStats s{queries_.load(std::memory_order_relaxed), points_.load(std::memory_order_relaxed),
+                swaps_.load(std::memory_order_relaxed),
+                isa_fallbacks_.load(std::memory_order_relaxed), std::nullopt};
+  if (const auto snap = current()) s.kernel = snap->policy->kernel_kind();
+  return s;
 }
 
 std::shared_ptr<const PolicyServer::Snapshot> PolicyServer::pinned_or_throw() const {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <version>
@@ -48,11 +49,17 @@ struct ServerOptions {
   parallel::DispatcherOptions offload;
 };
 
-/// Monotonic serving counters (relaxed telemetry, like DispatcherStats).
+/// Monotonic serving counters (relaxed telemetry, like DispatcherStats)
+/// plus the kernel the current generation serves on.
 struct ServerStats {
   std::uint64_t queries = 0;  ///< evaluate_batch / evaluate_gather calls served
   std::uint64_t points = 0;   ///< evaluation points those calls carried
   std::uint64_t swaps = 0;    ///< snapshots published (initial publish included)
+  /// load_and_publish calls whose snapshot fell back to the gold kernel
+  /// (LoadedSnapshot::isa_fallback: unknown or unexecutable recorded tier).
+  std::uint64_t isa_fallbacks = 0;
+  /// Kernel of the current generation's policy; empty before the first publish.
+  std::optional<kernels::KernelKind> kernel;
 };
 
 class PolicyServer {
@@ -73,7 +80,8 @@ class PolicyServer {
   std::uint64_t publish(std::shared_ptr<core::AsgPolicy> policy, SnapshotMeta meta = {});
 
   /// Loads a snapshot file (full validation + ISA revalidation, see
-  /// load_snapshot) and publishes it. Returns the new version.
+  /// load_snapshot) and publishes it; a gold fallback counts in
+  /// ServerStats::isa_fallbacks. Returns the new version.
   std::uint64_t load_and_publish(const std::string& path);
 
   /// True once a snapshot has been published; querying before that throws.
@@ -96,10 +104,7 @@ class PolicyServer {
                                 std::span<const double> xs, std::size_t npoints,
                                 std::span<double> out, std::size_t out_stride) const;
 
-  [[nodiscard]] ServerStats stats() const {
-    return {queries_.load(std::memory_order_relaxed), points_.load(std::memory_order_relaxed),
-            swaps_.load(std::memory_order_relaxed)};
-  }
+  [[nodiscard]] ServerStats stats() const;
 
   /// Offload counters of the *current* snapshot's dispatcher (zeros without
   /// an attached device) — per-generation, reset by design at each swap.
@@ -127,6 +132,7 @@ class PolicyServer {
   mutable std::atomic<std::uint64_t> queries_{0};
   mutable std::atomic<std::uint64_t> points_{0};
   std::atomic<std::uint64_t> swaps_{0};
+  std::atomic<std::uint64_t> isa_fallbacks_{0};
 };
 
 }  // namespace hddm::serve

@@ -162,15 +162,14 @@ LoadedSnapshot load_snapshot(std::istream& in, std::optional<kernels::KernelKind
   if (ndofs == 0 || nshocks == 0 || nshocks > kMaxShocks)
     fail(SnapshotErrc::CorruptPayload, "implausible policy header");
 
-  // ---- ISA revalidation (satellite: a snapshot from different silicon
-  // must not dictate this host's kernel) ----
-  const kernels::KernelKind host_tier = kernels::best_supported_kernel();
+  // ---- ISA revalidation: keep the recorded tier when this host can run
+  // it; an unknown or unexecutable tier must not dictate this host's kernel.
   const std::optional<kernels::KernelKind> recorded =
       kernel_kind_from_name(loaded.meta.isa_tier);
   if (force_kernel.has_value()) {
     loaded.kernel = *force_kernel;
-  } else if (recorded.has_value() && *recorded == host_tier) {
-    loaded.kernel = host_tier;
+  } else if (recorded.has_value() && kernels::kernel_supported(*recorded)) {
+    loaded.kernel = *recorded;
   } else {
     loaded.kernel = kernels::KernelKind::Gold;
     loaded.isa_fallback = true;

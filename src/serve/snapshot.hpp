@@ -34,11 +34,13 @@
 // save -> load -> evaluate is bitwise identical to the source policy (the
 // round-trip battery in tests/serve/).
 //
-// ISA-tier revalidation: save() records the policy's CPU kernel tier (e.g.
-// "avx2"); load() re-derives the host tier via kernels::best_supported_kernel
-// and, when they differ, routes the loaded policy through the gold reference
-// kernel — conservative, ULP-bounded against every tier (see the parity
-// tests) — instead of trusting a tier picked on different silicon.
+// ISA-tier revalidation: save() records the policy's kernel tier (e.g.
+// "x86", "avx2"); load() keeps that tier whenever kernels::kernel_supported
+// says this host can execute it, so a loaded policy answers bit for bit like
+// the one that was saved. Only an unknown tier name, or one this host cannot
+// run (an "avx512" snapshot on AVX2 silicon), routes the loaded policy
+// through the gold reference kernel — ULP-bounded against every tier (see
+// the parity tests) — and sets LoadedSnapshot::isa_fallback.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +101,8 @@ struct LoadedSnapshot {
   std::shared_ptr<core::AsgPolicy> policy;
   SnapshotMeta meta;
   kernels::KernelKind kernel = kernels::KernelKind::Gold;
-  /// True when the recorded ISA tier did not match this host's best tier
-  /// (or was unknown) and the policy was routed through the gold kernel.
+  /// True when the recorded ISA tier was unknown or not executable on this
+  /// host and the policy was routed through the gold kernel.
   bool isa_fallback = false;
 };
 

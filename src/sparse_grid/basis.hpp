@@ -42,14 +42,22 @@ inline double point_coordinate(LevelIndex li) {
   return std::ldexp(static_cast<double>(li.i), 1 - static_cast<int>(li.l));
 }
 
+/// The slope magnitude 2^(l-1) of a level-l hat (l > 1).
+inline double hat_scale(level_t l) { return std::ldexp(1.0, static_cast<int>(l) - 1); }
+
+/// Eq. (5) for a non-root hat given by its center x_{l,i} and scale
+/// 2^(l-1): max(1 - scale |x - center|, 0). The compressed kernels evaluate
+/// this form from core::HatFactor's precomputed doubles.
+inline double hat_value(double center, double scale, double x) {
+  const double v = 1.0 - scale * (x > center ? x - center : center - x);
+  return v > 0.0 ? v : 0.0;
+}
+
 /// Hat-function evaluation per Eq. (5): phi_{1,1} == 1, otherwise
 /// max(1 - 2^(l-1) |x - x_{l,i}|, 0).
 inline double hat_value(LevelIndex li, double x) {
   if (li.l == 1) return 1.0;
-  const double center = point_coordinate(li);
-  const double scale = std::ldexp(1.0, static_cast<int>(li.l) - 1);
-  const double v = 1.0 - scale * (x > center ? x - center : center - x);
-  return v > 0.0 ? v : 0.0;
+  return hat_value(point_coordinate(li), hat_scale(li.l), x);
 }
 
 /// Derivative of the hat function w.r.t. x: 0 for the constant level-1
@@ -64,14 +72,15 @@ inline double hat_value(LevelIndex li, double x) {
 /// Off the null set the value is exact; finite differences straddling a
 /// kink differ by a documented tolerance instead — see DESIGN.md, "Jacobian
 /// pipeline".
-inline double hat_derivative(LevelIndex li, double x) {
-  if (li.l == 1) return 0.0;
-  const double center = point_coordinate(li);
+inline double hat_derivative(double center, double scale, double x) {
   if (x == center) return 0.0;  // subgradient midpoint at the kink
-  const double scale = std::ldexp(1.0, static_cast<int>(li.l) - 1);
   const double dist = x > center ? x - center : center - x;
   if (1.0 - scale * dist <= 0.0) return 0.0;  // outside (or on the edge of) support
   return x > center ? -scale : scale;
+}
+inline double hat_derivative(LevelIndex li, double x) {
+  if (li.l == 1) return 0.0;
+  return hat_derivative(point_coordinate(li), hat_scale(li.l), x);
 }
 
 /// True when (l, i) is a valid pair of the hierarchical index sets (Eq. 7).

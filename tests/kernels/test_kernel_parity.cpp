@@ -27,6 +27,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -158,11 +159,11 @@ INSTANTIATE_TEST_SUITE_P(GoldVsIsa, KernelParityTest, ::testing::ValuesIn(parity
 
 // --- Snapshot ISA revalidation -------------------------------------------
 //
-// A snapshot records the ISA tier it was saved under; load() re-derives the
-// host's best tier. Matching tiers keep the recorded kind; a foreign (or
-// unknown) tier routes through the gold reference kernel, whose agreement
-// with every tier is exactly the ULP contract established above — so these
-// tests live next to the parity suite and reuse its bound.
+// A snapshot records the kernel tier it was saved under; load() keeps it
+// whenever this host can execute it. An unknown (or unexecutable) tier
+// routes through the gold reference kernel, whose agreement with every tier
+// is exactly the ULP contract established above — so these tests live next
+// to the parity suite and reuse its bound.
 
 std::shared_ptr<core::AsgPolicy> parity_policy(KernelKind kind) {
   sg::GridStorage storage(3);
@@ -190,10 +191,10 @@ TEST(SnapshotIsaRevalidation, MatchingTierKeepsHostKernel) {
 }
 
 TEST(SnapshotIsaRevalidation, ForeignTierFallsBackToGoldUlpBounded) {
-  // Simulate a snapshot produced on different silicon: forge a tier string
-  // this host will not match. The load must not trust it — it routes through
-  // gold — and the served values must stay inside the parity ULP bound
-  // against the source policy's own tier.
+  // Forge a tier name no kernel carries (a build with tiers this one does
+  // not know). The load must not trust it — it routes through gold — and
+  // the served values must stay inside the parity ULP bound against the
+  // source policy's own tier.
   const auto policy = parity_policy(KernelKind::X86);
   std::stringstream buffer;
   serve::SnapshotMeta meta;
@@ -222,19 +223,35 @@ TEST(SnapshotIsaRevalidation, ForeignTierFallsBackToGoldUlpBounded) {
   }
 }
 
-TEST(SnapshotIsaRevalidation, RealForeignTierNameAlsoFallsBack) {
-  // A *valid* tier name that simply is not this host's best tier must also
-  // fall back (the recorded kind may not even be executable here). Gold
-  // itself is never anyone's best_supported_kernel, so it always qualifies.
-  const auto policy = parity_policy(KernelKind::X86);
-  std::stringstream buffer;
-  serve::SnapshotMeta meta;
-  meta.model = "parity";
-  meta.isa_tier = std::string(kernel_name(KernelKind::Gold));
-  serve::save_snapshot(*policy, meta, buffer);
-  const serve::LoadedSnapshot loaded = serve::load_snapshot(buffer);
-  EXPECT_TRUE(loaded.isa_fallback);
-  EXPECT_EQ(loaded.kernel, KernelKind::Gold);
+TEST(SnapshotIsaRevalidation, RecordedTierKeptIffSupported) {
+  // Every real tier name: a tier this host runs is kept as recorded (no
+  // fallback, bitwise the source policy's answers); one it cannot run — an
+  // avx512 snapshot on AVX2 silicon, say — goes to gold with the flag set.
+  util::Rng rng(0x7135);
+  std::vector<double> want(5), got(5);
+  for (const KernelKind recorded : kAllKernelKinds) {
+    const bool supported = kernel_supported(recorded);
+    const auto policy = parity_policy(supported ? recorded : KernelKind::X86);
+    std::stringstream buffer;
+    serve::SnapshotMeta meta;
+    meta.model = "parity";
+    meta.isa_tier = std::string(kernel_name(recorded));
+    serve::save_snapshot(*policy, meta, buffer);
+
+    const serve::LoadedSnapshot loaded = serve::load_snapshot(buffer);
+    const KernelKind expected = supported ? recorded : KernelKind::Gold;
+    EXPECT_EQ(loaded.isa_fallback, !supported) << meta.isa_tier;
+    EXPECT_EQ(loaded.kernel, expected) << meta.isa_tier;
+    EXPECT_EQ(loaded.policy->kernel_kind(), expected) << meta.isa_tier;
+    if (!supported) continue;
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto x = rng.uniform_point(3);
+      policy->evaluate(0, x, want);
+      loaded.policy->evaluate(0, x, got);
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(double)))
+          << meta.isa_tier << " snapshot answers differently after load";
+    }
+  }
 }
 
 }  // namespace

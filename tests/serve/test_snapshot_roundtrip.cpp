@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include "core/time_iteration.hpp"
 #include "irbc/irbc_model.hpp"
 #include "olg/olg_model.hpp"
+#include "serve/policy_server.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::serve {
@@ -30,22 +32,14 @@ core::TimeIterationOptions small_solve(bool adaptive) {
   return opts;
 }
 
-/// Saves, reloads (pinning the source's own kernel kind so the comparison
-/// is same-kernel), and asserts bitwise identity on every query surface.
-void expect_bitwise_roundtrip(const core::AsgPolicy& original, const std::string& model_name) {
-  SnapshotMeta meta;
-  meta.model = model_name;
-  meta.params = "test";
-  std::stringstream buffer;
-  save_snapshot(original, meta, buffer);
-  const LoadedSnapshot loaded = load_snapshot(buffer, original.kernel_kind());
-  const core::AsgPolicy& restored = *loaded.policy;
-
+/// Asserts that `restored` answers every query surface bitwise like
+/// `original`.
+void expect_bitwise_same(const core::AsgPolicy& original, const core::AsgPolicy& restored,
+                         const std::string& model_name) {
   ASSERT_EQ(restored.num_shocks(), original.num_shocks());
   ASSERT_EQ(restored.ndofs(), original.ndofs());
   EXPECT_EQ(restored.total_points(), original.total_points());
   EXPECT_EQ(restored.points_per_shock(), original.points_per_shock());
-  EXPECT_EQ(loaded.meta.model, model_name);
 
   const int Ns = original.num_shocks();
   const auto nd = static_cast<std::size_t>(original.ndofs());
@@ -94,6 +88,19 @@ void expect_bitwise_roundtrip(const core::AsgPolicy& original, const std::string
   }
 }
 
+/// Saves, reloads (pinning the source's own kernel kind so the comparison
+/// is same-kernel), and asserts bitwise identity on every query surface.
+void expect_bitwise_roundtrip(const core::AsgPolicy& original, const std::string& model_name) {
+  SnapshotMeta meta;
+  meta.model = model_name;
+  meta.params = "test";
+  std::stringstream buffer;
+  save_snapshot(original, meta, buffer);
+  const LoadedSnapshot loaded = load_snapshot(buffer, original.kernel_kind());
+  EXPECT_EQ(loaded.meta.model, model_name);
+  expect_bitwise_same(original, *loaded.policy, model_name);
+}
+
 TEST(SnapshotRoundTrip, OlgRegularGridBitIdentical) {
   const olg::OlgModel model(olg::build_economy(olg::reduced_calibration(4, 2, 1)));
   const auto result = core::solve_time_iteration(model, small_solve(/*adaptive=*/false));
@@ -122,6 +129,34 @@ TEST(SnapshotRoundTrip, IrbcAdaptiveGridBitIdentical) {
   const irbc::IrbcModel model(cal);
   const auto result = core::solve_time_iteration(model, small_solve(/*adaptive=*/true));
   expect_bitwise_roundtrip(*result.policy, "irbc-adaptive");
+}
+
+TEST(SnapshotRoundTrip, DefaultSolveServesOnX86BitIdentical) {
+  // A default solve records the x86 tier, which every host runs: the default
+  // load rule (no forced kernel) keeps it, and the server answers exactly
+  // like the solver's own policy instead of through the gold fallback.
+  const olg::OlgModel model(olg::build_economy(olg::reduced_calibration(4, 2, 1)));
+  const core::TimeIterationOptions opts = small_solve(/*adaptive=*/true);
+  ASSERT_EQ(opts.kernel, kernels::KernelKind::X86);
+  const auto result = core::solve_time_iteration(model, opts);
+  const std::string path = ::testing::TempDir() + "/hddm_default_solve.hsnap";
+  SnapshotMeta meta;
+  meta.model = "olg";
+  save_snapshot(*result.policy, meta, path);
+
+  const LoadedSnapshot loaded = load_snapshot(path);
+  EXPECT_EQ(loaded.meta.isa_tier, "x86");
+  EXPECT_EQ(loaded.kernel, kernels::KernelKind::X86);
+  EXPECT_FALSE(loaded.isa_fallback);
+  expect_bitwise_same(*result.policy, *loaded.policy, "olg-default");
+
+  PolicyServer server;
+  server.load_and_publish(path);
+  std::remove(path.c_str());
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.kernel, kernels::KernelKind::X86);
+  EXPECT_EQ(stats.isa_fallbacks, 0u);
+  expect_bitwise_same(*result.policy, *server.current()->policy, "olg-default-served");
 }
 
 TEST(SnapshotRoundTrip, SaveIsDeterministic) {
