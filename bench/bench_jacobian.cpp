@@ -12,16 +12,19 @@
 //   jacobian/analytic/N<k>  — IrbcModel::euler_jacobian (closed-form columns)
 // across country counts N (d = ndofs = N, Ns = 2^min(N,4)).
 //
-// The report adds untimed acceptance checks and FAILS (non-zero exit) if
+// The report adds untimed acceptance checks on real Newton solves — the
+// model's residual, its Newton settings and capital box
+// (IrbcModel::newton_options), one warm start, solved by solver::solve_newton
+// once with and once without euler_jacobian — and FAILS (non-zero exit) if
 //   * at N >= 4 the analytic sweep does not beat the batched-FD sweep,
-//   * Newton solutions under Analytic vs BatchedFd mode diverge beyond the
-//     documented trajectory tolerance (1e-6 inf-norm on converged dofs —
-//     both modes solve to residual 1e-10, so agreeing endpoints are the
-//     correctness statement; iteration paths may differ),
-//   * FD-check mode flags any column on those converged solves (analytic
-//     columns must sit within fd_check_tolerance of the FD reference), or
+//   * the analytic and FD-refreshed solutions diverge beyond the documented
+//     trajectory tolerance (1e-6 inf-norm on converged dofs — both solve to
+//     residual 1e-10, so agreeing endpoints are the correctness statement;
+//     iteration paths may differ),
+//   * any refresh of those analytic solves deviates from the batched-FD
+//     reference by solver::jacobian_deviation > 1e-3 (the audit), or
 //   * no sampled point produced a converged trajectory pair at some N.
-// Solves where BOTH modes fail to converge are excluded: an unconverged
+// Solves where BOTH runs fail to converge are excluded: an unconverged
 // Newton stops at whatever iterate the line search died on, which depends
 // on the Jacobian path by construction (and wanders into floor/clamp
 // regions where forward differences straddle kinks), so neither endpoint
@@ -54,8 +57,13 @@ using namespace hddm;
 
 constexpr int kCountryCounts[] = {2, 4, 8};
 /// Documented trajectory tolerance: inf-norm between converged Newton
-/// solutions under Analytic vs BatchedFd refreshes (see DESIGN.md).
+/// solutions with analytic vs finite-difference refreshes (see DESIGN.md).
 constexpr double kTrajectoryTolerance = 1e-6;
+/// A refresh whose jacobian_deviation from the FD reference exceeds this is
+/// a wrong derivative, not FD truncation error (see DESIGN.md).
+constexpr double kAuditTolerance = 1e-3;
+/// Forward-difference step scale of the FD solves and the audit reference.
+constexpr double kFdEpsilon = 1e-7;
 
 std::unique_ptr<core::AsgPolicy> build_policy(const irbc::IrbcModel& model, int level,
                                               std::uint64_t seed) {
@@ -82,11 +90,7 @@ std::unique_ptr<core::AsgPolicy> build_policy(const irbc::IrbcModel& model, int 
 }
 
 struct Setup {
-  // Three model twins differing only in jacobian_mode (the mode is fixed at
-  // model construction; grids and trial points are shared).
-  std::unique_ptr<irbc::IrbcModel> model_fd;
-  std::unique_ptr<irbc::IrbcModel> model_an;
-  std::unique_ptr<irbc::IrbcModel> model_check;
+  std::unique_ptr<irbc::IrbcModel> model;
   std::unique_ptr<core::AsgPolicy> policy;
   std::vector<double> k;       // today's state (physical)
   std::vector<double> us;      // sweeps trial points (rows of N)
@@ -95,8 +99,8 @@ struct Setup {
   bool trajectories_ok = true;
   int converged_pairs = 0;
   double worst_trajectory_dev = 0.0;
-  long long fd_check_flagged = 0;
-  double fd_check_max_dev = 0.0;
+  long long audit_flagged = 0;  // analytic refreshes beyond kAuditTolerance
+  double audit_max_dev = 0.0;
   long long analytic_refreshes = 0;
   long long fd_refreshes = 0;
 };
@@ -105,31 +109,29 @@ Setup make_setup(int countries) {
   Setup s;
   irbc::IrbcCalibration cal;
   cal.countries = countries;
-  cal.jacobian_mode = solver::JacobianMode::BatchedFd;
-  s.model_fd = std::make_unique<irbc::IrbcModel>(cal);
-  cal.jacobian_mode = solver::JacobianMode::Analytic;
-  s.model_an = std::make_unique<irbc::IrbcModel>(cal);
-  cal.jacobian_mode = solver::JacobianMode::FdCheck;
-  s.model_check = std::make_unique<irbc::IrbcModel>(cal);
+  s.model = std::make_unique<irbc::IrbcModel>(cal);
+  const irbc::IrbcModel& model = *s.model;
 
   const int level = static_cast<int>(util::env_long("HDDM_JAC_LEVEL", 4));
   s.sweeps = static_cast<std::size_t>(util::env_long("HDDM_JAC_SWEEPS", 64));
   const auto solves = static_cast<int>(util::env_long("HDDM_JAC_SOLVES", 3));
-  s.policy = build_policy(*s.model_an, level, 100);
+  s.policy = build_policy(model, level, 100);
 
   const auto N = static_cast<std::size_t>(countries);
   util::Rng rng(7);
   const std::vector<double> x_unit = rng.uniform_point(countries);
-  s.k = s.model_an->domain().to_physical(x_unit);
+  s.k = model.domain().to_physical(x_unit);
   // Trial points around the state — the iterates a Newton refresh sees.
   s.us.resize(s.sweeps * N);
   for (std::size_t sweep = 0; sweep < s.sweeps; ++sweep)
     for (std::size_t j = 0; j < N; ++j)
       s.us[sweep * N + j] = s.k[j] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0));
 
-  // --- untimed acceptance: trajectories + FD-check audit on real solves ----
-  const core::InitialPolicyEvaluator warm_eval(*s.model_an);
-  const int Ns = s.model_an->num_shocks();
+  // --- untimed acceptance: trajectories + FD audit on real solves ----------
+  const core::InitialPolicyEvaluator warm_eval(model);
+  const int Ns = model.num_shocks();
+  solver::NewtonOptions opts = model.newton_options();
+  opts.fd_epsilon = kFdEpsilon;
   util::Rng prng(11);
   for (int p = 0; p < solves; ++p) {
     // Interior sample: random corners of the +-20% box are frequently
@@ -140,22 +142,45 @@ Setup make_setup(int countries) {
     std::vector<double> warm(N);
     warm_eval.evaluate(0, xp, warm);
     const int z = p % Ns;
-    const auto fd = s.model_fd->solve_point(z, xp, *s.policy, warm);
-    const auto an = s.model_an->solve_point(z, xp, *s.policy, warm);
+    const std::vector<double> kp = model.domain().to_physical(xp);
 
-    if (fd.converged != an.converged) s.trajectories_ok = false;  // one-sided failure
-    if (!fd.converged || !an.converged) continue;
+    irbc::IrbcModel::ResidualScratch scratch;
+    const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
+      model.euler_residuals_batch(z, kp, u, 1, *s.policy, out, scratch);
+    };
+    const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
+                                              std::size_t ncols) {
+      model.euler_residuals_batch(z, kp, us, ncols, *s.policy, fs, scratch);
+    };
+    // Steps with the analytic columns and audits each refresh against the
+    // batched-FD reference at the same iterate.
+    long long flagged = 0;
+    double max_dev = 0.0;
+    const solver::JacobianFn audited = [&](std::span<const double> u, util::Matrix& jac) {
+      model.euler_jacobian(z, kp, u, *s.policy, jac, scratch);
+      std::vector<double> fu(N);
+      residual(u, fu);
+      util::Matrix reference(N, N);
+      solver::finite_difference_jacobian(batch, u, fu, kFdEpsilon, reference);
+      const double dev = solver::jacobian_deviation(jac, reference);
+      max_dev = std::max(max_dev, dev);
+      if (dev > kAuditTolerance) ++flagged;
+    };
+    const solver::NewtonResult fd = solver::solve_newton(residual, warm, opts);
+    const solver::NewtonResult an = solver::solve_newton(residual, warm, opts, &audited);
+
+    if (fd.converged() != an.converged()) s.trajectories_ok = false;  // one-sided failure
+    if (!fd.converged() || !an.converged()) continue;
     ++s.converged_pairs;
-    const auto ck = s.model_check->solve_point(z, xp, *s.policy, warm);
     for (std::size_t j = 0; j < N; ++j) {
-      const double dev = std::fabs(an.dofs[j] - fd.dofs[j]);
+      const double dev = std::fabs(an.solution[j] - fd.solution[j]);
       s.worst_trajectory_dev = std::max(s.worst_trajectory_dev, dev);
       if (dev > kTrajectoryTolerance) s.trajectories_ok = false;
     }
-    s.analytic_refreshes += an.jacobian.analytic_refreshes;
-    s.fd_refreshes += fd.jacobian.fd_refreshes;
-    s.fd_check_flagged += ck.jacobian.fd_check_flagged_columns;
-    s.fd_check_max_dev = std::max(s.fd_check_max_dev, ck.jacobian.fd_check_max_rel_dev);
+    s.analytic_refreshes += an.jacobian_factorizations;
+    s.fd_refreshes += fd.jacobian_factorizations;
+    s.audit_flagged += flagged;
+    s.audit_max_dev = std::max(s.audit_max_dev, max_dev);
   }
   if (s.converged_pairs == 0) s.trajectories_ok = false;
   return s;
@@ -174,7 +199,7 @@ void bench_fd(benchlib::State& state, int countries) {
   util::Matrix jac(N, N);
   std::vector<double> f0(N);
   irbc::IrbcModel::ResidualScratch scratch;
-  const irbc::IrbcModel& model = *s.model_fd;
+  const irbc::IrbcModel& model = *s.model;
   const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
                                             std::size_t ncols) {
     model.euler_residuals_batch(0, s.k, us, ncols, *s.policy, fs, scratch);
@@ -197,7 +222,7 @@ void bench_analytic(benchlib::State& state, int countries) {
   const auto N = static_cast<std::size_t>(countries);
   util::Matrix jac(N, N);
   irbc::IrbcModel::ResidualScratch scratch;
-  const irbc::IrbcModel& model = *s.model_an;
+  const irbc::IrbcModel& model = *s.model;
   state.set_items_per_rep(static_cast<double>(s.sweeps));
   state.run([&] {
     for (std::size_t sweep = 0; sweep < s.sweeps; ++sweep) {
@@ -225,7 +250,7 @@ int jacobian_report(const benchlib::RunReport& report) {
     const auto* an = report.find_measured("jacobian/analytic/" + tag);
     if (fd == nullptr || an == nullptr) continue;
     Setup& s = setup(countries);
-    const int Ns = s.model_an->num_shocks();
+    const int Ns = s.model->num_shocks();
     const double fd_s = fd->seconds_per_item();
     const double an_s = an->seconds_per_item();
     const double speedup = an_s > 0.0 ? fd_s / an_s : 0.0;
@@ -246,17 +271,16 @@ int jacobian_report(const benchlib::RunReport& report) {
   }
   bench::print_table(table);
 
-  bench::print_header("Newton-trajectory + FD-check acceptance (untimed, converged pairs)");
+  bench::print_header("Newton-trajectory + FD-audit acceptance (untimed, converged pairs)");
   util::Table solves({"countries", "pairs", "analytic refreshes", "fd refreshes",
-                      "worst |dofs| dev", "fd-check max dev", "flagged cols", "within tol"});
+                      "worst |dofs| dev", "audit max dev", "flagged refreshes", "within tol"});
   for (const int countries : kCountryCounts) {
     Setup& s = setup(countries);
     solves.add_row({std::to_string(countries), std::to_string(s.converged_pairs),
                     util::fmt_count(s.analytic_refreshes), util::fmt_count(s.fd_refreshes),
                     util::fmt_double(s.worst_trajectory_dev, 10),
-                    util::fmt_double(s.fd_check_max_dev, 8),
-                    util::fmt_count(s.fd_check_flagged),
-                    s.trajectories_ok && s.fd_check_flagged == 0 ? "yes" : "NO"});
+                    util::fmt_double(s.audit_max_dev, 8), util::fmt_count(s.audit_flagged),
+                    s.trajectories_ok && s.audit_flagged == 0 ? "yes" : "NO"});
     if (!s.trajectories_ok) {
       std::fprintf(stderr,
                    "FAIL: N=%d analytic-vs-FD Newton solutions diverge beyond %.0e "
@@ -265,18 +289,18 @@ int jacobian_report(const benchlib::RunReport& report) {
                    countries, kTrajectoryTolerance, s.worst_trajectory_dev, s.converged_pairs);
       rc = 1;
     }
-    if (s.fd_check_flagged != 0) {
+    if (s.audit_flagged != 0) {
       std::fprintf(stderr,
-                   "FAIL: N=%d FD-check flagged %lld column(s), max column-scaled deviation "
+                   "FAIL: N=%d FD audit flagged %lld refresh(es), max column-scaled deviation "
                    "%.3e — the analytic derivative disagrees with the FD reference\n",
-                   countries, s.fd_check_flagged, s.fd_check_max_dev);
+                   countries, s.audit_flagged, s.audit_max_dev);
       rc = 1;
     }
   }
   bench::print_table(solves);
   if (rc == 0)
     std::printf("parity: analytic and FD Newton solutions agree within %.0e; "
-                "FD-check flagged no columns\n",
+                "the FD audit flagged no refreshes\n",
                 kTrajectoryTolerance);
   return rc;
 }

@@ -140,15 +140,17 @@ class PolicyEvaluator {
 struct PointSolveResult {
   std::vector<double> dofs;  ///< the ndofs policy coefficients at the point
   bool converged = false;
+  /// Terminal state of the point's Newton solve. It says why a solve with
+  /// converged == false failed; a model may still accept a non-Converged
+  /// status as converged (OLG's KKT-projected residual at box corners).
+  solver::NewtonStatus status = solver::NewtonStatus::MaxIterations;
   int solver_iterations = 0;
   double residual_norm = 0.0;
   int interpolations = 0;  ///< p_next point-evaluations consumed (the 99% cost)
   int gathers = 0;         ///< evaluate_gather calls that carried them
-  /// Jacobian-provider counters of the point's Newton solve: which mode ran,
-  /// how many analytic vs FD refreshes/columns it produced, and the FD-check
-  /// audit results (zeros outside FdCheck mode). Aggregated per iteration
-  /// into core::IterationStats by both time-iteration drivers.
-  solver::JacobianStats jacobian;
+  /// Jacobian refreshes of the point's Newton solve
+  /// (solver::NewtonResult::jacobian_factorizations).
+  int jacobian_refreshes = 0;
 };
 
 /// A dynamic stochastic model solvable by time iteration (Algorithm 1).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "parallel/parallel_for.hpp"
 #include "sparse_grid/adaptive.hpp"
@@ -133,18 +134,13 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
       // starts) on the indicator dofs.
       for (std::size_t k = 0; k < nmine; ++k) {
         const PointSolveResult& res = solved[k];
-        if (!res.converged) ++totals.solver_failures;
+        if (!res.converged) {
+          ++totals.solver_failures;
+          ++totals.failures_by_status[static_cast<std::size_t>(res.status)];
+        }
         totals.interpolations += static_cast<std::uint64_t>(res.interpolations);
         totals.gathers += static_cast<std::uint64_t>(res.gathers);
-        solver::JacobianStats& jac = totals.jacobian;
-        jac.mode = res.jacobian.mode;
-        jac.analytic_refreshes += res.jacobian.analytic_refreshes;
-        jac.fd_refreshes += res.jacobian.fd_refreshes;
-        jac.analytic_columns += res.jacobian.analytic_columns;
-        jac.fd_columns += res.jacobian.fd_columns;
-        jac.fd_check_flagged_columns += res.jacobian.fd_check_flagged_columns;
-        jac.fd_check_max_rel_dev =
-            std::max(jac.fd_check_max_rel_dev, res.jacobian.fd_check_max_rel_dev);
+        totals.jacobian_refreshes += static_cast<std::uint64_t>(res.jacobian_refreshes);
 
         const double* warm = warm_values.data() + k * snd;
         double l2 = 0.0;
@@ -262,6 +258,24 @@ std::shared_ptr<AsgPolicy> TimeIterationDriver::step(const PolicyEvaluator& p_ne
   return accounting.finish(model_, opts_, std::move(grids));
 }
 
+namespace {
+
+/// The non-zero entries of a step's failures_by_status as
+/// " (line-search-failed=3 ...)", or "" when every point solve converged.
+std::string failure_split(const IterationStats& stats) {
+  std::string out;
+  for (std::size_t i = 0; i < stats.failures_by_status.size(); ++i) {
+    if (stats.failures_by_status[i] == 0) continue;
+    out += out.empty() ? " (" : " ";
+    out += solver::to_string(static_cast<solver::NewtonStatus>(i));
+    out += '=';
+    out += std::to_string(stats.failures_by_status[i]);
+  }
+  return out.empty() ? out : out + ")";
+}
+
+}  // namespace
+
 TimeIterationResult TimeIterationDriver::run() {
   TimeIterationResult result;
 
@@ -283,10 +297,8 @@ TimeIterationResult TimeIterationDriver::run() {
     if (on_iteration) on_iteration(stats);
     util::log_info("time-iteration it=", it, " points=", stats.total_points,
                    " dlinf=", stats.policy_change_linf, " dl2=", stats.policy_change_l2,
-                   " fails=", stats.solver_failures, " gathers=", stats.solver_gathers,
-                   " jac=", solver::to_string(stats.jacobian_mode),
-                   " acols=", stats.jacobian_columns_analytic,
-                   " fdcols=", stats.jacobian_columns_fd,
+                   " fails=", stats.solver_failures, failure_split(stats),
+                   " gathers=", stats.solver_gathers, " jac=", stats.jacobian_refreshes,
                    " offl=", stats.device_offloaded, " batches=", stats.device_batches,
                    " secs=", stats.seconds);
 

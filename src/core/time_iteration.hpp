@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,6 +48,9 @@ struct TimeIterationOptions {
   /// Convergence tolerance on the sup-norm policy change (asset dofs).
   double tolerance = 1e-4;
 
+  /// Worker threads of the driver's parallel::WorkStealingPool (0 =
+  /// hardware_concurrency - 1). The calling thread also runs tasks while it
+  /// waits in wait_idle(), so `threads = 1` solves on up to two threads.
   std::size_t threads = 1;
   kernels::KernelKind kernel = kernels::KernelKind::X86;
   /// Offload p_next interpolations to the simulated accelerator through the
@@ -68,9 +72,12 @@ struct TimeIterationOptions {
 /// Totals of one shock's level_step() over the points this caller solved.
 struct ShockTotals {
   std::uint32_t solver_failures = 0;
+  /// Non-converged point solves per PointSolveResult::status (indexed by
+  /// solver::NewtonStatus); sums to solver_failures.
+  std::array<std::uint32_t, solver::kNewtonStatusCount> failures_by_status{};
   std::uint64_t interpolations = 0;  ///< warm starts + the solves' p_next evaluations
   std::uint64_t gathers = 0;         ///< evaluate_gather calls inside the solves
-  solver::JacobianStats jacobian;    ///< summed over the point solves
+  std::uint64_t jacobian_refreshes = 0;  ///< summed over the point solves
   double change_linf = 0.0;          ///< max normalized change vs. p_next
   double change_l2_sum = 0.0;        ///< sum of squared normalized changes
   double solve_seconds = 0.0;        ///< warm starts + point solves
@@ -89,7 +96,11 @@ struct IterationStats {
   double euler_residual = 0.0;      ///< mean sampled residual (if enabled)
   std::uint32_t total_points = 0;
   std::vector<std::uint32_t> points_per_shock;
-  std::uint32_t solver_failures = 0;
+  std::uint32_t solver_failures = 0;  ///< non-converged point solves
+  /// solver_failures split by the failed solves' solver::NewtonStatus
+  /// (indexed by it; the Converged slot counts solves a model rejected
+  /// despite a converged Newton run).
+  std::array<std::uint32_t, solver::kNewtonStatusCount> failures_by_status{};
   std::uint64_t interpolations = 0;
   // Per-solve gather counters (from the models' PointSolveResult plus the
   // policy-level delta of p_next's evaluate_gather traffic).
@@ -98,17 +109,7 @@ struct IterationStats {
   std::uint64_t gathered_requests = 0; ///< interpolations those calls carried
   std::uint64_t fastpath_gathers = 0;  ///< single-shock fast-path gathers p_next served
   std::uint64_t gradient_gathers = 0;  ///< evaluate_gather_with_gradient calls served
-  // Jacobian-pipeline counters, aggregated from every point solve's
-  // PointSolveResult::jacobian (see solver::JacobianStats). `jacobian_mode`
-  // is the mode the step's solves ran under (uniform per run — the models
-  // fix it at construction).
-  solver::JacobianMode jacobian_mode = solver::JacobianMode::BatchedFd;
-  std::uint64_t jacobian_refreshes_analytic = 0;  ///< analytic Jacobian refreshes
-  std::uint64_t jacobian_refreshes_fd = 0;        ///< finite-difference refreshes
-  std::uint64_t jacobian_columns_analytic = 0;    ///< closed-form columns produced
-  std::uint64_t jacobian_columns_fd = 0;          ///< FD columns produced
-  std::uint64_t fd_check_flagged_columns = 0;     ///< FD-check columns beyond tolerance
-  double fd_check_max_rel_dev = 0.0;              ///< worst FD-check deviation seen
+  std::uint64_t jacobian_refreshes = 0;  ///< Jacobian refreshes of the point solves
   // Offload-pipeline counters for this iteration (deltas of p_next's
   // dispatcher counters; zero when p_next has no device attached).
   std::uint64_t device_offloaded = 0;  ///< points served by the device
@@ -143,14 +144,9 @@ struct IterationStats {
     policy_change_l2 += t.change_l2_sum;
     solve_seconds += t.solve_seconds;
     hierarchize_seconds += t.hierarchize_seconds;
-    const solver::JacobianStats& js = t.jacobian;
-    jacobian_mode = js.mode;
-    jacobian_refreshes_analytic += static_cast<std::uint64_t>(js.analytic_refreshes);
-    jacobian_refreshes_fd += static_cast<std::uint64_t>(js.fd_refreshes);
-    jacobian_columns_analytic += static_cast<std::uint64_t>(js.analytic_columns);
-    jacobian_columns_fd += static_cast<std::uint64_t>(js.fd_columns);
-    fd_check_flagged_columns += static_cast<std::uint64_t>(js.fd_check_flagged_columns);
-    fd_check_max_rel_dev = std::max(fd_check_max_rel_dev, js.fd_check_max_rel_dev);
+    for (std::size_t i = 0; i < failures_by_status.size(); ++i)
+      failures_by_status[i] += t.failures_by_status[i];
+    jacobian_refreshes += t.jacobian_refreshes;
   }
   /// Per-iteration reset: zero everything but the iteration index (called by
   /// the drivers at step entry so reused structs cannot accumulate).

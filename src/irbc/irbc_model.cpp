@@ -287,6 +287,17 @@ std::vector<double> IrbcModel::initial_policy(int z, std::span<const double> x_u
   return domain_.to_physical(x_unit);
 }
 
+solver::NewtonOptions IrbcModel::newton_options() const {
+  solver::NewtonOptions newton;
+  newton.max_iterations = 80;
+  newton.tolerance = 1e-10;
+  // Keep iterates in a generous positive region (adjustment costs blow up
+  // long before these bind in practice).
+  newton.lower.assign(static_cast<std::size_t>(cal_.countries), 0.2);
+  newton.upper.assign(static_cast<std::size_t>(cal_.countries), 3.0);
+  return newton;
+}
+
 core::PointSolveResult IrbcModel::solve_point(int z, std::span<const double> x_unit,
                                               const core::PolicyEvaluator& p_next,
                                               std::span<const double> warm_start) const {
@@ -300,37 +311,18 @@ core::PointSolveResult IrbcModel::solve_point(int z, std::span<const double> x_u
                                           std::span<const double> u, std::span<double> out) {
     euler_residuals_batch(z, k, u, 1, p_next, out, scratch, &counters);
   };
-  // Jacobian sweeps evaluate all N perturbed columns through one gather.
-  const solver::BatchResidualFn residual_batch =
-      [this, z, &k, &p_next, &counters, &scratch](std::span<const double> us,
-                                                  std::span<double> fs, std::size_t ncols) {
-        euler_residuals_batch(z, k, us, ncols, p_next, fs, scratch, &counters);
-      };
-
-  solver::NewtonOptions newton;
-  newton.max_iterations = 80;
-  newton.tolerance = 1e-10;
-  newton.fd_epsilon = 1e-7;
-  newton.jacobian_mode = cal_.jacobian_mode;
-  newton.fd_check_tolerance = cal_.fd_check_tolerance;
-  // Keep iterates in a generous positive region (adjustment costs blow up
-  // long before these bind in practice).
-  newton.lower.assign(static_cast<std::size_t>(N), 0.2);
-  newton.upper.assign(static_cast<std::size_t>(N), 3.0);
-
-  // Closed-form columns via euler_jacobian; the provider dispatches between
-  // this, the batched-FD sweep, and the FD-check hybrid per jacobian_mode.
+  // Closed-form columns via euler_jacobian: one gather-with-gradient per
+  // refresh instead of an N-column finite-difference sweep.
   const solver::JacobianFn analytic = [this, z, &k, &p_next, &counters, &scratch](
                                           std::span<const double> u, util::Matrix& jac) {
     euler_jacobian(z, k, u, p_next, jac, scratch, &counters);
   };
-  const std::unique_ptr<solver::JacobianProvider> provider =
-      solver::make_jacobian_provider(newton, residual, &residual_batch, &analytic);
 
   const std::vector<double> guess(warm_start.begin(), warm_start.begin() + N);
-  const solver::NewtonResult nres = solve_newton(residual, guess, newton, *provider);
+  const solver::NewtonResult nres = solve_newton(residual, guess, newton_options(), &analytic);
 
-  result.jacobian = provider->stats();
+  result.status = nres.status;
+  result.jacobian_refreshes = nres.jacobian_factorizations;
   result.converged = nres.converged();
   result.solver_iterations = nres.iterations;
   result.residual_norm = nres.residual_norm;

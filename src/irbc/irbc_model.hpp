@@ -48,15 +48,6 @@ struct IrbcCalibration {
   /// Capital box half-width around the steady state (Brumm-Scheidegger use
   /// +/- 20%).
   double box_half_width = 0.2;
-  /// How solve_point's Newton refreshes the Euler-system Jacobian: analytic
-  /// closed-form columns (default — one gather-with-gradient per refresh
-  /// instead of an N-column FD sweep), the batched-FD sweep, or the FD-check
-  /// hybrid that audits the analytic columns against FD every refresh.
-  /// HDDM_JACOBIAN_MODE overrides the default at model construction.
-  solver::JacobianMode jacobian_mode = solver::jacobian_mode_from_env(solver::JacobianMode::Analytic);
-  /// Column-scaled deviation beyond which FD-check mode flags a column (see
-  /// solver::NewtonOptions::fd_check_tolerance).
-  double fd_check_tolerance = 1e-3;
 };
 
 class IrbcModel final : public core::DynamicModel {
@@ -78,6 +69,10 @@ class IrbcModel final : public core::DynamicModel {
 
   // --- model accessors ----------------------------------------------------
   [[nodiscard]] const IrbcCalibration& calibration() const { return cal_; }
+  /// The Newton settings solve_point solves with: iteration cap, residual
+  /// tolerance and the capital box. Tests and benchmarks drive
+  /// solver::solve_newton on the model's residual with exactly these.
+  [[nodiscard]] solver::NewtonOptions newton_options() const;
   [[nodiscard]] const olg::MarkovChain& chain() const { return chain_; }
   /// Per-country TFP in discrete state z.
   [[nodiscard]] double productivity(int z, int country) const;

@@ -503,12 +503,6 @@ core::PointSolveResult OlgModel::solve_point(int z, std::span<const double> x_un
                                           std::span<const double> u, std::span<double> out) {
     euler_residuals_batch(z, s, u, 1, p_next, out, scratch, &counters);
   };
-  // Jacobian sweeps evaluate all d perturbed columns through one gather.
-  const solver::BatchResidualFn residual_batch =
-      [this, z, &s, &p_next, &counters, &scratch](std::span<const double> us,
-                                                  std::span<double> fs, std::size_t ncols) {
-        euler_residuals_batch(z, s, us, ncols, p_next, fs, scratch, &counters);
-      };
 
   // Per-point feasibility box (the role of Ipopt's inequality handling in
   // the paper's stack): Newton iterates never leave the region where the
@@ -518,19 +512,16 @@ core::PointSolveResult OlgModel::solve_point(int z, std::span<const double> x_un
   newton.lower = bounds.lower;
   newton.upper = bounds.upper;
 
-  // Closed-form per-cohort columns via euler_jacobian; the provider
-  // dispatches between analytic, batched-FD, and FD-check per the options.
+  // Closed-form per-cohort columns via euler_jacobian.
   const solver::JacobianFn analytic = [this, z, &s, &p_next, &counters, &scratch](
                                           std::span<const double> u, util::Matrix& jac) {
     euler_jacobian(z, s, u, p_next, jac, scratch, &counters);
   };
-  const std::unique_ptr<solver::JacobianProvider> provider =
-      solver::make_jacobian_provider(newton, residual, &residual_batch, &analytic);
 
   // Warm start: previous iteration's asset demands at this point (the solver
   // clips them into the feasibility box).
   const std::vector<double> guess(warm_start.begin(), warm_start.begin() + d);
-  const solver::NewtonResult nres = solve_newton(residual, guess, newton, *provider);
+  const solver::NewtonResult nres = solve_newton(residual, guess, newton, &analytic);
 
   // At box corners the equilibrium is constrained: accept KKT-consistent
   // solutions whose projected residual is small even when the raw Euler
@@ -540,7 +531,8 @@ core::PointSolveResult OlgModel::solve_point(int z, std::span<const double> x_un
   result.converged = nres.converged() || projected < 1e-6;
   result.solver_iterations = nres.iterations;
   result.residual_norm = std::min(nres.residual_norm, projected);
-  result.jacobian = provider->stats();
+  result.status = nres.status;
+  result.jacobian_refreshes = nres.jacobian_factorizations;
 
   result.dofs.resize(static_cast<std::size_t>(ndofs()));
   std::copy(nres.solution.begin(), nres.solution.end(), result.dofs.begin());

@@ -48,11 +48,6 @@ struct OlgModelOptions {
   OlgModelOptions() {
     newton.max_iterations = 80;
     newton.tolerance = 1e-8;
-    newton.fd_epsilon = 1e-6;
-    // Analytic per-cohort Euler Jacobians by default (euler_jacobian);
-    // HDDM_JACOBIAN_MODE switches to the batched-FD sweep or the FD-check
-    // audit without recompiling.
-    newton.jacobian_mode = solver::jacobian_mode_from_env(solver::JacobianMode::Analytic);
   }
 };
 

@@ -2,29 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
-#include "util/env.hpp"
-#include "util/stats.hpp"
-
 namespace hddm::solver {
-
-std::string to_string(JacobianMode mode) {
-  switch (mode) {
-    case JacobianMode::BatchedFd: return "batched-fd";
-    case JacobianMode::Analytic: return "analytic";
-    case JacobianMode::FdCheck: return "fd-check";
-  }
-  return "unknown";
-}
-
-JacobianMode jacobian_mode_from_env(JacobianMode fallback) {
-  const std::string v = util::env_string("HDDM_JACOBIAN_MODE", "");
-  if (v == "fd" || v == "batched-fd") return JacobianMode::BatchedFd;
-  if (v == "analytic") return JacobianMode::Analytic;
-  if (v == "fd-check" || v == "check") return JacobianMode::FdCheck;
-  return fallback;
-}
 
 std::string to_string(NewtonStatus status) {
   switch (status) {
@@ -83,125 +64,19 @@ void finite_difference_jacobian(const BatchResidualFn& residual_batch, std::span
   }
 }
 
-namespace {
-
-// Finite-difference refresh shared by the BatchedFd and FdCheck providers:
-// batched sweep when a batch callback exists, scalar column loop otherwise.
-void fd_refresh(const ResidualFn& residual, const BatchResidualFn* residual_batch,
-                std::span<const double> u, std::span<const double> f_of_u, double epsilon,
-                util::Matrix& jac, int* eval_count) {
-  if (residual_batch != nullptr)
-    finite_difference_jacobian(*residual_batch, u, f_of_u, epsilon, jac, eval_count);
-  else
-    finite_difference_jacobian(residual, u, f_of_u, epsilon, jac, eval_count);
-}
-
-class BatchedFdProvider final : public JacobianProvider {
- public:
-  BatchedFdProvider(const NewtonOptions& options, const ResidualFn& residual,
-                    const BatchResidualFn* residual_batch)
-      : residual_(residual), residual_batch_(residual_batch), epsilon_(options.fd_epsilon) {
-    stats_.mode = JacobianMode::BatchedFd;
-  }
-
-  void refresh(std::span<const double> u, std::span<const double> f_of_u, util::Matrix& jac,
-               int* eval_count) override {
-    fd_refresh(residual_, residual_batch_, u, f_of_u, epsilon_, jac, eval_count);
-    ++stats_.fd_refreshes;
-    stats_.fd_columns += static_cast<int>(u.size());
-  }
-
- private:
-  const ResidualFn& residual_;
-  const BatchResidualFn* residual_batch_;
-  double epsilon_;
-};
-
-class AnalyticProvider final : public JacobianProvider {
- public:
-  explicit AnalyticProvider(const JacobianFn& analytic) : analytic_(analytic) {
-    stats_.mode = JacobianMode::Analytic;
-  }
-
-  void refresh(std::span<const double> u, std::span<const double> /*f_of_u*/, util::Matrix& jac,
-               int* /*eval_count*/) override {
-    analytic_(u, jac);
-    ++stats_.analytic_refreshes;
-    stats_.analytic_columns += static_cast<int>(u.size());
-  }
-
- private:
-  const JacobianFn& analytic_;
-};
-
-// Steps with the analytic Jacobian (trajectories identical to Analytic mode)
-// while auditing every refresh against a batched-FD sweep: deviations are
-// recorded column-scaled, so a wrong derivative surfaces as flagged columns
-// without perturbing the solve.
-class FdCheckProvider final : public JacobianProvider {
- public:
-  FdCheckProvider(const NewtonOptions& options, const ResidualFn& residual,
-                  const BatchResidualFn* residual_batch, const JacobianFn& analytic)
-      : residual_(residual),
-        residual_batch_(residual_batch),
-        analytic_(analytic),
-        epsilon_(options.fd_epsilon),
-        tolerance_(options.fd_check_tolerance) {
-    stats_.mode = JacobianMode::FdCheck;
-  }
-
-  void refresh(std::span<const double> u, std::span<const double> f_of_u, util::Matrix& jac,
-               int* eval_count) override {
-    const std::size_t n = u.size();
-    analytic_(u, jac);
-    ++stats_.analytic_refreshes;
-    stats_.analytic_columns += static_cast<int>(n);
-
-    if (fd_jac_.rows() != n) fd_jac_ = util::Matrix(n, n);
-    fd_refresh(residual_, residual_batch_, u, f_of_u, epsilon_, fd_jac_, eval_count);
-    ++stats_.fd_refreshes;
-    stats_.fd_columns += static_cast<int>(n);
-
-    for (std::size_t c = 0; c < n; ++c) {
-      double dev = 0.0, scale = 0.0;
-      for (std::size_t r = 0; r < n; ++r) {
-        dev = std::max(dev, std::fabs(jac(r, c) - fd_jac_(r, c)));
-        scale = std::max(scale, std::fabs(fd_jac_(r, c)));
-      }
-      const double rel = dev / (1.0 + scale);
-      stats_.fd_check_max_rel_dev = std::max(stats_.fd_check_max_rel_dev, rel);
-      if (rel > tolerance_) ++stats_.fd_check_flagged_columns;
+double jacobian_deviation(const util::Matrix& analytic, const util::Matrix& reference) {
+  if (analytic.rows() != reference.rows() || analytic.cols() != reference.cols())
+    throw std::invalid_argument("jacobian_deviation: shape mismatch");
+  double worst = 0.0;
+  for (std::size_t c = 0; c < reference.cols(); ++c) {
+    double dev = 0.0, scale = 0.0;
+    for (std::size_t r = 0; r < reference.rows(); ++r) {
+      dev = std::max(dev, std::fabs(analytic(r, c) - reference(r, c)));
+      scale = std::max(scale, std::fabs(reference(r, c)));
     }
+    worst = std::max(worst, dev / (1.0 + scale));
   }
-
- private:
-  const ResidualFn& residual_;
-  const BatchResidualFn* residual_batch_;
-  const JacobianFn& analytic_;
-  double epsilon_;
-  double tolerance_;
-  util::Matrix fd_jac_;
-};
-
-}  // namespace
-
-std::unique_ptr<JacobianProvider> make_jacobian_provider(const NewtonOptions& options,
-                                                         const ResidualFn& residual,
-                                                         const BatchResidualFn* residual_batch,
-                                                         const JacobianFn* analytic) {
-  switch (options.jacobian_mode) {
-    case JacobianMode::BatchedFd:
-      return std::make_unique<BatchedFdProvider>(options, residual, residual_batch);
-    case JacobianMode::Analytic:
-      if (analytic == nullptr)
-        throw std::invalid_argument("make_jacobian_provider: Analytic mode needs a JacobianFn");
-      return std::make_unique<AnalyticProvider>(*analytic);
-    case JacobianMode::FdCheck:
-      if (analytic == nullptr)
-        throw std::invalid_argument("make_jacobian_provider: FdCheck mode needs a JacobianFn");
-      return std::make_unique<FdCheckProvider>(options, residual, residual_batch, *analytic);
-  }
-  throw std::invalid_argument("make_jacobian_provider: unknown JacobianMode");
+  return worst;
 }
 
 namespace {
@@ -225,10 +100,6 @@ double inf_norm(std::span<const double> v) {
   return m;
 }
 
-}  // namespace
-
-namespace {
-
 /// Merit over free residual components only: pinned (active-set) components
 /// cannot be driven to zero and must not poison the line search.
 double merit_free(std::span<const double> f, const std::vector<bool>& active) {
@@ -248,21 +119,7 @@ double inf_norm_free(std::span<const double> f, const std::vector<bool>& active)
 }  // namespace
 
 NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> initial,
-                          const NewtonOptions& options, const JacobianFn* jacobian,
-                          const BatchResidualFn* residual_batch) {
-  // Strategy inferred from the callbacks (the pre-provider contract):
-  // analytic when a JacobianFn is given, batched/scalar FD otherwise —
-  // identical arithmetic to the provider modes, so this is a pure forward.
-  NewtonOptions opts = options;
-  opts.jacobian_mode =
-      jacobian != nullptr ? JacobianMode::Analytic : JacobianMode::BatchedFd;
-  const std::unique_ptr<JacobianProvider> provider =
-      make_jacobian_provider(opts, residual, residual_batch, jacobian);
-  return solve_newton(residual, initial, options, *provider);
-}
-
-NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> initial,
-                          const NewtonOptions& options, JacobianProvider& provider) {
+                          const NewtonOptions& options, const JacobianFn* jacobian) {
   const std::size_t n = initial.size();
   if (n == 0) throw std::invalid_argument("solve_newton: empty system");
   if (!options.lower.empty() && options.lower.size() != n)
@@ -292,7 +149,6 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
   double m0 = merit(f);
 
   std::optional<util::LuFactorization> lu;
-  int iters_since_factorization = 0;
 
   for (int it = 0; it < options.max_iterations; ++it) {
     result.iterations = it;
@@ -301,21 +157,21 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
       break;
     }
 
-    // (Re)build and factorize the Jacobian. With Broyden updates enabled, the
-    // factorization is refreshed periodically; otherwise every iteration.
-    const bool refresh =
-        !options.use_broyden || !lu.has_value() || iters_since_factorization >= options.broyden_refresh;
-    if (refresh) {
-      provider.refresh(u, f, jac, &result.residual_evaluations);
-      try {
-        lu.emplace(jac);
-      } catch (const util::SingularMatrixError&) {
-        result.status = NewtonStatus::SingularJacobian;
-        break;
-      }
-      ++result.jacobian_factorizations;
-      iters_since_factorization = 0;
+    // Rebuild and factorize the Jacobian: closed-form columns when the
+    // caller supplies them, a forward-difference sweep (n residual
+    // evaluations, reusing f = F(u)) otherwise.
+    if (jacobian != nullptr)
+      (*jacobian)(u, jac);
+    else
+      finite_difference_jacobian(residual, u, f, options.fd_epsilon, jac,
+                                 &result.residual_evaluations);
+    try {
+      lu.emplace(jac);
+    } catch (const util::SingularMatrixError&) {
+      result.status = NewtonStatus::SingularJacobian;
+      break;
     }
+    ++result.jacobian_factorizations;
 
     // Newton direction du = -J^{-1} F on the full system.
     du = lu->solve(f);
@@ -398,36 +254,6 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
     if (!accepted) {
       result.status = NewtonStatus::LineSearchFailed;
       break;
-    }
-
-    // Broyden rank-one update: J <- J + (df - J du_step) du_step^T / ||du_step||^2.
-    if (options.use_broyden) {
-      std::vector<double> du_step(n), df(n);
-      for (std::size_t t = 0; t < n; ++t) {
-        du_step[t] = u_trial[t] - u[t];
-        df[t] = f_trial[t] - f[t];
-      }
-      const std::vector<double> jdu = jac.apply(du_step);
-      double denom = 0.0;
-      for (const double v : du_step) denom += v * v;
-      if (denom > 0.0) {
-        for (std::size_t r = 0; r < n; ++r) {
-          const double scale = (df[r] - jdu[r]) / denom;
-          for (std::size_t c = 0; c < n; ++c) jac(r, c) += scale * du_step[c];
-        }
-        // The factorization is stale after the update; refresh lazily when
-        // the next solve happens (cheap policy: refactorize every iteration
-        // of the updated matrix — still saves residual evaluations, which
-        // dominate in interpolation-heavy models).
-        try {
-          lu.emplace(jac);
-        } catch (const util::SingularMatrixError&) {
-          lu.reset();  // force a fresh finite-difference Jacobian next round
-        }
-        ++iters_since_factorization;
-      }
-    } else {
-      ++iters_since_factorization;
     }
 
     u.swap(u_trial);

@@ -4,17 +4,18 @@
 // the paper (~60 smooth equations in 60 unknowns per point). A globalized
 // Newton iteration with Armijo backtracking on the merit function
 // 0.5 ||F||^2 is the standard choice for smooth Euler systems; optional box
-// clipping keeps iterates inside economically meaningful ranges. Jacobian
-// refreshes go through the JacobianProvider abstraction — closed-form
-// columns, a batched forward-difference sweep, or the FD-check hybrid that
-// audits the former against the latter (see DESIGN.md, "Jacobian
-// pipeline"); a Broyden rank-one update can amortize factorizations across
-// iterations for expensive residuals.
+// clipping keeps iterates inside economically meaningful ranges.
+//
+// There is one entry point, solve_newton. Every iteration refreshes the
+// Jacobian through the caller's JacobianFn when one is given (the models'
+// closed-form Euler-system columns) and through a forward finite-difference
+// sweep of the residual when not — the inputs decide, not a mode switch.
+// jacobian_deviation audits an analytic Jacobian against a finite-difference
+// reference (see DESIGN.md, "Jacobian pipeline").
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,106 +38,16 @@ using BatchResidualFn =
 /// dF_r/du_c at the trial point `u`.
 using JacobianFn = std::function<void(std::span<const double> u, util::Matrix& jac)>;
 
-struct NewtonOptions;  // declared below; providers are built from its mode
-
-/// How solve_newton refreshes the Jacobian (see DESIGN.md, "Jacobian
-/// pipeline" for the dispatch table and the models' derivative derivations).
-enum class JacobianMode {
-  /// Forward finite differences, all n perturbed columns evaluated through
-  /// one BatchResidualFn call (falls back to the scalar ResidualFn column
-  /// loop when no batch callback is supplied). The pre-analytic default.
-  BatchedFd,
-  /// Closed-form columns from a JacobianFn — one analytic refresh replaces
-  /// the n+0 residual evaluations an FD sweep costs.
-  Analytic,
-  /// Hybrid audit mode: every refresh computes BOTH the analytic and the
-  /// batched-FD Jacobian, steps with the analytic one (trajectories are
-  /// identical to Analytic mode), and records the worst column-scaled
-  /// deviation in JacobianStats — columns beyond
-  /// NewtonOptions::fd_check_tolerance are counted as flagged.
-  FdCheck,
-};
-
-/// Short lower-case name ("batched-fd", "analytic", "fd-check").
-std::string to_string(JacobianMode mode);
-
-/// Resolves the HDDM_JACOBIAN_MODE environment override ("fd"/"batched-fd",
-/// "analytic", "fd-check"/"check"); returns `fallback` when the variable is
-/// unset or unrecognized. Models call this when constructing their default
-/// solver options, so a run can switch Jacobian modes without recompiling.
-JacobianMode jacobian_mode_from_env(JacobianMode fallback);
-
-/// Counters a JacobianProvider accumulates over one Newton solve. The
-/// models surface them through core::PointSolveResult, and the
-/// time-iteration drivers aggregate them into core::IterationStats.
-struct JacobianStats {
-  JacobianMode mode = JacobianMode::BatchedFd;  ///< the provider's mode
-  int analytic_refreshes = 0;  ///< refreshes served by the analytic callback
-  int fd_refreshes = 0;        ///< refreshes served by finite differences
-  int analytic_columns = 0;    ///< closed-form columns produced
-  int fd_columns = 0;          ///< FD columns produced (n per FD refresh)
-  int fd_check_flagged_columns = 0;  ///< FD-check columns beyond tolerance
-  double fd_check_max_rel_dev = 0.0; ///< worst column-scaled |analytic - FD|
-};
-
-/// Strategy object behind solve_newton's Jacobian refreshes: one provider
-/// per solve, constructed by make_jacobian_provider from the NewtonOptions'
-/// JacobianMode and the caller's residual/Jacobian callbacks. Implementations
-/// must fill the full n x n matrix on every refresh() and keep their own
-/// JacobianStats current; they hold references to the callbacks, so the
-/// caller keeps those alive for the provider's lifetime.
-class JacobianProvider {
- public:
-  virtual ~JacobianProvider() = default;
-
-  /// Fills `jac` with the Jacobian at `u`, given the already-computed
-  /// residual `f_of_u` (reused by FD refreshes so the sweep costs n, not
-  /// n+1, evaluations). `eval_count` (may be null) advances by the number of
-  /// residual evaluations consumed — zero for analytic refreshes.
-  virtual void refresh(std::span<const double> u, std::span<const double> f_of_u,
-                       util::Matrix& jac, int* eval_count) = 0;
-
-  /// The provider's dispatch mode (constant over its lifetime).
-  [[nodiscard]] JacobianMode mode() const { return stats_.mode; }
-  /// Counters accumulated so far (reset only by constructing a fresh provider).
-  [[nodiscard]] const JacobianStats& stats() const { return stats_; }
-
- protected:
-  JacobianStats stats_;  ///< implementations keep this current per refresh()
-};
-
-/// Builds the provider for `options.jacobian_mode`. `residual` must outlive
-/// the provider; `residual_batch` and `analytic` may be null where the mode
-/// does not need them — Analytic and FdCheck require `analytic`
-/// (std::invalid_argument otherwise), BatchedFd and FdCheck prefer
-/// `residual_batch` and fall back to the scalar column loop without it.
-std::unique_ptr<JacobianProvider> make_jacobian_provider(const NewtonOptions& options,
-                                                         const ResidualFn& residual,
-                                                         const BatchResidualFn* residual_batch,
-                                                         const JacobianFn* analytic);
-
 /// Tuning knobs of solve_newton: iteration/tolerance limits, the line
-/// search, the Jacobian refresh strategy, and the optional variable box.
+/// search, and the optional variable box.
 struct NewtonOptions {
   int max_iterations = 60;            ///< Newton iteration cap
   double tolerance = 1e-9;            ///< on ||F||_inf (free components)
   double step_tolerance = 1e-13;      ///< on ||du||_inf (stagnation)
-  double fd_epsilon = 1e-7;           ///< forward-difference step scale
+  double fd_epsilon = 1e-7;           ///< forward-difference step scale (no JacobianFn)
   double armijo_c = 1e-4;             ///< sufficient-decrease constant
   double min_damping = 1e-6;          ///< smallest accepted step fraction
   int max_backtracks = 30;            ///< line-search halvings before giving up
-  bool use_broyden = false;           ///< rank-one updates between re-factorizations
-  int broyden_refresh = 8;            ///< full Jacobian every this many iterations
-  /// Jacobian refresh strategy for the provider-based solve_newton overload
-  /// (make_jacobian_provider dispatches on it). The legacy overload below
-  /// keeps inferring the strategy from which callbacks are non-null.
-  JacobianMode jacobian_mode = JacobianMode::BatchedFd;
-  /// FD-check mode: a column whose inf-norm deviation |analytic - FD|,
-  /// scaled by 1 + the FD column's inf-norm, exceeds this is flagged. The
-  /// default absorbs the O(fd_epsilon * |F''|) truncation error of the FD
-  /// reference on O(1) unit-free residuals; deviations above it mean a wrong
-  /// derivative, not FD noise (see DESIGN.md, "Jacobian pipeline").
-  double fd_check_tolerance = 1e-3;
   /// Optional box (empty = unbounded). With bounds, the solver runs an
   /// active-set projected Newton: variables whose Newton step points outside
   /// a bound they sit on are pinned for the iteration, the reduced system is
@@ -155,6 +66,9 @@ enum class NewtonStatus {
   SingularJacobian,  ///< LU factorization hit a vanishing pivot
 };
 
+/// Number of NewtonStatus values (for per-status counters indexed by them).
+inline constexpr std::size_t kNewtonStatusCount = 4;
+
 /// Short lower-case name ("converged", "max-iterations", ...).
 std::string to_string(NewtonStatus status);
 
@@ -165,34 +79,23 @@ struct NewtonResult {
   std::vector<double> solution;  ///< final iterate (the root when converged)
   double residual_norm = 0.0;    ///< final ||F||_inf
   int iterations = 0;            ///< Newton iterations performed
-  int residual_evaluations = 0;  ///< ResidualFn-equivalent evaluations consumed
-  int jacobian_factorizations = 0;  ///< LU factorizations performed
+  int residual_evaluations = 0;  ///< ResidualFn evaluations consumed
+  int jacobian_factorizations = 0;  ///< Jacobian refreshes that were LU-factorized
   /// True when status == NewtonStatus::Converged.
   [[nodiscard]] bool converged() const { return status == NewtonStatus::Converged; }
 };
 
-/// Solves F(u) = 0 starting from `initial`. When `jacobian` is null a
-/// forward finite-difference approximation is used; if `residual_batch` is
-/// additionally non-null, the approximation evaluates all n perturbed
-/// columns through it in one call (the gathered-interpolation fast path) —
-/// bit-identical to the scalar column loop whenever the batch callback
-/// honors its column-equivalence contract. The Jacobian strategy is inferred
-/// from which callbacks are non-null; `options.jacobian_mode` is ignored
-/// here — use the JacobianProvider overload to select a mode explicitly.
+/// Solves F(u) = 0 starting from `initial`. Each iteration refreshes the
+/// Jacobian through `jacobian` when it is non-null (no residual evaluations
+/// spent on the refresh) and through the scalar finite_difference_jacobian
+/// of `residual` with step scale options.fd_epsilon otherwise (n residual
+/// evaluations per refresh).
 NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> initial,
-                          const NewtonOptions& options = {}, const JacobianFn* jacobian = nullptr,
-                          const BatchResidualFn* residual_batch = nullptr);
+                          const NewtonOptions& options = {}, const JacobianFn* jacobian = nullptr);
 
-/// Provider-based overload: every Jacobian refresh goes through `provider`
-/// (analytic, batched-FD, or the FD-check hybrid — whatever
-/// make_jacobian_provider built from options.jacobian_mode). Identical
-/// iteration logic to the callback overload; the provider keeps the per-mode
-/// refresh/column counters the models surface as PointSolveResult::jacobian.
-NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> initial,
-                          const NewtonOptions& options, JacobianProvider& provider);
-
-/// Forward finite-difference Jacobian (exposed for tests and for models that
-/// want to mix analytic columns with numeric ones).
+/// Forward finite-difference Jacobian: column c perturbs u_c by
+/// epsilon * max(1, |u_c|) and differences against `f_of_u` = F(u).
+/// `eval_count` (may be null) advances by n.
 void finite_difference_jacobian(const ResidualFn& residual, std::span<const double> u,
                                 std::span<const double> f_of_u, double epsilon,
                                 util::Matrix& jac, int* eval_count = nullptr);
@@ -206,5 +109,14 @@ void finite_difference_jacobian(const ResidualFn& residual, std::span<const doub
 void finite_difference_jacobian(const BatchResidualFn& residual_batch, std::span<const double> u,
                                 std::span<const double> f_of_u, double epsilon, util::Matrix& jac,
                                 int* eval_count = nullptr);
+
+/// Worst column-scaled deviation of `analytic` from `reference` (both
+/// n x n): the maximum over columns c of
+///   max_r |analytic(r,c) - reference(r,c)| / (1 + max_r |reference(r,c)|).
+/// With a finite-difference reference, values above ~1e-3 mean a wrong
+/// derivative rather than FD truncation error on the models' O(1) unit-free
+/// residuals (see DESIGN.md, "Jacobian pipeline"). Throws
+/// std::invalid_argument when the shapes differ.
+double jacobian_deviation(const util::Matrix& analytic, const util::Matrix& reference);
 
 }  // namespace hddm::solver

@@ -127,6 +127,45 @@ TEST(TimeIteration, HistoryTracksPointCounts) {
   }
 }
 
+/// ContractionModel whose point solves report a Newton failure by shock:
+/// shock 0 fails its line search, shock 1 hits a singular Jacobian, shock 2
+/// converges — a probe of how the drivers classify failed solves.
+class FailingModel final : public ContractionModel {
+ public:
+  FailingModel() : ContractionModel(2, 3, 0.5) {}
+  [[nodiscard]] PointSolveResult solve_point(int z, std::span<const double> x,
+                                             const PolicyEvaluator& p_next,
+                                             std::span<const double> warm) const override {
+    PointSolveResult res = ContractionModel::solve_point(z, x, p_next, warm);
+    res.converged = z == 2;
+    res.status = z == 0   ? solver::NewtonStatus::LineSearchFailed
+                 : z == 1 ? solver::NewtonStatus::SingularJacobian
+                          : solver::NewtonStatus::Converged;
+    return res;
+  }
+};
+
+TEST(TimeIteration, FailuresAreCountedByNewtonStatus) {
+  const FailingModel model;
+  TimeIterationOptions opts;
+  opts.base_level = 3;
+  opts.max_iterations = 2;
+  opts.tolerance = 0.0;
+  const TimeIterationResult result = solve_time_iteration(model, opts);
+  const auto per_shock = static_cast<std::uint32_t>(sg::count_regular_points(2, 3));
+  const auto count = [](const IterationStats& st, solver::NewtonStatus status) {
+    return st.failures_by_status[static_cast<std::size_t>(status)];
+  };
+  ASSERT_EQ(result.history.size(), 2u);
+  for (const IterationStats& st : result.history) {
+    EXPECT_EQ(count(st, solver::NewtonStatus::LineSearchFailed), per_shock);
+    EXPECT_EQ(count(st, solver::NewtonStatus::SingularJacobian), per_shock);
+    EXPECT_EQ(count(st, solver::NewtonStatus::MaxIterations), 0u);
+    EXPECT_EQ(count(st, solver::NewtonStatus::Converged), 0u);
+    EXPECT_EQ(st.solver_failures, 2 * per_shock);  // the sum of the split
+  }
+}
+
 TEST(TimeIteration, ObserverSeesEveryIteration) {
   const ContractionModel model(2, 2, 0.4);
   TimeIterationOptions opts;

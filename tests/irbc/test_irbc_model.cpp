@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/time_iteration.hpp"
@@ -314,7 +315,7 @@ std::shared_ptr<core::AsgPolicy> two_step_policy(const IrbcModel& m) {
 TEST(IrbcModel, AnalyticJacobianMatchesBatchedFdColumns) {
   // Column parity at generic (non-kink) trial points: the closed-form
   // Jacobian must agree with the batched-FD sweep within the FD truncation
-  // error — far inside the documented fd_check_tolerance (1e-3).
+  // error — far inside the 1e-3 audit threshold of DESIGN.md.
   IrbcCalibration cal;
   cal.countries = 3;
   cal.max_shock_bits = 2;
@@ -345,70 +346,95 @@ TEST(IrbcModel, AnalyticJacobianMatchesBatchedFdColumns) {
     m.euler_residuals_batch(z, k, u, 1, *policy, f0, rs);
     solver::finite_difference_jacobian(batch, u, f0, 1e-7, jf);
 
-    for (int c = 0; c < N; ++c) {
-      double scale = 0.0;
-      for (int r = 0; r < N; ++r) scale = std::max(scale, std::fabs(jf(r, c)));
-      for (int r = 0; r < N; ++r)
-        worst = std::max(worst, std::fabs(ja(r, c) - jf(r, c)) / (1.0 + scale));
-    }
+    worst = std::max(worst, solver::jacobian_deviation(ja, jf));
   }
   EXPECT_LT(worst, 1e-4) << "analytic columns diverge from the FD reference";
 }
 
 TEST(IrbcModel, JacobianModesConvergeToTheSameSolution) {
-  // The documented trajectory contract: FD and analytic refreshes may take
-  // different Newton paths but must land on the same root (both solve to
-  // residual 1e-10), within 1e-6 on the dofs.
+  // The documented trajectory contract: FD-refreshed and analytic Newton
+  // runs on the model's residual may take different paths but must land on
+  // the same root (both solve to residual 1e-10), within 1e-6 on the dofs.
   IrbcCalibration cal;
   cal.countries = 3;
   cal.max_shock_bits = 2;
-  cal.jacobian_mode = solver::JacobianMode::BatchedFd;
-  const IrbcModel m_fd(cal);
-  cal.jacobian_mode = solver::JacobianMode::Analytic;
-  const IrbcModel m_an(cal);
-  const auto policy = two_step_policy(m_an);
+  const IrbcModel m(cal);
+  const auto policy = two_step_policy(m);
+  solver::NewtonOptions opts = m.newton_options();
+  opts.fd_epsilon = 1e-7;
 
   std::vector<double> warm(3);
   for (const double center : {0.4, 0.5, 0.6}) {
     const std::vector<double> x_unit(3, center);
+    const std::vector<double> k = m.domain().to_physical(x_unit);
     policy->evaluate(1, x_unit, warm);
-    const auto fd = m_fd.solve_point(1, x_unit, *policy, warm);
-    const auto an = m_an.solve_point(1, x_unit, *policy, warm);
-    ASSERT_TRUE(fd.converged);
-    ASSERT_TRUE(an.converged);
-    for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(an.dofs[j], fd.dofs[j], 1e-6);
-
-    // The per-solve counters reflect each mode's refresh strategy.
-    EXPECT_EQ(fd.jacobian.mode, solver::JacobianMode::BatchedFd);
-    EXPECT_GT(fd.jacobian.fd_refreshes, 0);
-    EXPECT_EQ(fd.jacobian.analytic_refreshes, 0);
-    EXPECT_EQ(an.jacobian.mode, solver::JacobianMode::Analytic);
-    EXPECT_GT(an.jacobian.analytic_refreshes, 0);
-    EXPECT_EQ(an.jacobian.fd_refreshes, 0);
+    IrbcModel::ResidualScratch scratch;
+    core::EvalCounters fd_counters, an_counters;
+    core::EvalCounters* counters = &fd_counters;
+    const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
+      m.euler_residuals_batch(1, k, u, 1, *policy, out, scratch, counters);
+    };
+    const solver::JacobianFn analytic = [&](std::span<const double> u, util::Matrix& jac) {
+      m.euler_jacobian(1, k, u, *policy, jac, scratch, counters);
+    };
+    const solver::NewtonResult fd = solver::solve_newton(residual, warm, opts);
+    counters = &an_counters;
+    const solver::NewtonResult an = solver::solve_newton(residual, warm, opts, &analytic);
+    ASSERT_TRUE(fd.converged());
+    ASSERT_TRUE(an.converged());
+    for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(an.solution[j], fd.solution[j], 1e-6);
     // Analytic refreshes skip the FD sweep's N residual columns, so the
     // analytic solve consumes strictly fewer policy interpolations.
-    EXPECT_LT(an.interpolations, fd.interpolations);
+    EXPECT_LT(an_counters.interpolations, fd_counters.interpolations);
+
+    // solve_point is the analytic run, bit for bit.
+    const core::PointSolveResult point = m.solve_point(1, x_unit, *policy, warm);
+    EXPECT_EQ(point.dofs, an.solution);
+    EXPECT_EQ(point.status, an.status);
+    EXPECT_EQ(point.jacobian_refreshes, an.jacobian_factorizations);
+    EXPECT_EQ(point.interpolations, an_counters.interpolations);
   }
 }
 
 TEST(IrbcModel, FdCheckModeAuditsCleanlyOnRealSolves) {
+  // Every refresh of a real solve is audited against the batched-FD sweep;
+  // the audit steps with the analytic columns, so the solve is solve_point's.
   IrbcCalibration cal;
   cal.countries = 2;
   cal.max_shock_bits = 2;
-  cal.jacobian_mode = solver::JacobianMode::FdCheck;
   const IrbcModel m(cal);
   const auto policy = two_step_policy(m);
 
   std::vector<double> warm(2);
   const std::vector<double> x_unit(2, 0.5);
+  const std::vector<double> k = m.domain().to_physical(x_unit);
   policy->evaluate(0, x_unit, warm);
-  const auto res = m.solve_point(0, x_unit, *policy, warm);
-  ASSERT_TRUE(res.converged);
-  EXPECT_EQ(res.jacobian.mode, solver::JacobianMode::FdCheck);
-  EXPECT_GT(res.jacobian.analytic_refreshes, 0);
-  EXPECT_GT(res.jacobian.fd_refreshes, 0);  // every refresh audited
-  EXPECT_EQ(res.jacobian.fd_check_flagged_columns, 0)
-      << "max column-scaled deviation " << res.jacobian.fd_check_max_rel_dev;
+
+  IrbcModel::ResidualScratch scratch;
+  const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
+    m.euler_residuals_batch(0, k, u, 1, *policy, out, scratch);
+  };
+  const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
+                                            std::size_t ncols) {
+    m.euler_residuals_batch(0, k, us, ncols, *policy, fs, scratch);
+  };
+  int refreshes = 0;
+  double worst = 0.0;
+  const solver::JacobianFn audited = [&](std::span<const double> u, util::Matrix& jac) {
+    m.euler_jacobian(0, k, u, *policy, jac, scratch);
+    std::vector<double> fu(u.size());
+    residual(u, fu);
+    util::Matrix reference(u.size(), u.size());
+    solver::finite_difference_jacobian(batch, u, fu, 1e-7, reference);
+    worst = std::max(worst, solver::jacobian_deviation(jac, reference));
+    ++refreshes;
+  };
+  const solver::NewtonResult res = solver::solve_newton(residual, warm, m.newton_options(), &audited);
+  ASSERT_TRUE(res.converged());
+  EXPECT_GT(refreshes, 0);
+  EXPECT_EQ(refreshes, res.jacobian_factorizations);  // every refresh audited
+  EXPECT_LE(worst, 1e-3) << "max column-scaled deviation " << worst;
+  EXPECT_EQ(m.solve_point(0, x_unit, *policy, warm).dofs, res.solution);
 }
 
 TEST(IrbcModel, RejectsBadCalibrations) {

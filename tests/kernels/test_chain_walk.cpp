@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,11 @@ const Shape kShapes[] = {
     {"olg", 7, 3, 40, 14, true},
     {"irbc_noreorder", 3, 4, 60, 3, false},
 };
+
+// gtest prints the parameter into each listed test name. Without this it
+// dumps the struct's raw bytes, `name` pointer included, so the names would
+// change with the address-space layout of every run.
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
 
 struct Fixture {
   sg::GridStorage storage;

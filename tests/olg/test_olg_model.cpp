@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/policy.hpp"
@@ -240,58 +241,81 @@ TEST(OlgModel, AnalyticJacobianMatchesBatchedFdColumns) {
     m.euler_residuals_batch(z, s, u, 1, *policy, f0, rs);
     solver::finite_difference_jacobian(batch, u, f0, 1e-6, jf);
 
-    for (int c = 0; c < d; ++c) {
-      double scale = 0.0;
-      for (int r = 0; r < d; ++r) scale = std::max(scale, std::fabs(jf(r, c)));
-      for (int r = 0; r < d; ++r)
-        worst = std::max(worst, std::fabs(ja(r, c) - jf(r, c)) / (1.0 + scale));
-    }
+    worst = std::max(worst, solver::jacobian_deviation(ja, jf));
   }
   EXPECT_LT(worst, 1e-4) << "analytic columns diverge from the FD reference";
 }
 
 TEST(OlgModel, JacobianModesConvergeToTheSameSolution) {
-  // FD and analytic refreshes must land on the same per-cohort equilibrium
-  // (documented 1e-6 trajectory tolerance); the FD-check hybrid audits every
-  // refresh without flagging.
-  OlgModelOptions fd_opts;
-  fd_opts.newton.jacobian_mode = solver::JacobianMode::BatchedFd;
-  const OlgModel m_fd(build_economy(reduced_calibration(6)), fd_opts);
-  OlgModelOptions an_opts;
-  an_opts.newton.jacobian_mode = solver::JacobianMode::Analytic;
-  const OlgModel m_an(build_economy(reduced_calibration(6)), an_opts);
-  OlgModelOptions ck_opts;
-  ck_opts.newton.jacobian_mode = solver::JacobianMode::FdCheck;
-  const OlgModel m_ck(build_economy(reduced_calibration(6)), ck_opts);
-
+  // FD-refreshed and analytic Newton runs on the model's residual must land
+  // on the same per-cohort equilibrium (documented 1e-6 trajectory
+  // tolerance); a third run audits every analytic refresh against the
+  // batched-FD sweep without flagging.
+  const OlgModel m(build_economy(reduced_calibration(6)));
   core::TimeIterationOptions topts;
   topts.base_level = 2;
   topts.max_iterations = 2;
   topts.tolerance = 0.0;
-  const auto policy = core::solve_time_iteration(m_an, topts).policy;
-  const int d = m_an.state_dim();
+  const auto policy = core::solve_time_iteration(m, topts).policy;
+  const int d = m.state_dim();
+  const auto sd = static_cast<std::size_t>(d);
+  solver::NewtonOptions opts = OlgModelOptions{}.newton;
+  opts.fd_epsilon = 1e-6;
 
-  std::vector<double> warm(static_cast<std::size_t>(m_an.ndofs()));
+  std::vector<double> warm(static_cast<std::size_t>(m.ndofs()));
   for (const double center : {0.45, 0.55}) {
-    const std::vector<double> x_unit(static_cast<std::size_t>(d), center);
+    const std::vector<double> x_unit(sd, center);
     policy->evaluate(0, x_unit, warm);
-    const auto fd = m_fd.solve_point(1, x_unit, *policy, warm);
-    const auto an = m_an.solve_point(1, x_unit, *policy, warm);
-    const auto ck = m_ck.solve_point(1, x_unit, *policy, warm);
-    ASSERT_TRUE(fd.converged);
-    ASSERT_TRUE(an.converged);
-    for (int j = 0; j < d; ++j)
-      EXPECT_NEAR(an.dofs[static_cast<std::size_t>(j)], fd.dofs[static_cast<std::size_t>(j)],
-                  1e-6);
+    const std::vector<double> guess(warm.begin(), warm.begin() + d);
+    const auto s = m.decode_state(m.domain().to_physical(x_unit));
+    const OlgModel::Bounds bounds = m.feasibility_bounds(1, s);
+    opts.lower = bounds.lower;
+    opts.upper = bounds.upper;
 
-    EXPECT_EQ(fd.jacobian.mode, solver::JacobianMode::BatchedFd);
-    EXPECT_GT(fd.jacobian.fd_refreshes, 0);
-    EXPECT_EQ(an.jacobian.mode, solver::JacobianMode::Analytic);
-    EXPECT_GT(an.jacobian.analytic_refreshes, 0);
-    EXPECT_EQ(an.jacobian.fd_refreshes, 0);
-    EXPECT_LT(an.interpolations, fd.interpolations);  // no FD sweep interpolations
-    EXPECT_EQ(ck.jacobian.fd_check_flagged_columns, 0)
-        << "max column-scaled deviation " << ck.jacobian.fd_check_max_rel_dev;
+    OlgModel::ResidualScratch scratch;
+    core::EvalCounters fd_counters, an_counters;
+    core::EvalCounters* counters = &fd_counters;
+    const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
+      m.euler_residuals_batch(1, s, u, 1, *policy, out, scratch, counters);
+    };
+    const solver::JacobianFn analytic = [&](std::span<const double> u, util::Matrix& jac) {
+      m.euler_jacobian(1, s, u, *policy, jac, scratch, counters);
+    };
+    const solver::NewtonResult fd = solver::solve_newton(residual, guess, opts);
+    counters = &an_counters;
+    const solver::NewtonResult an = solver::solve_newton(residual, guess, opts, &analytic);
+    ASSERT_TRUE(fd.converged());
+    ASSERT_TRUE(an.converged());
+    for (std::size_t j = 0; j < sd; ++j) EXPECT_NEAR(an.solution[j], fd.solution[j], 1e-6);
+    EXPECT_LT(an_counters.interpolations, fd_counters.interpolations);  // no FD sweeps
+
+    // solve_point's savings are the analytic run, bit for bit.
+    const core::PointSolveResult point = m.solve_point(1, x_unit, *policy, warm);
+    EXPECT_TRUE(std::equal(an.solution.begin(), an.solution.end(), point.dofs.begin()));
+    EXPECT_EQ(point.status, an.status);
+    EXPECT_EQ(point.jacobian_refreshes, an.jacobian_factorizations);
+
+    const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
+                                              std::size_t ncols) {
+      m.euler_residuals_batch(1, s, us, ncols, *policy, fs, scratch);
+    };
+    counters = nullptr;
+    int refreshes = 0;
+    double worst = 0.0;
+    const solver::JacobianFn audited = [&](std::span<const double> u, util::Matrix& jac) {
+      analytic(u, jac);
+      std::vector<double> fu(sd);
+      residual(u, fu);
+      util::Matrix reference(sd, sd);
+      solver::finite_difference_jacobian(batch, u, fu, 1e-6, reference);
+      worst = std::max(worst, solver::jacobian_deviation(jac, reference));
+      ++refreshes;
+    };
+    const solver::NewtonResult ck = solver::solve_newton(residual, guess, opts, &audited);
+    EXPECT_EQ(ck.solution, an.solution);  // the audit does not perturb the solve
+    EXPECT_EQ(refreshes, ck.jacobian_factorizations);
+    EXPECT_GT(refreshes, 0);
+    EXPECT_LE(worst, 1e-3) << "max column-scaled deviation " << worst;
   }
 }
 

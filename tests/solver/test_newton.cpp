@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/rng.hpp"
 
@@ -73,25 +73,6 @@ TEST(Newton, AnalyticJacobianPath) {
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], std::sqrt(3.0), 1e-8);
   EXPECT_NEAR(r.solution[1], 3.0, 1e-8);
-}
-
-TEST(Newton, BroydenSavesFactorizations) {
-  // A mildly nonlinear 6-dim system; Broyden mode must converge with fewer
-  // full Jacobian builds than iterations.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      const double left = (i > 0) ? u[i - 1] : 0.0;
-      out[i] = u[i] + 0.1 * u[i] * u[i] - 0.3 * left - 1.0;
-    }
-  };
-  NewtonOptions opts;
-  opts.use_broyden = true;
-  opts.max_iterations = 100;
-  const NewtonResult r = solve_newton(f, std::vector<double>(6, 0.0), opts);
-  ASSERT_TRUE(r.converged());
-  std::vector<double> check(6);
-  f(r.solution, check);
-  for (const double c : check) EXPECT_NEAR(c, 0.0, 1e-7);
 }
 
 TEST(Newton, BoxKeepsIterateInside) {
@@ -205,29 +186,6 @@ TEST(FiniteDifference, BatchedColumnsMatchScalarBitIdentical) {
   EXPECT_EQ(batched_evals, 3);
 }
 
-TEST(Newton, BatchResidualPathSolvesIdentically) {
-  // A coupled nonlinear system solved twice: scalar-FD and batched-FD must
-  // walk the same trajectory (identical Jacobians -> identical iterates).
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
-    out[0] = u[0] * u[0] - u[1] - 0.5;
-    out[1] = std::tanh(u[1]) + 0.3 * u[0] - 0.7;
-  };
-  const BatchResidualFn fb = [&f](std::span<const double> us, std::span<double> fs,
-                                  std::size_t ncols) {
-    for (std::size_t c = 0; c < ncols; ++c) f(us.subspan(c * 2, 2), fs.subspan(c * 2, 2));
-  };
-  const std::vector<double> guess{2.0, -1.0};
-  const NewtonResult scalar = solve_newton(f, guess);
-  const NewtonResult batched = solve_newton(f, guess, {}, nullptr, &fb);
-  ASSERT_TRUE(scalar.converged());
-  ASSERT_TRUE(batched.converged());
-  EXPECT_EQ(scalar.iterations, batched.iterations);
-  EXPECT_EQ(scalar.residual_evaluations, batched.residual_evaluations);
-  ASSERT_EQ(scalar.solution.size(), batched.solution.size());
-  for (std::size_t i = 0; i < scalar.solution.size(); ++i)
-    EXPECT_EQ(scalar.solution[i], batched.solution[i]) << "component " << i;
-}
-
 // --- Active-set behavior with bounds ---------------------------------------
 
 TEST(NewtonActiveSet, InteriorSolutionUnaffectedByLooseBounds) {
@@ -330,7 +288,7 @@ TEST(NewtonStatus, ToStringCoversAllValues) {
 
 namespace {
 
-// The shared fixture system of the JacobianProvider tests: a mildly
+// The shared fixture system of the Jacobian-refresh and audit tests: a mildly
 // nonlinear 2x2 system with a closed-form Jacobian.
 const ResidualFn kSystem = [](std::span<const double> u, std::span<double> out) {
   out[0] = u[0] * u[0] - u[1];
@@ -343,99 +301,87 @@ const JacobianFn kSystemJacobian = [](std::span<const double> u, util::Matrix& m
   m(1, 1) = 1.0;
 };
 
+/// A JacobianFn that steps with `analytic` and audits every refresh against
+/// the forward-difference reference: `worst` collects the largest
+/// jacobian_deviation seen, `flagged` the refreshes beyond 1e-3.
+struct AuditedJacobian {
+  JacobianFn analytic;
+  double worst = 0.0;
+  int refreshes = 0;
+  int flagged = 0;
+
+  JacobianFn fn() {
+    return [this](std::span<const double> u, util::Matrix& jac) {
+      analytic(u, jac);
+      std::vector<double> fu(u.size());
+      kSystem(u, fu);
+      util::Matrix reference(u.size(), u.size());
+      finite_difference_jacobian(kSystem, u, fu, 1e-7, reference);
+      const double dev = jacobian_deviation(jac, reference);
+      worst = std::max(worst, dev);
+      ++refreshes;
+      if (dev > 1e-3) ++flagged;
+    };
+  }
+};
+
 }  // namespace
 
-TEST(JacobianProvider, BatchedFdModeMatchesLegacyOverloadBitIdentical) {
-  NewtonOptions opts;
-  opts.jacobian_mode = JacobianMode::BatchedFd;
-  const auto provider = make_jacobian_provider(opts, kSystem, nullptr, nullptr);
-  const NewtonResult via_provider = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, opts,
-                                                 *provider);
-  const NewtonResult via_legacy = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, opts);
-  ASSERT_TRUE(via_provider.converged());
-  EXPECT_EQ(via_provider.solution, via_legacy.solution);  // identical refresh arithmetic
-  EXPECT_EQ(via_provider.residual_evaluations, via_legacy.residual_evaluations);
-  EXPECT_GT(provider->stats().fd_refreshes, 0);
-  EXPECT_EQ(provider->stats().analytic_refreshes, 0);
-  EXPECT_EQ(provider->stats().fd_columns, 2 * provider->stats().fd_refreshes);
-}
-
-TEST(JacobianProvider, AnalyticModeUsesNoResidualEvaluationsForRefreshes) {
-  NewtonOptions opts;
-  opts.jacobian_mode = JacobianMode::Analytic;
-  const auto provider = make_jacobian_provider(opts, kSystem, nullptr, &kSystemJacobian);
-  const NewtonResult r = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, opts, *provider);
+TEST(Newton, AnalyticJacobianUsesNoResidualEvaluationsForRefreshes) {
+  const std::vector<double> guess{1.0, 1.0};
+  const NewtonResult r = solve_newton(kSystem, guess, {}, &kSystemJacobian);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], std::sqrt(3.0), 1e-8);
-  EXPECT_GT(provider->stats().analytic_refreshes, 0);
-  EXPECT_EQ(provider->stats().fd_refreshes, 0);
-  EXPECT_EQ(provider->stats().analytic_columns, 2 * provider->stats().analytic_refreshes);
+  EXPECT_GT(r.jacobian_factorizations, 0);
   // Residual evaluations = initial + line-search trials only: one per
   // accepted iteration here, none for the refreshes themselves.
   EXPECT_EQ(r.residual_evaluations, 1 + r.iterations);
+
+  // Without a JacobianFn every refresh is an n-column forward-difference
+  // sweep of the residual on top of the same initial + trial evaluations.
+  const NewtonResult fd = solve_newton(kSystem, guess);
+  ASSERT_TRUE(fd.converged());
+  EXPECT_EQ(fd.residual_evaluations, 1 + fd.iterations + 2 * fd.jacobian_factorizations);
 }
 
-TEST(JacobianProvider, FdCheckPassesCorrectDerivativeAndMatchesAnalyticTrajectory) {
-  NewtonOptions opts;
-  opts.jacobian_mode = JacobianMode::FdCheck;
-  const auto check = make_jacobian_provider(opts, kSystem, nullptr, &kSystemJacobian);
-  const NewtonResult audited = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, opts, *check);
+TEST(JacobianDeviation, PassesCorrectDerivativeAndKeepsTheAnalyticTrajectory) {
+  AuditedJacobian audit{kSystemJacobian};
+  const JacobianFn audited = audit.fn();
+  const NewtonResult checked = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, &audited);
+  const NewtonResult plain =
+      solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, &kSystemJacobian);
 
-  opts.jacobian_mode = JacobianMode::Analytic;
-  const auto analytic = make_jacobian_provider(opts, kSystem, nullptr, &kSystemJacobian);
-  const NewtonResult plain = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, opts, *analytic);
-
-  ASSERT_TRUE(audited.converged());
-  // FdCheck steps with the analytic matrix: trajectories are identical.
-  EXPECT_EQ(audited.solution, plain.solution);
-  EXPECT_EQ(audited.iterations, plain.iterations);
-  EXPECT_EQ(check->stats().fd_check_flagged_columns, 0);
-  EXPECT_LT(check->stats().fd_check_max_rel_dev, opts.fd_check_tolerance);
-  EXPECT_GT(check->stats().fd_refreshes, 0);  // the audit sweeps really ran
+  ASSERT_TRUE(checked.converged());
+  // The audit steps with the analytic matrix: trajectories are identical.
+  EXPECT_EQ(checked.solution, plain.solution);
+  EXPECT_EQ(checked.iterations, plain.iterations);
+  EXPECT_EQ(audit.refreshes, checked.jacobian_factorizations);  // every refresh audited
+  EXPECT_GT(audit.refreshes, 0);
+  EXPECT_EQ(audit.flagged, 0);
+  EXPECT_LT(audit.worst, 1e-3);
 }
 
-TEST(JacobianProvider, FdCheckCatchesDeliberatelyWrongDerivative) {
-  // Sign-flipped (0,0) entry: every refresh must flag column 0.
+TEST(JacobianDeviation, FlagsSignFlippedDerivative) {
+  // Sign-flipped (0,0) entry: the audit must flag the refreshes.
   const JacobianFn wrong = [](std::span<const double> u, util::Matrix& m) {
     m(0, 0) = -2.0 * u[0];  // should be +2 u[0]
     m(0, 1) = -1.0;
     m(1, 0) = 0.0;
     m(1, 1) = 1.0;
   };
-  NewtonOptions opts;
-  opts.jacobian_mode = JacobianMode::FdCheck;
-  const auto provider = make_jacobian_provider(opts, kSystem, nullptr, &wrong);
-  (void)solve_newton(kSystem, std::vector<double>{1.0, 1.0}, opts, *provider);
-  EXPECT_GT(provider->stats().fd_check_flagged_columns, 0)
-      << "the audit failed to flag a sign-flipped derivative";
-  EXPECT_GT(provider->stats().fd_check_max_rel_dev, opts.fd_check_tolerance);
-}
+  AuditedJacobian audit{wrong};
+  const JacobianFn audited = audit.fn();
+  (void)solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, &audited);
+  EXPECT_GT(audit.flagged, 0) << "the audit failed to flag a sign-flipped derivative";
+  EXPECT_GT(audit.worst, 1e-3);
 
-TEST(JacobianProvider, AnalyticModesRequireAJacobianFn) {
-  NewtonOptions opts;
-  opts.jacobian_mode = JacobianMode::Analytic;
-  EXPECT_THROW((void)make_jacobian_provider(opts, kSystem, nullptr, nullptr),
-               std::invalid_argument);
-  opts.jacobian_mode = JacobianMode::FdCheck;
-  EXPECT_THROW((void)make_jacobian_provider(opts, kSystem, nullptr, nullptr),
-               std::invalid_argument);
-}
-
-TEST(JacobianMode, ToStringAndEnvParsing) {
-  EXPECT_EQ(to_string(JacobianMode::BatchedFd), "batched-fd");
-  EXPECT_EQ(to_string(JacobianMode::Analytic), "analytic");
-  EXPECT_EQ(to_string(JacobianMode::FdCheck), "fd-check");
-
-  ASSERT_EQ(setenv("HDDM_JACOBIAN_MODE", "analytic", 1), 0);
-  EXPECT_EQ(jacobian_mode_from_env(JacobianMode::BatchedFd), JacobianMode::Analytic);
-  ASSERT_EQ(setenv("HDDM_JACOBIAN_MODE", "fd", 1), 0);
-  EXPECT_EQ(jacobian_mode_from_env(JacobianMode::Analytic), JacobianMode::BatchedFd);
-  ASSERT_EQ(setenv("HDDM_JACOBIAN_MODE", "fd-check", 1), 0);
-  EXPECT_EQ(jacobian_mode_from_env(JacobianMode::BatchedFd), JacobianMode::FdCheck);
-  ASSERT_EQ(setenv("HDDM_JACOBIAN_MODE", "nonsense", 1), 0);
-  EXPECT_EQ(jacobian_mode_from_env(JacobianMode::Analytic), JacobianMode::Analytic);
-  ASSERT_EQ(unsetenv("HDDM_JACOBIAN_MODE"), 0);
-  EXPECT_EQ(jacobian_mode_from_env(JacobianMode::FdCheck), JacobianMode::FdCheck);
+  // At u = (1, 1) column 0 is off by 4 against a reference of scale 2.
+  util::Matrix jac(2, 2), exact(2, 2);
+  wrong(std::vector<double>{1.0, 1.0}, jac);
+  kSystemJacobian(std::vector<double>{1.0, 1.0}, exact);
+  EXPECT_DOUBLE_EQ(jacobian_deviation(jac, exact), 4.0 / 3.0);
+  EXPECT_EQ(jacobian_deviation(exact, exact), 0.0);
+  EXPECT_THROW((void)jacobian_deviation(jac, util::Matrix(2, 3)), std::invalid_argument);
 }
 
 }  // namespace
