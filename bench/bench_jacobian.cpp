@@ -92,7 +92,7 @@ std::unique_ptr<core::AsgPolicy> build_policy(const irbc::IrbcModel& model, int 
 struct Setup {
   std::unique_ptr<irbc::IrbcModel> model;
   std::unique_ptr<core::AsgPolicy> policy;
-  std::vector<double> k;       // today's state (physical)
+  std::vector<double> x_unit;  // today's state (unit cube)
   std::vector<double> us;      // sweeps trial points (rows of N)
   std::size_t sweeps = 0;
   // Untimed acceptance results (converged trajectory pairs only).
@@ -119,13 +119,13 @@ Setup make_setup(int countries) {
 
   const auto N = static_cast<std::size_t>(countries);
   util::Rng rng(7);
-  const std::vector<double> x_unit = rng.uniform_point(countries);
-  s.k = model.domain().to_physical(x_unit);
+  s.x_unit = rng.uniform_point(countries);
+  const std::vector<double> k = model.domain().to_physical(s.x_unit);
   // Trial points around the state — the iterates a Newton refresh sees.
   s.us.resize(s.sweeps * N);
   for (std::size_t sweep = 0; sweep < s.sweeps; ++sweep)
     for (std::size_t j = 0; j < N; ++j)
-      s.us[sweep * N + j] = s.k[j] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0));
+      s.us[sweep * N + j] = k[j] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0));
 
   // --- untimed acceptance: trajectories + FD audit on real solves ----------
   const core::InitialPolicyEvaluator warm_eval(model);
@@ -142,32 +142,33 @@ Setup make_setup(int countries) {
     std::vector<double> warm(N);
     warm_eval.evaluate(0, xp, warm);
     const int z = p % Ns;
-    const std::vector<double> kp = model.domain().to_physical(xp);
 
-    irbc::IrbcModel::ResidualScratch scratch;
-    const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
-      model.euler_residuals_batch(z, kp, u, 1, *s.policy, out, scratch);
+    irbc::IrbcModel::PointScratch scratch;
+    (void)model.prepare(z, xp, scratch);
+    const auto residual = [&](std::span<const double> u, std::span<double> out) {
+      model.euler_residuals_batch(scratch, u, 1, *s.policy, out);
     };
-    const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
-                                              std::size_t ncols) {
-      model.euler_residuals_batch(z, kp, us, ncols, *s.policy, fs, scratch);
+    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
+      model.euler_residuals_batch(scratch, us, ncols, *s.policy, fs);
     };
     // Steps with the analytic columns and audits each refresh against the
     // batched-FD reference at the same iterate.
     long long flagged = 0;
     double max_dev = 0.0;
-    const solver::JacobianFn audited = [&](std::span<const double> u, util::Matrix& jac) {
-      model.euler_jacobian(z, kp, u, *s.policy, jac, scratch);
+    solver::FdBuffers fd_buffers;
+    const auto audited = [&](std::span<const double> u, util::Matrix& jac) {
+      model.euler_jacobian(scratch, u, *s.policy, jac);
       std::vector<double> fu(N);
       residual(u, fu);
       util::Matrix reference(N, N);
-      solver::finite_difference_jacobian(batch, u, fu, kFdEpsilon, reference);
+      solver::finite_difference_jacobian(batch, u, fu, kFdEpsilon, reference, fd_buffers);
       const double dev = solver::jacobian_deviation(jac, reference);
       max_dev = std::max(max_dev, dev);
       if (dev > kAuditTolerance) ++flagged;
     };
-    const solver::NewtonResult fd = solver::solve_newton(residual, warm, opts);
-    const solver::NewtonResult an = solver::solve_newton(residual, warm, opts, &audited);
+    solver::NewtonWorkspace fd_ws, an_ws;
+    const solver::NewtonResult fd = solver::solve_newton(residual, warm, opts, fd_ws);
+    const solver::NewtonResult an = solver::solve_newton(residual, warm, opts, an_ws, audited);
 
     if (fd.converged() != an.converged()) s.trajectories_ok = false;  // one-sided failure
     if (!fd.converged() || !an.converged()) continue;
@@ -198,11 +199,12 @@ void bench_fd(benchlib::State& state, int countries) {
   const auto N = static_cast<std::size_t>(countries);
   util::Matrix jac(N, N);
   std::vector<double> f0(N);
-  irbc::IrbcModel::ResidualScratch scratch;
   const irbc::IrbcModel& model = *s.model;
-  const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
-                                            std::size_t ncols) {
-    model.euler_residuals_batch(0, s.k, us, ncols, *s.policy, fs, scratch);
+  irbc::IrbcModel::PointScratch scratch;
+  (void)model.prepare(0, s.x_unit, scratch);
+  solver::FdBuffers fd_buffers;
+  const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
+    model.euler_residuals_batch(scratch, us, ncols, *s.policy, fs);
   };
   state.set_items_per_rep(static_cast<double>(s.sweeps));
   state.run([&] {
@@ -210,8 +212,8 @@ void bench_fd(benchlib::State& state, int countries) {
       const std::span<const double> u(s.us.data() + sweep * N, N);
       // The refresh as solve_newton runs it: residual at u, then the batched
       // N-column sweep (one gather carrying Ns x N requests).
-      model.euler_residuals_batch(0, s.k, u, 1, *s.policy, f0, scratch);
-      solver::finite_difference_jacobian(batch, u, f0, 1e-7, jac);
+      model.euler_residuals_batch(scratch, u, 1, *s.policy, f0);
+      solver::finite_difference_jacobian(batch, u, f0, 1e-7, jac, fd_buffers);
     }
   });
   benchlib::do_not_optimize(jac.data());
@@ -221,15 +223,16 @@ void bench_analytic(benchlib::State& state, int countries) {
   Setup& s = setup(countries);
   const auto N = static_cast<std::size_t>(countries);
   util::Matrix jac(N, N);
-  irbc::IrbcModel::ResidualScratch scratch;
   const irbc::IrbcModel& model = *s.model;
+  irbc::IrbcModel::PointScratch scratch;
+  (void)model.prepare(0, s.x_unit, scratch);
   state.set_items_per_rep(static_cast<double>(s.sweeps));
   state.run([&] {
     for (std::size_t sweep = 0; sweep < s.sweeps; ++sweep) {
       const std::span<const double> u(s.us.data() + sweep * N, N);
       // One closed-form refresh: a single gather-with-gradient of Ns
       // requests replaces the whole FD sweep.
-      model.euler_jacobian(0, s.k, u, *s.policy, jac, scratch);
+      model.euler_jacobian(scratch, u, *s.policy, jac);
     }
   });
   benchlib::do_not_optimize(jac.data());

@@ -28,10 +28,27 @@ struct GatherRequest {
   std::uint32_t point = 0;  ///< row into xs (npoints rows of state_dim)
 };
 
+/// The models' gather pattern: one request per (successor shock with
+/// pi[zp] != 0) x (trial column), shock-major, so request slot * ncols + col
+/// is the slot-th successor at column col and AsgPolicy's buckets are runs.
+inline void successor_requests(std::span<const double> pi, std::size_t ncols,
+                               std::vector<GatherRequest>& requests) {
+  requests.clear();
+  for (std::size_t zp = 0; zp < pi.size(); ++zp)
+    if (pi[zp] != 0.0)
+      for (std::size_t col = 0; col < ncols; ++col)
+        requests.push_back({static_cast<std::int32_t>(zp), static_cast<std::uint32_t>(col)});
+}
+
 /// Counters a model's residual machinery reports out of one point solve.
 struct EvalCounters {
   int interpolations = 0;  ///< policy point-evaluations consumed
   int gathers = 0;         ///< evaluate_gather entry-point calls issued
+  /// Records one gather carrying `requests` interpolations.
+  void record_gather(std::size_t requests) {
+    interpolations += static_cast<int>(requests);
+    ++gathers;
+  }
 };
 
 /// Read-side view of a policy p = (p(z=1,.), ..., p(z=Ns,.)): evaluates all

@@ -76,83 +76,90 @@ class IrbcModel final : public core::DynamicModel {
   [[nodiscard]] const olg::MarkovChain& chain() const { return chain_; }
   /// Per-country TFP in discrete state z.
   [[nodiscard]] double productivity(int z, int country) const;
-  /// Steady-state capital (1.0 by normalization of A).
-  [[nodiscard]] double steady_capital() const { return 1.0; }
   [[nodiscard]] double tfp_scale() const { return tfp_scale_; }
 
   /// Equalized per-country consumption implied by states and choices.
   [[nodiscard]] double consumption(int z, std::span<const double> k,
                                    std::span<const double> k_next) const;
 
-  /// Reusable hot-loop buffers for one point solve. A Newton solve evaluates
-  /// the residual thousands of times; everything it needs per evaluation
-  /// (the sanitized trial iterates, their unit-cube images, the gather
-  /// request list, the gathered policy rows and the expected-return
-  /// accumulator) lives here and is recycled across calls instead of being
-  /// heap-allocated anew each time.
-  struct ResidualScratch {
+  // --- the Euler system core::solve_point drives -------------------------
+  /// One grid point's state, derived once by prepare(), and the reusable
+  /// buffers that keep a Newton solve's thousands of evaluations off the heap.
+  struct PointScratch {
+    int z = 0;                               ///< today's shock
+    std::vector<double> k;                   ///< today's capital (N)
+    std::vector<double> k_theta;             ///< k_j^theta (N)
     std::vector<double> k_next;              ///< ncols rows of N (guarded copies)
+    std::vector<double> kn_theta;            ///< k'^theta per trial component
+    std::vector<double> kn_theta1;           ///< k'^(theta-1) per trial component
     std::vector<double> x_unit;              ///< ncols rows of N in [0,1]
     std::vector<core::GatherRequest> requests;
     std::vector<double> gathered;            ///< one N-row per request
     std::vector<double> expected;            ///< ncols rows of N
     // Analytic-Jacobian workspace (euler_jacobian only): policy gradients,
-    // floor/clamp gates, precomputed capital powers and the E / dE / dc
-    // accumulators of the derivation in DESIGN.md, "Jacobian pipeline".
+    // floor/clamp gates, k'^(theta-2) and the E / dE / dc accumulators of
+    // the derivation in DESIGN.md, "Jacobian pipeline".
     std::vector<double> gathered_grad;       ///< one N x N gradient block per request
     std::vector<double> gate;                ///< trial-capital floor gates (0/1)
     std::vector<double> chain_w;             ///< d x_unit / d u (0 where clamped)
-    std::vector<double> pow_t1;              ///< kc^(theta-1)
-    std::vector<double> pow_t2;              ///< kc^(theta-2)
+    std::vector<double> kn_theta2;           ///< k'^(theta-2)
     std::vector<double> dc_next;             ///< dc'/du per country (per shock)
     std::vector<double> e_acc;               ///< E_j accumulator
     std::vector<double> de_acc;              ///< dE_j/du_i accumulator (N x N)
     std::vector<double> dc_today;            ///< dc_0/du per country
   };
 
-  /// Unit-free Euler residuals (size N); exposed for tests. Trial iterates
-  /// with non-positive components are admissible: the gross-return and
-  /// adjustment-cost terms evaluate on copies floored at a tiny positive
-  /// capital (identical results for feasible iterates — the solve box's
-  /// lower bound is far above the floor), so line-search trial steps through
-  /// zero yield finite residuals instead of NaN/Inf.
-  void euler_residuals(int z, std::span<const double> k, std::span<const double> k_next,
-                       const core::PolicyEvaluator& p_next, std::span<double> out,
-                       int* interp_count = nullptr) const;
+  /// Newton unknowns: next-period capital, one per country.
+  [[nodiscard]] std::size_t unknowns() const { return static_cast<std::size_t>(cal_.countries); }
 
-  /// Batched form over `ncols` trial points (rows of N in `k_next_block`,
-  /// residual rows of N in `out_block`) sharing today's state: ALL successor
-  /// -shock interpolations of the whole block are issued as one
-  /// p_next.evaluate_gather — the per-solve half of the paper's
-  /// interpolation amortization. Column results are identical to calling
-  /// euler_residuals per row (which itself delegates here with ncols = 1).
-  void euler_residuals_batch(int z, std::span<const double> k,
-                             std::span<const double> k_next_block, std::size_t ncols,
-                             const core::PolicyEvaluator& p_next, std::span<double> out_block,
-                             ResidualScratch& scratch,
+  /// Prepares grid point (z, x_unit): today's capital and its powers.
+  /// Returns newton_options().
+  solver::NewtonOptions prepare(int z, std::span<const double> x_unit,
+                                PointScratch& scratch) const;
+
+  /// Unit-free Euler residuals at the prepared point for `ncols` trial
+  /// points (rows of N in `k_next_block`, residual rows of N in
+  /// `out_block`): ALL successor-shock interpolations of the whole block are
+  /// issued as one p_next.evaluate_gather — the per-solve half of the
+  /// paper's interpolation amortization. Each column's result is the one a
+  /// single-column call gives. Trial iterates with non-positive components
+  /// are admissible: the gross-return and adjustment-cost terms evaluate on
+  /// copies floored at a tiny positive capital (identical results for
+  /// feasible iterates — the solve box's lower bound is far above the
+  /// floor), so line-search trial steps through zero yield finite residuals
+  /// instead of NaN/Inf.
+  void euler_residuals_batch(PointScratch& scratch, std::span<const double> k_next_block,
+                             std::size_t ncols, const core::PolicyEvaluator& p_next,
+                             std::span<double> out_block,
                              core::EvalCounters* counters = nullptr) const;
 
   /// Closed-form Jacobian d r_j / d k'_i of the unit-free Euler residuals at
-  /// the trial point `k_next` (one column of the batch layout; `jac` is
-  /// N x N). Differentiates every term euler_residuals_batch evaluates —
-  /// gross returns, adjustment costs, equalized consumption today and
-  /// tomorrow, and the interpolated policy via ONE
+  /// the trial point `k_next` of the prepared point (`jac` is N x N).
+  /// Differentiates every term euler_residuals_batch evaluates — gross
+  /// returns, adjustment costs, equalized consumption today and tomorrow,
+  /// and the interpolated policy via ONE
   /// p_next.evaluate_gather_with_gradient — replicating the residual's guard
   /// semantics exactly: components at the trial-capital floor and unit-cube
   /// clamps contribute zero derivative, consumption clamped at its 1e-6
   /// floor kills the marginal-utility derivative. Full derivation in
   /// DESIGN.md, "Jacobian pipeline".
-  void euler_jacobian(int z, std::span<const double> k, std::span<const double> k_next,
+  void euler_jacobian(PointScratch& scratch, std::span<const double> k_next,
                       const core::PolicyEvaluator& p_next, util::Matrix& jac,
-                      ResidualScratch& scratch, core::EvalCounters* counters = nullptr) const;
+                      core::EvalCounters* counters = nullptr) const;
 
  private:
+  /// consumption() given precomputed k_theta = k^theta.
+  [[nodiscard]] double consumption(int z, std::span<const double> k,
+                                   std::span<const double> k_theta,
+                                   std::span<const double> k_next) const;
+
   IrbcCalibration cal_;
   olg::MarkovChain chain_;
-  std::vector<int> state_signs_;  ///< packed sign patterns per state
   olg::CrraPreferences prefs_;
   double tfp_scale_ = 1.0;  ///< A: normalizes k_ss to 1
+  std::vector<double> scaled_tfp_;  ///< A a_j(z), row z of N
   sg::BoxDomain domain_;
+  std::vector<double> box_lower_, box_upper_;  ///< the Newton box on next-period capital
 };
 
 }  // namespace hddm::irbc

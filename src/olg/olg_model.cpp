@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/point_solve.hpp"
+
 namespace hddm::olg {
 
 namespace {
@@ -54,10 +56,15 @@ OlgModel::OlgModel(OlgEconomy economy, OlgModelOptions options)
 }
 
 OlgModel::DecodedState OlgModel::decode_state(std::span<const double> x_phys) const {
+  DecodedState s;
+  decode_state(x_phys, s);
+  return s;
+}
+
+void OlgModel::decode_state(std::span<const double> x_phys, DecodedState& s) const {
   const int A = econ_.ages();
   if (static_cast<int>(x_phys.size()) != A - 1)
     throw std::invalid_argument("decode_state: dimension mismatch");
-  DecodedState s;
   s.capital = std::max(x_phys[0], capital_floor_);
   s.wealth.assign(static_cast<std::size_t>(A), 0.0);
   double middle = 0.0;
@@ -66,30 +73,65 @@ OlgModel::DecodedState OlgModel::decode_state(std::span<const double> x_phys) co
     middle += x_phys[a - 1];
   }
   s.wealth[A - 1] = s.capital - middle;  // oldest generation holds the rest
-  return s;
 }
 
-std::vector<double> OlgModel::consumption(int z, const DecodedState& s,
-                                          std::span<const double> savings) const {
-  std::vector<double> c(static_cast<std::size_t>(econ_.ages()));
-  consumption(z, s, savings, c);
-  return c;
-}
-
-void OlgModel::consumption(int z, const DecodedState& s, std::span<const double> savings,
-                           std::span<double> out) const {
+void OlgModel::resources(int z, const DecodedState& s, std::span<double> out) const {
   const int A = econ_.ages();
   const ShockState& shock = econ_.shocks[static_cast<std::size_t>(z)];
-  const FactorPrices p = tech_.prices(s.capital, econ_.total_labor, shock.eta, shock.delta);
+  const FactorPrices p =
+      tech_.prices(tech_.intensity(s.capital, econ_.total_labor), shock.eta, shock.delta);
   const double R = 1.0 + p.rate * (1.0 - shock.tau_capital);
   const double pen = econ_.pension(p.wage, shock.tau_labor);
 
   for (int a = 1; a <= A; ++a) {
     const double labor_inc = (1.0 - shock.tau_labor) * p.wage * econ_.efficiency[a - 1];
     const double pension_inc = econ_.is_retired(a) ? pen : 0.0;
-    const double save = (a < A) ? savings[a - 1] : 0.0;
-    out[a - 1] = R * s.wealth[a - 1] + labor_inc + pension_inc - save;
+    out[a - 1] = R * s.wealth[a - 1] + labor_inc + pension_inc;
   }
+}
+
+std::vector<double> OlgModel::consumption(int z, const DecodedState& s,
+                                          std::span<const double> savings) const {
+  std::vector<double> c(static_cast<std::size_t>(econ_.ages()));
+  resources(z, s, c);
+  for (std::size_t a = 0; a + 1 < c.size(); ++a) c[a] -= savings[a];
+  return c;
+}
+
+void OlgModel::feasibility_box(std::span<const double> resources, std::span<double> lower,
+                               std::span<double> upper) const {
+  const double borrow = opts_.borrowing_wage_multiple * steady_.prices.wage;
+  for (std::size_t a = 0; a < lower.size(); ++a) {
+    lower[a] = -borrow;
+    const double cap = resources[a] - prefs_.consumption_floor();
+    upper[a] = std::max(cap, -borrow + 1e-12);
+  }
+}
+
+bool OlgModel::roll_forward(int z, std::span<const double> x, std::span<double> dofs,
+                            std::span<double> x_next) const {
+  const std::size_t d = unknowns();
+  std::vector<double> res(d + 1), lower(d), upper(d);
+  resources(z, decode_state(x), res);
+  feasibility_box(res, lower, upper);
+  double k_next = 0.0;
+  for (std::size_t a = 0; a < d; ++a) {
+    dofs[a] = std::clamp(dofs[a], lower[a], upper[a]);
+    k_next += dofs[a];
+  }
+  x_next[0] = k_next;
+  for (std::size_t t = 1; t < d; ++t) x_next[t] = dofs[t - 1];
+
+  bool clamped = false;
+  const std::vector<double>& lo = domain_.lower();
+  const std::vector<double>& hi = domain_.upper();
+  for (std::size_t t = 0; t < d; ++t) {
+    if (x_next[t] < lo[t] || x_next[t] > hi[t]) {
+      clamped = true;
+      x_next[t] = std::clamp(x_next[t], lo[t], hi[t]);
+    }
+  }
+  return clamped;
 }
 
 double OlgModel::next_state(std::span<const double> savings, std::span<double> x_next) const {
@@ -105,172 +147,123 @@ double OlgModel::next_state(std::span<const double> savings, std::span<double> x
   return k_next;
 }
 
-OlgModel::SuccessorPrices OlgModel::successor_prices(int zp, double k_next) const {
+OlgModel::SuccessorPrices OlgModel::successor_prices(
+    int zp, const CobbDouglasTechnology::Intensity& intensity) const {
   const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
   SuccessorPrices sp;
-  sp.prices = tech_.prices(k_next, econ_.total_labor, shock.eta, shock.delta);
+  sp.prices = tech_.prices(intensity, shock.eta, shock.delta);
   sp.pension = econ_.pension(sp.prices.wage, shock.tau_labor);
   return sp;
 }
 
-void OlgModel::next_periods(int z, const DecodedState& s, std::span<const double> savings,
-                            const core::PolicyEvaluator& p_next, std::vector<NextPeriod>& out,
-                            core::EvalCounters* counters) const {
-  const int A = econ_.ages();
-  const int d = A - 1;
-  const int Ns = num_shocks();
+solver::NewtonOptions OlgModel::prepare(int z, std::span<const double> x_unit,
+                                        PointScratch& scratch) const {
+  const std::size_t d = unknowns();
+  scratch.z = z;
+  scratch.x_phys.resize(d);
+  domain_.to_physical(x_unit, scratch.x_phys);
+  decode_state(scratch.x_phys, scratch.state);
+  scratch.resources.resize(d + 1);
+  resources(z, scratch.state, scratch.resources);
+  scratch.lower.resize(d);
+  scratch.upper.resize(d);
+  feasibility_box(scratch.resources, scratch.lower, scratch.upper);
+
+  solver::NewtonOptions newton = opts_.newton;
+  newton.lower = scratch.lower;
+  newton.upper = scratch.upper;
+  return newton;
+}
+
+void OlgModel::gather_successors(PointScratch& scratch, std::span<const double> savings_block,
+                                 std::size_t ncols, const core::PolicyEvaluator& p_next) const {
+  const std::size_t d = unknowns();
   const auto nd = static_cast<std::size_t>(ndofs());
-  (void)s;
-
-  std::vector<double> x_next(static_cast<std::size_t>(d));
-  const double k_next = next_state(savings, x_next);
-  const std::vector<double> x_unit = domain_.to_unit(x_next);
-
-  // Every successor shock with transition mass interpolates at the same x':
-  // one gather instead of per-shock evaluations, zero-probability shocks
-  // skipped entirely (their out entries stay unwritten).
-  const auto pi = econ_.chain.row(static_cast<std::size_t>(z));
-  thread_local std::vector<core::GatherRequest> requests;
-  thread_local std::vector<double> gathered;
-  requests.clear();
-  for (int zp = 0; zp < Ns; ++zp)
-    if (pi[static_cast<std::size_t>(zp)] > 0.0) requests.push_back({zp, 0});
-  gathered.resize(requests.size() * nd);
-  p_next.evaluate_gather(requests, x_unit, 1, gathered, nd);
-  if (counters != nullptr) {
-    counters->interpolations += static_cast<int>(requests.size());
-    ++counters->gathers;
+  // Per column: tomorrow's aggregate state K' = sum k'_a (shock-independent),
+  // unit-mapped into a row of the gather's coordinate block, and the
+  // capital-intensity powers every successor shock's prices share.
+  scratch.k_next.resize(ncols);
+  scratch.intensity.resize(ncols);
+  scratch.x_unit.resize(ncols * d);
+  for (std::size_t col = 0; col < ncols; ++col) {
+    const std::span<double> row = std::span<double>(scratch.x_unit).subspan(col * d, d);
+    scratch.k_next[col] = next_state(savings_block.subspan(col * d, d), row);
+    domain_.to_unit_inplace(row);
+    scratch.intensity[col] = tech_.intensity(scratch.k_next[col], econ_.total_labor);
   }
-
-  out.resize(static_cast<std::size_t>(Ns));
-  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
-    const int zp = requests[slot].z;
-    NextPeriod& np = out[static_cast<std::size_t>(zp)];
-    np.capital = k_next;
-    np.x_unit = x_unit;
-    const double* row = gathered.data() + slot * nd;
-    np.dofs.assign(row, row + nd);
-
-    const SuccessorPrices sp = successor_prices(zp, k_next);
-    np.prices = sp.prices;
-    np.pension = sp.pension;
-  }
+  // One gather for every (successor shock with mass) x (column) pair; row
+  // si*ncols + col of `gathered` is the si-th such shock's policy at column
+  // col.
+  core::successor_requests(econ_.chain.row(static_cast<std::size_t>(scratch.z)), ncols,
+                           scratch.requests);
+  scratch.gathered.resize(scratch.requests.size() * nd);
+  p_next.evaluate_gather(scratch.requests, scratch.x_unit, ncols, scratch.gathered, nd);
 }
 
-void OlgModel::euler_residuals(int z, const DecodedState& s, std::span<const double> savings,
-                               const core::PolicyEvaluator& p_next, std::span<double> out,
-                               int* interp_count) const {
-  thread_local ResidualScratch scratch;
-  core::EvalCounters counters;
-  euler_residuals_batch(z, s, savings, 1, p_next, out, scratch, &counters);
-  if (interp_count != nullptr) *interp_count += counters.interpolations;
-}
-
-void OlgModel::euler_residuals_batch(int z, const DecodedState& s,
-                                     std::span<const double> savings_block, std::size_t ncols,
-                                     const core::PolicyEvaluator& p_next,
-                                     std::span<double> out_block, ResidualScratch& scratch,
+void OlgModel::euler_residuals_batch(PointScratch& scratch, std::span<const double> savings_block,
+                                     std::size_t ncols, const core::PolicyEvaluator& p_next,
+                                     std::span<double> out_block,
                                      core::EvalCounters* counters) const {
   const int A = econ_.ages();
   const int d = A - 1;
-  const int Ns = num_shocks();
   const auto sd = static_cast<std::size_t>(d);
   const auto nd = static_cast<std::size_t>(ndofs());
   if (savings_block.size() < ncols * sd || out_block.size() < ncols * sd)
     throw std::invalid_argument("euler_residuals_batch: block size mismatch");
 
-  // Per column: tomorrow's aggregate state K' = sum k'_a (shock-independent),
-  // unit-mapped into a row of the gather's coordinate block.
-  scratch.k_next.resize(ncols);
-  scratch.x_unit.resize(ncols * sd);
-  for (std::size_t col = 0; col < ncols; ++col) {
-    const std::span<double> row = std::span<double>(scratch.x_unit).subspan(col * sd, sd);
-    scratch.k_next[col] = next_state(savings_block.subspan(col * sd, sd), row);
-    domain_.to_unit_inplace(row);
-  }
+  gather_successors(scratch, savings_block, ncols, p_next);
+  if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
-  // One gather for every (successor shock with mass) x (column) pair; row
-  // slot*ncols + col of `gathered` is shock scratch.shocks[slot]'s policy at
-  // column col. Zero-probability successors never enter the Euler
-  // expectation, so their interpolations are skipped entirely (cf. the IRBC
-  // batch residual).
-  const auto pi = econ_.chain.row(static_cast<std::size_t>(z));
-  scratch.shocks.clear();
-  scratch.requests.clear();
-  for (int zp = 0; zp < Ns; ++zp) {
-    if (pi[static_cast<std::size_t>(zp)] == 0.0) continue;
-    scratch.shocks.push_back(zp);
-    for (std::size_t col = 0; col < ncols; ++col)
-      scratch.requests.push_back({zp, static_cast<std::uint32_t>(col)});
-  }
-  scratch.gathered.resize(scratch.requests.size() * nd);
-  p_next.evaluate_gather(scratch.requests, scratch.x_unit, ncols, scratch.gathered, nd);
-  if (counters != nullptr) {
-    counters->interpolations += static_cast<int>(scratch.requests.size());
-    ++counters->gathers;
-  }
-
-  // Factor prices and pensions per (shock, column) — they depend only on K'.
-  const std::size_t nshocks = scratch.shocks.size();
-  scratch.prices.resize(nshocks * ncols);
-  scratch.pension.resize(nshocks * ncols);
-  for (std::size_t si = 0; si < nshocks; ++si) {
-    for (std::size_t col = 0; col < ncols; ++col) {
-      const std::size_t slot = si * ncols + col;
-      const SuccessorPrices sp = successor_prices(scratch.shocks[si], scratch.k_next[col]);
-      scratch.prices[slot] = sp.prices;
-      scratch.pension[slot] = sp.pension;
-    }
-  }
-
-  scratch.c_today.resize(static_cast<std::size_t>(A));
+  // Per column, accumulate each age's expected discounted marginal utility
+  // tomorrow, emu_a = sum over successors of pi R' u'(c'_{a+1}), shock by
+  // shock: a successor's prices and pension depend only on K', so they are
+  // computed once per (shock, column).
+  const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
+  const std::size_t nshocks = scratch.requests.size() / std::max<std::size_t>(ncols, 1);
+  std::vector<double>& emu = scratch.e_acc;
   for (std::size_t col = 0; col < ncols; ++col) {
     const std::span<const double> savings = savings_block.subspan(col * sd, sd);
-    consumption(z, s, savings, scratch.c_today);
-    const std::vector<double>& c_today = scratch.c_today;
-    for (int a = 1; a <= A - 1; ++a) {
-      // Expected discounted marginal utility of age a+1 tomorrow.
-      double emu = 0.0;
-      for (std::size_t si = 0; si < nshocks; ++si) {
-        const int zp = scratch.shocks[si];
-        const double prob = pi[static_cast<std::size_t>(zp)];
-        const std::size_t slot = si * ncols + col;
-        const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
-        const FactorPrices& prices = scratch.prices[slot];
-        const double Rp = 1.0 + prices.rate * (1.0 - shock.tau_capital);
-
+    emu.assign(sd, 0.0);
+    for (std::size_t si = 0; si < nshocks; ++si) {
+      const int zp = scratch.requests[si * ncols].z;
+      const double prob = pi[static_cast<std::size_t>(zp)];
+      const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
+      const SuccessorPrices sp = successor_prices(zp, scratch.intensity[col]);
+      const double Rp = 1.0 + sp.prices.rate * (1.0 - shock.tau_capital);
+      // Next-period savings of age a+1 come from the interpolated policy;
+      // the oldest generation saves nothing.
+      const double* dofs = scratch.gathered.data() + (si * ncols + col) * nd;
+      for (int a = 1; a <= A - 1; ++a) {
         const int ap = a + 1;  // age tomorrow
-        const double labor_inc = (1.0 - shock.tau_labor) * prices.wage * econ_.efficiency[ap - 1];
-        const double pension_inc = econ_.is_retired(ap) ? scratch.pension[slot] : 0.0;
-        // Next-period savings of age a+1 come from the interpolated policy;
-        // the oldest generation saves nothing.
-        const double* dofs = scratch.gathered.data() + slot * nd;
+        const double labor_inc =
+            (1.0 - shock.tau_labor) * sp.prices.wage * econ_.efficiency[ap - 1];
+        const double pension_inc = econ_.is_retired(ap) ? sp.pension : 0.0;
         const double k_tomorrow = (ap <= A - 1) ? dofs[ap - 1] : 0.0;
         const double c_tomorrow =
             Rp * savings[static_cast<std::size_t>(a - 1)] + labor_inc + pension_inc - k_tomorrow;
-        emu += prob * Rp * prefs_.marginal_utility(c_tomorrow);
+        emu[static_cast<std::size_t>(a - 1)] += prob * Rp * prefs_.marginal_utility(c_tomorrow);
       }
-      // The Euler equation u'(c_a) = beta E[...] expressed in consumption
-      // units, c_a - (u')^{-1}(beta E[...]): a strictly monotone transform
-      // with identical roots but uniform O(c) scaling across ages — marginal
-      // utilities near the consumption floor are ~1e6 and would otherwise
-      // wreck the Newton line search's merit function.
-      out_block[col * sd + static_cast<std::size_t>(a - 1)] =
-          c_today[static_cast<std::size_t>(a - 1)] - prefs_.inverse_marginal(econ_.beta * emu);
+    }
+    // The Euler equation u'(c_a) = beta E[...] expressed in consumption
+    // units, c_a - (u')^{-1}(beta E[...]): a strictly monotone transform
+    // with identical roots but uniform O(c) scaling across ages — marginal
+    // utilities near the consumption floor are ~1e6 and would otherwise
+    // wreck the Newton line search's merit function.
+    for (std::size_t age = 0; age < sd; ++age) {
+      const double c_today = scratch.resources[age] - savings[age];
+      out_block[col * sd + age] = c_today - prefs_.inverse_marginal(econ_.beta * emu[age]);
     }
   }
 }
 
-void OlgModel::euler_jacobian(int z, const DecodedState& s, std::span<const double> savings,
+void OlgModel::euler_jacobian(PointScratch& scratch, std::span<const double> savings,
                               const core::PolicyEvaluator& p_next, util::Matrix& jac,
-                              ResidualScratch& scratch, core::EvalCounters* counters) const {
+                              core::EvalCounters* counters) const {
   const int A = econ_.ages();
   const int d = A - 1;
-  const int Ns = num_shocks();
   const auto sd = static_cast<std::size_t>(d);
   const auto nd = static_cast<std::size_t>(ndofs());
   if (savings.size() < sd) throw std::invalid_argument("euler_jacobian: savings too short");
-  (void)s;  // today's state only enters through constants (prices, wealth)
 
   // Tomorrow's aggregate state and the guard gates that zero derivatives
   // exactly where the residual is locally constant: the capital floor on
@@ -280,6 +273,7 @@ void OlgModel::euler_jacobian(int z, const DecodedState& s, std::span<const doub
   for (std::size_t a = 0; a < sd; ++a) ksum += savings[a];
   const double gate_k = ksum > capital_floor_ ? 1.0 : 0.0;
   const double k_next = std::max(ksum, capital_floor_);
+  const CobbDouglasTechnology::Intensity intensity = tech_.intensity(k_next, econ_.total_labor);
 
   scratch.x_unit.resize(sd);
   scratch.chain_w.resize(sd);
@@ -294,18 +288,13 @@ void OlgModel::euler_jacobian(int z, const DecodedState& s, std::span<const doub
   }
 
   // One gather-with-gradient for all successor shocks with mass.
-  const auto pi = econ_.chain.row(static_cast<std::size_t>(z));
-  scratch.requests.clear();
-  for (int zp = 0; zp < Ns; ++zp)
-    if (pi[static_cast<std::size_t>(zp)] > 0.0) scratch.requests.push_back({zp, 0});
+  const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
+  core::successor_requests(pi, 1, scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * nd);
   scratch.gathered_grad.resize(scratch.requests.size() * nd * sd);
   p_next.evaluate_gather_with_gradient(scratch.requests, scratch.x_unit, 1, scratch.gathered,
                                        nd, scratch.gathered_grad, nd * sd);
-  if (counters != nullptr) {
-    counters->interpolations += static_cast<int>(scratch.requests.size());
-    ++counters->gathers;
-  }
+  if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
   // Accumulate emu_a = sum_zp pi R' u'(c'_{a+1}) and its partials. All
   // price/pension movement runs through K' (price_gradients), savings enter
@@ -316,7 +305,7 @@ void OlgModel::euler_jacobian(int z, const DecodedState& s, std::span<const doub
     const int zp = scratch.requests[slot].z;
     const double prob = pi[static_cast<std::size_t>(zp)];
     const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
-    const SuccessorPrices sp = successor_prices(zp, k_next);
+    const SuccessorPrices sp = successor_prices(zp, intensity);
     const CobbDouglasTechnology::FactorPriceGradients pg =
         tech_.price_gradients(sp.prices, k_next, shock.delta);
     const double rp = 1.0 + sp.prices.rate * (1.0 - shock.tau_capital);
@@ -372,48 +361,6 @@ void OlgModel::euler_jacobian(int z, const DecodedState& s, std::span<const doub
   }
 }
 
-std::vector<double> OlgModel::value_coefficients(int z, const DecodedState& s,
-                                                 std::span<const double> savings,
-                                                 const core::PolicyEvaluator& p_next) const {
-  const int A = econ_.ages();
-  const int d = A - 1;
-  const std::vector<double> c_today = consumption(z, s, savings);
-
-  thread_local std::vector<NextPeriod> nps;
-  next_periods(z, s, savings, p_next, nps, nullptr);
-
-  // The value recursion runs on unnormalized CRRA utilities with a floored
-  // argument, and the *stored* coefficients are the certainty-equivalent
-  // transform V = T(v): bounded over the entire (partly infeasible) state
-  // box, so value surpluses cannot pollute the interior of the grid — see
-  // CrraPreferences::value_transform.
-  const auto pi = econ_.chain.row(static_cast<std::size_t>(z));
-  std::vector<double> v(static_cast<std::size_t>(d));
-  for (int a = 1; a <= A - 1; ++a) {
-    double ev = 0.0;
-    for (int zp = 0; zp < num_shocks(); ++zp) {
-      const double prob = pi[static_cast<std::size_t>(zp)];
-      if (prob == 0.0) continue;
-      const NextPeriod& np = nps[static_cast<std::size_t>(zp)];
-      const int ap = a + 1;
-      if (ap <= A - 1) {
-        // Interpolated continuation value of age a+1 (stored transformed).
-        ev += prob * prefs_.value_untransform(np.dofs[static_cast<std::size_t>(d + ap - 1)]);
-      } else {
-        // The oldest generation tomorrow consumes everything.
-        const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
-        const double Rp = 1.0 + np.prices.rate * (1.0 - shock.tau_capital);
-        const double pension_inc = np.pension;
-        const double c_last = Rp * savings[a - 1] + pension_inc;
-        ev += prob * prefs_.utility_unnormalized(c_last);
-      }
-    }
-    v[a - 1] = prefs_.value_transform(prefs_.utility_unnormalized(c_today[a - 1]) +
-                                      econ_.beta * ev);
-  }
-  return v;
-}
-
 std::vector<double> OlgModel::initial_policy(int z, std::span<const double> x_unit) const {
   (void)z;
   const int A = econ_.ages();
@@ -443,123 +390,102 @@ std::vector<double> OlgModel::initial_policy(int z, std::span<const double> x_un
   return dofs;
 }
 
-OlgModel::Bounds OlgModel::feasibility_bounds(int z, const DecodedState& s) const {
-  const int d = state_dim();
-  Bounds b;
-  const double borrow = opts_.borrowing_wage_multiple * steady_.prices.wage;
-  const std::vector<double> resources =
-      consumption(z, s, std::vector<double>(static_cast<std::size_t>(d), 0.0));
-  b.lower.assign(static_cast<std::size_t>(d), -borrow);
-  b.upper.resize(static_cast<std::size_t>(d));
-  for (int a = 0; a < d; ++a) {
-    const double cap = resources[static_cast<std::size_t>(a)] - prefs_.consumption_floor();
-    b.upper[static_cast<std::size_t>(a)] = std::max(cap, -borrow + 1e-12);
-  }
-  return b;
-}
 
-double OlgModel::projected_residual_norm(int z, const DecodedState& s,
-                                         std::span<const double> savings, const Bounds& bounds,
+double OlgModel::projected_residual_norm(PointScratch& scratch, std::span<const double> savings,
                                          const core::PolicyEvaluator& p_next,
                                          core::EvalCounters* counters) const {
-  const int d = state_dim();
-  std::vector<double> res(static_cast<std::size_t>(d));
-  thread_local ResidualScratch scratch;
-  euler_residuals_batch(z, s, savings, 1, p_next, res, scratch, counters);
-  const std::vector<double> c = consumption(z, s, savings);
+  const std::size_t d = unknowns();
+  scratch.residual.resize(d);
+  euler_residuals_batch(scratch, savings, 1, p_next, scratch.residual, counters);
 
   double worst = 0.0;
-  for (int a = 0; a < d; ++a) {
-    double r = res[static_cast<std::size_t>(a)];
-    const double u = savings[static_cast<std::size_t>(a)];
-    const double span = std::max(1e-12, bounds.upper[static_cast<std::size_t>(a)] -
-                                            bounds.lower[static_cast<std::size_t>(a)]);
+  for (std::size_t a = 0; a < d; ++a) {
+    double r = scratch.residual[a];
+    const double u = savings[a];
+    const double span = std::max(1e-12, scratch.upper[a] - scratch.lower[a]);
     const double edge = std::max(1e-8 * span, 1e-10);
     // KKT signs for the consumption-unit residual r = c - c_implied:
     // r < 0 (consumes less than unconstrained-optimal, i.e. wants to borrow)
     // is admissible at the borrowing limit; r > 0 (wants to save beyond the
     // consumption floor's cap) is admissible at the upper bound.
-    if (u <= bounds.lower[static_cast<std::size_t>(a)] + edge && r < 0.0) r = 0.0;
-    if (u >= bounds.upper[static_cast<std::size_t>(a)] - edge && r > 0.0) r = 0.0;
+    if (u <= scratch.lower[a] + edge && r < 0.0) r = 0.0;
+    if (u >= scratch.upper[a] - edge && r > 0.0) r = 0.0;
     // Unit-free: error as a fraction of the age's consumption.
-    const double scale = std::max(c[static_cast<std::size_t>(a)], prefs_.consumption_floor());
+    const double c = scratch.resources[a] - savings[a];
+    const double scale = std::max(c, prefs_.consumption_floor());
     worst = std::max(worst, std::fabs(r) / scale);
   }
   return worst;
 }
 
+void OlgModel::accept(PointScratch& scratch, std::span<const double> savings,
+                      const core::PolicyEvaluator& p_next, core::PointSolveResult& result,
+                      core::EvalCounters* counters) const {
+  const double projected = projected_residual_norm(scratch, savings, p_next, counters);
+  result.converged = result.converged || projected < 1e-6;
+  result.residual_norm = std::min(result.residual_norm, projected);
+}
+
+void OlgModel::finish(PointScratch& scratch, std::span<const double> savings,
+                      const core::PolicyEvaluator& p_next, std::span<double> values) const {
+  const int A = econ_.ages();
+  const int d = A - 1;
+  const auto nd = static_cast<std::size_t>(ndofs());
+
+  // Uncounted: the value recursion is not part of the solve.
+  gather_successors(scratch, savings, 1, p_next);
+  const CobbDouglasTechnology::Intensity& intensity = scratch.intensity[0];
+  const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
+
+  // The value recursion runs on unnormalized CRRA utilities with a floored
+  // argument, and the *stored* coefficients are the certainty-equivalent
+  // transform V = T(v): bounded over the entire (partly infeasible) state
+  // box, so value surpluses cannot pollute the interior of the grid — see
+  // CrraPreferences::value_transform.
+  for (int a = 1; a <= A - 1; ++a) {
+    double ev = 0.0;
+    for (std::size_t slot = 0; slot < scratch.requests.size(); ++slot) {
+      const int zp = scratch.requests[slot].z;
+      const double prob = pi[static_cast<std::size_t>(zp)];
+      const int ap = a + 1;
+      if (ap <= A - 1) {
+        // Interpolated continuation value of age a+1 (stored transformed).
+        const double* dofs = scratch.gathered.data() + slot * nd;
+        ev += prob * prefs_.value_untransform(dofs[static_cast<std::size_t>(d + ap - 1)]);
+      } else {
+        // The oldest generation tomorrow consumes everything.
+        const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
+        const SuccessorPrices sp = successor_prices(zp, intensity);
+        const double Rp = 1.0 + sp.prices.rate * (1.0 - shock.tau_capital);
+        const double c_last = Rp * savings[static_cast<std::size_t>(a - 1)] + sp.pension;
+        ev += prob * prefs_.utility_unnormalized(c_last);
+      }
+    }
+    const auto age = static_cast<std::size_t>(a - 1);
+    const double c_today = scratch.resources[age] - savings[age];
+    values[age] =
+        prefs_.value_transform(prefs_.utility_unnormalized(c_today) + econ_.beta * ev);
+  }
+}
+
 core::PointSolveResult OlgModel::solve_point(int z, std::span<const double> x_unit,
                                              const core::PolicyEvaluator& p_next,
                                              std::span<const double> warm_start) const {
-  const int d = state_dim();
-  const std::vector<double> x_phys = domain_.to_physical(x_unit);
-  const DecodedState s = decode_state(x_phys);
-
-  core::PointSolveResult result;
-  core::EvalCounters counters;
-  ResidualScratch scratch;  // one per solve, recycled by every evaluation
-
-  const solver::ResidualFn residual = [this, z, &s, &p_next, &counters, &scratch](
-                                          std::span<const double> u, std::span<double> out) {
-    euler_residuals_batch(z, s, u, 1, p_next, out, scratch, &counters);
-  };
-
-  // Per-point feasibility box (the role of Ipopt's inequality handling in
-  // the paper's stack): Newton iterates never leave the region where the
-  // Euler system is well conditioned.
-  const Bounds bounds = feasibility_bounds(z, s);
-  solver::NewtonOptions newton = opts_.newton;
-  newton.lower = bounds.lower;
-  newton.upper = bounds.upper;
-
-  // Closed-form per-cohort columns via euler_jacobian.
-  const solver::JacobianFn analytic = [this, z, &s, &p_next, &counters, &scratch](
-                                          std::span<const double> u, util::Matrix& jac) {
-    euler_jacobian(z, s, u, p_next, jac, scratch, &counters);
-  };
-
-  // Warm start: previous iteration's asset demands at this point (the solver
-  // clips them into the feasibility box).
-  const std::vector<double> guess(warm_start.begin(), warm_start.begin() + d);
-  const solver::NewtonResult nres = solve_newton(residual, guess, newton, &analytic);
-
-  // At box corners the equilibrium is constrained: accept KKT-consistent
-  // solutions whose projected residual is small even when the raw Euler
-  // residual cannot vanish.
-  const double projected =
-      projected_residual_norm(z, s, nres.solution, bounds, p_next, &counters);
-  result.converged = nres.converged() || projected < 1e-6;
-  result.solver_iterations = nres.iterations;
-  result.residual_norm = std::min(nres.residual_norm, projected);
-  result.status = nres.status;
-  result.jacobian_refreshes = nres.jacobian_factorizations;
-
-  result.dofs.resize(static_cast<std::size_t>(ndofs()));
-  std::copy(nres.solution.begin(), nres.solution.end(), result.dofs.begin());
-  const std::vector<double> values = value_coefficients(z, s, nres.solution, p_next);
-  std::copy(values.begin(), values.end(), result.dofs.begin() + d);
-  result.interpolations = counters.interpolations;
-  result.gathers = counters.gathers;
-  return result;
+  return core::solve_point(*this, z, x_unit, p_next, warm_start);
 }
 
 double OlgModel::equilibrium_residual(int z, std::span<const double> x_unit,
                                       const core::PolicyEvaluator& p) const {
-  const int d = state_dim();
-  const std::vector<double> x_phys = domain_.to_physical(x_unit);
-  const DecodedState s = decode_state(x_phys);
-
   // Evaluate the policy itself at this point and compute the (unit-free,
   // KKT-projected) Euler residual it implies.
+  PointScratch scratch;
+  (void)prepare(z, x_unit, scratch);
   std::vector<double> dofs(static_cast<std::size_t>(ndofs()));
   p.evaluate(z, x_unit, dofs);
-  const Bounds bounds = feasibility_bounds(z, s);
-  std::vector<double> savings(dofs.begin(), dofs.begin() + d);
-  for (int a = 0; a < d; ++a)
-    savings[static_cast<std::size_t>(a)] =
-        std::clamp(savings[static_cast<std::size_t>(a)], bounds.lower[static_cast<std::size_t>(a)],
-                   bounds.upper[static_cast<std::size_t>(a)]);
-  return projected_residual_norm(z, s, savings, bounds, p, nullptr);
+  std::vector<double> savings(unknowns());
+  for (std::size_t a = 0; a < savings.size(); ++a)
+    savings[a] = std::clamp(dofs[a], scratch.lower[a], scratch.upper[a]);
+  return projected_residual_norm(scratch, savings, p, nullptr);
 }
 
 }  // namespace hddm::olg

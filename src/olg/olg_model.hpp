@@ -87,48 +87,59 @@ class OlgModel final : public core::DynamicModel {
   /// Today's consumption by age given state and savings choices.
   [[nodiscard]] std::vector<double> consumption(int z, const DecodedState& s,
                                                 std::span<const double> savings) const;
-  /// Allocation-free variant for the residual hot loop: writes the A ages
-  /// into `out`.
-  void consumption(int z, const DecodedState& s, std::span<const double> savings,
-                   std::span<double> out) const;
 
-  /// Euler residuals (size d) for savings choices at (z, x); exposed for
-  /// tests and diagnostics. Counts p_next evaluations into `interp_count`.
-  /// All Ns successor-shock interpolations are issued as ONE
-  /// evaluate_gather on p_next (delegates to euler_residuals_batch).
-  void euler_residuals(int z, const DecodedState& s, std::span<const double> savings,
-                       const core::PolicyEvaluator& p_next, std::span<double> out,
-                       int* interp_count = nullptr) const;
+  /// One period of the economy at physical state x in shock z under a
+  /// policy's dofs: clamps the savings into the point's feasibility box (in
+  /// place) and writes tomorrow's state, clamped into the grid box, to
+  /// `x_next` (size d). Returns whether the grid-box clamp bound. The
+  /// simulation and welfare walks share it.
+  bool roll_forward(int z, std::span<const double> x, std::span<double> dofs,
+                    std::span<double> x_next) const;
 
-  /// Reusable per-solve buffers for the residual hot loop (no per-call heap
-  /// traffic beyond the consumption profile).
-  struct ResidualScratch {
+  // --- the Euler system core::solve_point drives -------------------------
+  /// One grid point's state, derived once by prepare(), and the reusable
+  /// buffers that keep a Newton solve and its side paths off the heap.
+  struct PointScratch {
+    int z = 0;                                ///< today's shock
+    std::vector<double> x_phys;               ///< today's state (d)
+    DecodedState state;                       ///< x_phys decoded
+    std::vector<double> resources;            ///< consumption before saving, per age (A)
+    std::vector<double> lower, upper;         ///< feasibility box (d)
     std::vector<double> x_unit;               ///< ncols rows of d
     std::vector<double> k_next;               ///< ncols aggregate capitals
-    std::vector<int> shocks;                  ///< successor shocks with mass
+    std::vector<CobbDouglasTechnology::Intensity> intensity;  ///< per column, at k_next
     std::vector<core::GatherRequest> requests;
     std::vector<double> gathered;             ///< one ndofs-row per request
-    std::vector<FactorPrices> prices;         ///< shocks x ncols (slot-major)
-    std::vector<double> pension;              ///< shocks x ncols (slot-major)
-    std::vector<double> c_today;              ///< A ages, per column
+    std::vector<double> residual;             ///< the KKT projection's residual (d)
+    std::vector<double> e_acc;                ///< emu_a accumulator (d)
     // Analytic-Jacobian workspace (euler_jacobian only): policy gradients,
-    // unit-cube chain weights, and the emu / demu accumulators of the
-    // derivation in DESIGN.md, "Jacobian pipeline".
+    // unit-cube chain weights, and the demu accumulator of the derivation in
+    // DESIGN.md, "Jacobian pipeline".
     std::vector<double> gathered_grad;        ///< one ndofs x d block per request
     std::vector<double> chain_w;              ///< d x_unit / d x_next (0 where clamped)
-    std::vector<double> e_acc;                ///< emu_a accumulator (d)
     std::vector<double> de_acc;               ///< d emu_a / d u_i accumulator (d x d)
   };
 
-  /// Batched Euler residuals over `ncols` savings columns (rows of d in
-  /// `savings_block` / `out_block`) at one state: every successor-shock
+  /// Newton unknowns: the d asset demands (the value coefficients follow).
+  [[nodiscard]] std::size_t unknowns() const { return static_cast<std::size_t>(state_dim()); }
+
+  /// Prepares grid point (z, x_unit) and returns the Newton settings with
+  /// the point's feasibility box on savings — the borrowing limit from
+  /// below, the choice pinning today's consumption at the floor from above
+  /// (the role of Ipopt's inequality handling in the paper's stack:
+  /// iterates never leave the region where the Euler system is well
+  /// conditioned). The box views the scratch.
+  solver::NewtonOptions prepare(int z, std::span<const double> x_unit,
+                                PointScratch& scratch) const;
+
+  /// Euler residuals at the prepared point for `ncols` savings columns
+  /// (rows of d in `savings_block` / `out_block`): every successor-shock
   /// policy interpolation of the whole block goes out as a single
-  /// p_next.evaluate_gather — the finite-difference Jacobian sweep issues
-  /// its d+? columns' interpolations together. Column results are identical
-  /// to per-column euler_residuals.
-  void euler_residuals_batch(int z, const DecodedState& s, std::span<const double> savings_block,
+  /// p_next.evaluate_gather. Each column's result is the one a
+  /// single-column call gives.
+  void euler_residuals_batch(PointScratch& scratch, std::span<const double> savings_block,
                              std::size_t ncols, const core::PolicyEvaluator& p_next,
-                             std::span<double> out_block, ResidualScratch& scratch,
+                             std::span<double> out_block,
                              core::EvalCounters* counters = nullptr) const;
 
   /// Closed-form Jacobian d r_a / d u_i of the consumption-unit Euler
@@ -141,60 +152,59 @@ class OlgModel final : public core::DynamicModel {
   /// guard semantics (capital floor on K', unit-cube clamps) with zero
   /// derivatives where the residual is locally constant. Full derivation in
   /// DESIGN.md, "Jacobian pipeline".
-  void euler_jacobian(int z, const DecodedState& s, std::span<const double> savings,
+  void euler_jacobian(PointScratch& scratch, std::span<const double> savings,
                       const core::PolicyEvaluator& p_next, util::Matrix& jac,
-                      ResidualScratch& scratch, core::EvalCounters* counters = nullptr) const;
+                      core::EvalCounters* counters = nullptr) const;
 
-  /// Value-function coefficients v_1..v_{A-1} implied by converged savings.
-  [[nodiscard]] std::vector<double> value_coefficients(int z, const DecodedState& s,
-                                                       std::span<const double> savings,
-                                                       const core::PolicyEvaluator& p_next) const;
+  /// Accept hook: at box corners the equilibrium is constrained, so a
+  /// solution whose KKT-projected residual is below 1e-6 counts as
+  /// converged even when the raw Euler residual cannot vanish.
+  void accept(PointScratch& scratch, std::span<const double> savings,
+              const core::PolicyEvaluator& p_next, core::PointSolveResult& result,
+              core::EvalCounters* counters) const;
 
-  /// Per-point feasibility box on savings: the borrowing limit from below,
-  /// and the choice pinning today's consumption at the floor from above.
-  struct Bounds {
-    std::vector<double> lower;
-    std::vector<double> upper;
-  };
-  [[nodiscard]] Bounds feasibility_bounds(int z, const DecodedState& s) const;
-
-  /// Unit-free KKT-projected Euler residual norm: components blocked by a
-  /// binding borrowing limit (residual > 0 at the lower bound) or by the
-  /// consumption floor (residual < 0 at the upper bound) are admissible and
-  /// count as zero; the rest is normalized by today's marginal utility.
-  [[nodiscard]] double projected_residual_norm(int z, const DecodedState& s,
-                                               std::span<const double> savings,
-                                               const Bounds& bounds,
-                                               const core::PolicyEvaluator& p_next,
-                                               core::EvalCounters* counters = nullptr) const;
+  /// Finish hook: the value-function coefficients v_1..v_{A-1} implied by
+  /// the solved savings, into `values` (size d).
+  void finish(PointScratch& scratch, std::span<const double> savings,
+              const core::PolicyEvaluator& p_next, std::span<double> values) const;
 
  private:
-  struct NextPeriod {
-    double capital = 0.0;
-    std::vector<double> x_unit;       ///< next state mapped into [0,1]^d
-    std::vector<double> dofs;         ///< interpolated p_next(z', x')
-    FactorPrices prices;
-    double pension = 0.0;
-  };
-  /// Builds next-period objects for today's shock z's successors; only
-  /// shocks with transition mass are interpolated (one gather), the rest of
-  /// `out` is left untouched and must not be read.
-  void next_periods(int z, const DecodedState& s, std::span<const double> savings,
-                    const core::PolicyEvaluator& p_next, std::vector<NextPeriod>& out,
-                    core::EvalCounters* counters) const;
+  /// Decodes into `s`, reusing its storage.
+  void decode_state(std::span<const double> x_phys, DecodedState& s) const;
+  /// Each age's consumption before saving at (z, s), into `out` (size A).
+  void resources(int z, const DecodedState& s, std::span<double> out) const;
+  /// The feasibility box given today's resources.
+  void feasibility_box(std::span<const double> resources, std::span<double> lower,
+                       std::span<double> upper) const;
 
+  /// Unit-free KKT-projected Euler residual norm at the prepared point:
+  /// components blocked by a binding borrowing limit (residual > 0 at the
+  /// lower bound) or by the consumption floor (residual < 0 at the upper
+  /// bound) are admissible and count as zero; the rest is normalized by
+  /// today's consumption.
+  [[nodiscard]] double projected_residual_norm(PointScratch& scratch,
+                                               std::span<const double> savings,
+                                               const core::PolicyEvaluator& p_next,
+                                               core::EvalCounters* counters) const;
+
+  /// Maps `ncols` savings columns to tomorrow's states and gathers every
+  /// successor shock's policy there in one evaluate_gather.
+  void gather_successors(PointScratch& scratch, std::span<const double> savings_block,
+                         std::size_t ncols, const core::PolicyEvaluator& p_next) const;
   /// Tomorrow's aggregate capital implied by the savings choices (floored at
   /// capital_floor_); writes the physical next state x' = (K', k'_1, ...,
   /// k'_{A-2}) into `x_next` (size d). Single definition shared by the
-  /// residual hot loop and next_periods.
+  /// residual hot loop and the value recursion.
   double next_state(std::span<const double> savings, std::span<double> x_next) const;
-  /// Successor shock zp's factor prices and pension at aggregate capital K'
-  /// — ditto, the one place tomorrow's price economics lives.
+  /// Successor shock zp's factor prices and pension at the intensity of
+  /// aggregate capital K' — ditto, the one place tomorrow's price economics
+  /// lives.
   struct SuccessorPrices {
     FactorPrices prices;
     double pension = 0.0;
   };
-  [[nodiscard]] SuccessorPrices successor_prices(int zp, double k_next) const;
+  [[nodiscard]] SuccessorPrices successor_prices(
+      int zp, const CobbDouglasTechnology::Intensity& intensity) const;
 
   OlgEconomy econ_;
   OlgModelOptions opts_;

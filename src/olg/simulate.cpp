@@ -51,35 +51,10 @@ SimulationResult simulate_economy(const OlgModel& model, const core::PolicyEvalu
 
     // Roll the distribution forward with the interpolated asset demands,
     // clamped into the per-point feasibility box (consumption floor and
-    // borrowing limit).
+    // borrowing limit); count the periods whose next state left the box.
     policy.evaluate(static_cast<int>(z), x_unit, dofs);
-    const OlgModel::Bounds bounds = model.feasibility_bounds(static_cast<int>(z), decoded);
-    double k_next = 0.0;
-    for (int a = 0; a < d; ++a) {
-      dofs[static_cast<std::size_t>(a)] =
-          std::clamp(dofs[static_cast<std::size_t>(a)], bounds.lower[static_cast<std::size_t>(a)],
-                     bounds.upper[static_cast<std::size_t>(a)]);
-      k_next += dofs[static_cast<std::size_t>(a)];
-    }
-
     std::vector<double> x_next(static_cast<std::size_t>(d));
-    x_next[0] = k_next;
-    for (int s = 1; s < d; ++s) x_next[static_cast<std::size_t>(s)] = dofs[static_cast<std::size_t>(s - 1)];
-
-    // Detect (and count) box clamping of the visited states.
-    const auto& lo = model.domain().lower();
-    const auto& hi = model.domain().upper();
-    bool clamped = false;
-    for (int s = 0; s < d; ++s) {
-      if (x_next[static_cast<std::size_t>(s)] < lo[static_cast<std::size_t>(s)] ||
-          x_next[static_cast<std::size_t>(s)] > hi[static_cast<std::size_t>(s)]) {
-        clamped = true;
-        x_next[static_cast<std::size_t>(s)] =
-            std::clamp(x_next[static_cast<std::size_t>(s)], lo[static_cast<std::size_t>(s)],
-                       hi[static_cast<std::size_t>(s)]);
-      }
-    }
-    clamped_periods += clamped;
+    clamped_periods += model.roll_forward(static_cast<int>(z), x, dofs, x_next);
 
     x = std::move(x_next);
     z = econ.chain.step(z, rng);

@@ -28,13 +28,31 @@ class CobbDouglasTechnology {
 
   [[nodiscard]] FactorPrices prices(double capital, double labor, double eta,
                                     double delta) const {
+    FactorPrices p = prices(intensity(capital, labor), eta, delta);
+    p.output = eta * std::pow(capital, theta_) * std::pow(labor, 1.0 - theta_);
+    return p;
+  }
+
+  /// The shock-independent powers of the capital intensity K/L that the
+  /// wage and the rate are linear in. A model pricing one capital stock
+  /// under several shocks computes them once.
+  struct Intensity {
+    double pow_theta = 0.0;            ///< (K/L)^theta
+    double pow_theta_minus_one = 0.0;  ///< (K/L)^(theta-1)
+  };
+  [[nodiscard]] Intensity intensity(double capital, double labor) const {
     if (capital <= 0.0 || labor <= 0.0)
       throw std::invalid_argument("CobbDouglasTechnology: factors must be positive");
     const double k_over_l = capital / labor;
+    return {std::pow(k_over_l, theta_), std::pow(k_over_l, theta_ - 1.0)};
+  }
+
+  /// Wage and rate of prices() from precomputed intensity powers, bit for
+  /// bit; output is left 0.
+  [[nodiscard]] FactorPrices prices(const Intensity& in, double eta, double delta) const {
     FactorPrices p;
-    p.wage = (1.0 - theta_) * eta * std::pow(k_over_l, theta_);
-    p.rate = theta_ * eta * std::pow(k_over_l, theta_ - 1.0) - delta;
-    p.output = eta * std::pow(capital, theta_) * std::pow(labor, 1.0 - theta_);
+    p.wage = (1.0 - theta_) * eta * in.pow_theta;
+    p.rate = theta_ * eta * in.pow_theta_minus_one - delta;
     return p;
   }
 

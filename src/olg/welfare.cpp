@@ -44,25 +44,8 @@ double newborn_welfare(const OlgModel& model, const core::PolicyEvaluator& polic
           dofs[static_cast<std::size_t>(d)]));  // v_1: first value coefficient
 
     // Roll forward (clamped policy step, as in simulate_economy).
-    const auto decoded = model.decode_state(x);
-    const OlgModel::Bounds bounds = model.feasibility_bounds(static_cast<int>(z), decoded);
-    double k_next = 0.0;
-    for (int a = 0; a < d; ++a) {
-      const double s = std::clamp(dofs[static_cast<std::size_t>(a)],
-                                  bounds.lower[static_cast<std::size_t>(a)],
-                                  bounds.upper[static_cast<std::size_t>(a)]);
-      dofs[static_cast<std::size_t>(a)] = s;
-      k_next += s;
-    }
     std::vector<double> x_new(static_cast<std::size_t>(d));
-    x_new[0] = k_next;
-    for (int s = 1; s < d; ++s) x_new[static_cast<std::size_t>(s)] = dofs[static_cast<std::size_t>(s - 1)];
-    const auto& lo = model.domain().lower();
-    const auto& hi = model.domain().upper();
-    for (int s = 0; s < d; ++s)
-      x_new[static_cast<std::size_t>(s)] = std::clamp(x_new[static_cast<std::size_t>(s)],
-                                                      lo[static_cast<std::size_t>(s)],
-                                                      hi[static_cast<std::size_t>(s)]);
+    model.roll_forward(static_cast<int>(z), x, dofs, x_new);
     x = std::move(x_new);
     z = econ.chain.step(z, rng);
   }

@@ -11,10 +11,10 @@ void Device::launch(std::uint32_t grid_dim, std::uint32_t block_dim, std::size_t
   if (shared_bytes > props_.shared_mem_per_block)
     throw std::invalid_argument("Device::launch: shared memory request exceeds device limit");
 
-  ++stats_.launches;
-  stats_.blocks += grid_dim;
-  stats_.thread_invocations +=
-      static_cast<std::uint64_t>(grid_dim) * block_dim * phases.size();
+  launches_.fetch_add(1, std::memory_order_relaxed);
+  blocks_.fetch_add(grid_dim, std::memory_order_relaxed);
+  thread_invocations_.fetch_add(static_cast<std::uint64_t>(grid_dim) * block_dim * phases.size(),
+                                std::memory_order_relaxed);
 
   std::vector<std::byte> shared(shared_bytes);
   ThreadCtx ctx;

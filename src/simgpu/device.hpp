@@ -13,6 +13,7 @@
 // shared bytes) feed the analytic P100 timing model in perf_model.hpp.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -56,8 +57,19 @@ class Device {
   explicit Device(DeviceProperties props = {}) : props_(props) {}
 
   [[nodiscard]] const DeviceProperties& properties() const { return props_; }
-  [[nodiscard]] const LaunchStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
+  /// Snapshot of the launch counters. Launches may run concurrently (a
+  /// const kernel owns a mutable Device and serves many threads), so the
+  /// counters are relaxed atomics: exact totals, no ordering with the
+  /// kernels' results.
+  [[nodiscard]] LaunchStats stats() const {
+    return {launches_.load(std::memory_order_relaxed), blocks_.load(std::memory_order_relaxed),
+            thread_invocations_.load(std::memory_order_relaxed)};
+  }
+  void reset_stats() {
+    launches_.store(0, std::memory_order_relaxed);
+    blocks_.store(0, std::memory_order_relaxed);
+    thread_invocations_.store(0, std::memory_order_relaxed);
+  }
 
   /// Maximum number of blocks resident at once ("a single wave of blocks",
   /// Sec. V-A) for a given block size.
@@ -74,7 +86,9 @@ class Device {
 
  private:
   DeviceProperties props_;
-  LaunchStats stats_;
+  std::atomic<std::uint64_t> launches_{0};
+  std::atomic<std::uint64_t> blocks_{0};
+  std::atomic<std::uint64_t> thread_invocations_{0};
 };
 
 }  // namespace hddm::simgpu

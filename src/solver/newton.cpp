@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 namespace hddm::solver {
@@ -17,12 +16,14 @@ std::string to_string(NewtonStatus status) {
   return "unknown";
 }
 
-void finite_difference_jacobian(const ResidualFn& residual, std::span<const double> u,
+void finite_difference_jacobian(ResidualFn residual, std::span<const double> u,
                                 std::span<const double> f_of_u, double epsilon,
-                                util::Matrix& jac, int* eval_count) {
+                                util::Matrix& jac, FdBuffers& buffers, int* eval_count) {
   const std::size_t n = u.size();
-  std::vector<double> up(u.begin(), u.end());
-  std::vector<double> fp(n);
+  std::vector<double>& up = buffers.points;
+  std::vector<double>& fp = buffers.values;
+  up.assign(u.begin(), u.end());
+  fp.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
     // Scale the step with the variable's magnitude for well-conditioned
     // differences over wide state ranges (wealth can be O(10), taxes O(0.1)).
@@ -37,14 +38,13 @@ void finite_difference_jacobian(const ResidualFn& residual, std::span<const doub
   }
 }
 
-void finite_difference_jacobian(const BatchResidualFn& residual_batch, std::span<const double> u,
+void finite_difference_jacobian(BatchResidualFn residual_batch, std::span<const double> u,
                                 std::span<const double> f_of_u, double epsilon, util::Matrix& jac,
-                                int* eval_count) {
+                                FdBuffers& buffers, int* eval_count) {
   const std::size_t n = u.size();
-  // Reused across refreshes: this runs once per Newton iteration of every
-  // grid-point solve, and the whole point of the batched path is keeping the
-  // sweep free of per-call overhead.
-  thread_local std::vector<double> us, fs, steps;
+  std::vector<double>& us = buffers.points;
+  std::vector<double>& fs = buffers.values;
+  std::vector<double>& steps = buffers.steps;
   us.resize(n * n);
   fs.resize(n * n);
   steps.resize(n);
@@ -118,8 +118,9 @@ double inf_norm_free(std::span<const double> f, const std::vector<bool>& active)
 
 }  // namespace
 
-NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> initial,
-                          const NewtonOptions& options, const JacobianFn* jacobian) {
+NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
+                          const NewtonOptions& options, NewtonWorkspace& ws,
+                          JacobianFn jacobian) {
   const std::size_t n = initial.size();
   if (n == 0) throw std::invalid_argument("solve_newton: empty system");
   if (!options.lower.empty() && options.lower.size() != n)
@@ -129,12 +130,22 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
   const bool bounded = !options.lower.empty() || !options.upper.empty();
 
   NewtonResult result;
-  std::vector<double> u(initial.begin(), initial.end());
+  std::vector<double>& u = ws.u;
+  std::vector<double>& f = ws.f;
+  std::vector<double>& u_trial = ws.u_trial;
+  std::vector<double>& f_trial = ws.f_trial;
+  std::vector<double>& du = ws.du;
+  std::vector<bool>& active = ws.active;
+  util::Matrix& jac = ws.jac;
+  u.assign(initial.begin(), initial.end());
   clip_to_box(u, options);
-
-  std::vector<double> f(n), f_trial(n), u_trial(n), du(n);
-  std::vector<bool> active(n, false);
-  util::Matrix jac(n, n);
+  f.resize(n);
+  f_trial.resize(n);
+  u_trial.resize(n);
+  du.resize(n);
+  active.assign(n, false);
+  jac.resize(n, n);
+  std::fill(jac.data(), jac.data() + n * n, 0.0);
 
   auto at_lower = [&](std::size_t i) {
     return !options.lower.empty() && u[i] <= options.lower[i] + 1e-14 * (1.0 + std::fabs(options.lower[i]));
@@ -148,8 +159,6 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
   double fnorm = inf_norm(f);
   double m0 = merit(f);
 
-  std::optional<util::LuFactorization> lu;
-
   for (int it = 0; it < options.max_iterations; ++it) {
     result.iterations = it;
     if (fnorm <= options.tolerance) {
@@ -160,21 +169,19 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
     // Rebuild and factorize the Jacobian: closed-form columns when the
     // caller supplies them, a forward-difference sweep (n residual
     // evaluations, reusing f = F(u)) otherwise.
-    if (jacobian != nullptr)
-      (*jacobian)(u, jac);
+    if (jacobian)
+      jacobian(u, jac);
     else
-      finite_difference_jacobian(residual, u, f, options.fd_epsilon, jac,
+      finite_difference_jacobian(residual, u, f, options.fd_epsilon, jac, ws.fd,
                                  &result.residual_evaluations);
-    try {
-      lu.emplace(jac);
-    } catch (const util::SingularMatrixError&) {
+    if (!ws.lu.factor(jac)) {
       result.status = NewtonStatus::SingularJacobian;
       break;
     }
     ++result.jacobian_factorizations;
 
     // Newton direction du = -J^{-1} F on the full system.
-    du = lu->solve(f);
+    ws.lu.solve(f, du);
     for (double& v : du) v = -v;
 
     // Active-set pass (bounded problems): variables sitting on a bound with
@@ -190,25 +197,26 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
         }
       }
       if (any_active) {
-        std::vector<std::size_t> free_idx;
+        std::vector<std::size_t>& free_idx = ws.free_idx;
+        free_idx.clear();
         for (std::size_t i = 0; i < n; ++i)
           if (!active[i]) free_idx.push_back(i);
         std::fill(du.begin(), du.end(), 0.0);
         if (!free_idx.empty()) {
           const std::size_t m = free_idx.size();
-          util::Matrix reduced(m, m);
-          std::vector<double> f_red(m);
+          ws.reduced.resize(m, m);
+          ws.f_red.resize(m);
+          ws.du_red.resize(m);
           for (std::size_t r = 0; r < m; ++r) {
-            f_red[r] = f[free_idx[r]];
-            for (std::size_t c = 0; c < m; ++c) reduced(r, c) = jac(free_idx[r], free_idx[c]);
+            ws.f_red[r] = f[free_idx[r]];
+            for (std::size_t c = 0; c < m; ++c) ws.reduced(r, c) = jac(free_idx[r], free_idx[c]);
           }
-          try {
-            const std::vector<double> du_red = util::solve_dense(std::move(reduced), f_red);
-            for (std::size_t r = 0; r < m; ++r) du[free_idx[r]] = -du_red[r];
-          } catch (const util::SingularMatrixError&) {
+          if (!ws.lu.factor(ws.reduced)) {
             result.status = NewtonStatus::SingularJacobian;
             break;
           }
+          ws.lu.solve(ws.f_red, ws.du_red);
+          for (std::size_t r = 0; r < m; ++r) du[free_idx[r]] = -ws.du_red[r];
         } else {
           // Every variable pinned: the KKT point is the current corner.
           result.status = NewtonStatus::Converged;
@@ -222,9 +230,6 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
         }
       }
     }
-    if (result.status == NewtonStatus::SingularJacobian ||
-        result.status == NewtonStatus::Converged)
-      break;
 
     if (inf_norm(du) <= options.step_tolerance) {
       // No representable progress left; accept if the residual is small-ish.
@@ -265,7 +270,7 @@ NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> in
 
   if (result.status == NewtonStatus::MaxIterations && fnorm <= options.tolerance)
     result.status = NewtonStatus::Converged;
-  result.solution = std::move(u);
+  result.solution = u;
   result.residual_norm = fnorm;
   return result;
 }

@@ -10,22 +10,26 @@
 // Jacobian through the caller's JacobianFn when one is given (the models'
 // closed-form Euler-system columns) and through a forward finite-difference
 // sweep of the residual when not — the inputs decide, not a mode switch.
-// jacobian_deviation audits an analytic Jacobian against a finite-difference
+// All buffers live in a caller-owned NewtonWorkspace, so a warmed-up solve
+// allocates nothing. jacobian_deviation audits an analytic Jacobian against a finite-difference
 // reference (see DESIGN.md, "Jacobian pipeline").
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "util/function_ref.hpp"
 #include "util/linalg.hpp"
 
 namespace hddm::solver {
 
+// The callbacks are non-owning references (util::function_ref): bind them to
+// named callables that outlive the call.
+
 /// Residual callback: writes F(u) into `out` (both of size n).
-using ResidualFn = std::function<void(std::span<const double> u, std::span<double> out)>;
+using ResidualFn = util::function_ref<void(std::span<const double> u, std::span<double> out)>;
 /// Batched residual callback: `us` holds ncols trial points (rows of n),
 /// `fs` receives the ncols residual vectors (rows of n). Must compute each
 /// column exactly as the scalar ResidualFn would — models back it with one
@@ -33,10 +37,10 @@ using ResidualFn = std::function<void(std::span<const double> u, std::span<doubl
 /// requests, so a whole finite-difference Jacobian sweep issues its policy
 /// interpolations together instead of once per column.
 using BatchResidualFn =
-    std::function<void(std::span<const double> us, std::span<double> fs, std::size_t ncols)>;
+    util::function_ref<void(std::span<const double> us, std::span<double> fs, std::size_t ncols)>;
 /// Optional analytic Jacobian callback: fills `jac` (n x n) with
 /// dF_r/du_c at the trial point `u`.
-using JacobianFn = std::function<void(std::span<const double> u, util::Matrix& jac)>;
+using JacobianFn = util::function_ref<void(std::span<const double> u, util::Matrix& jac)>;
 
 /// Tuning knobs of solve_newton: iteration/tolerance limits, the line
 /// search, and the optional variable box.
@@ -48,14 +52,15 @@ struct NewtonOptions {
   double armijo_c = 1e-4;             ///< sufficient-decrease constant
   double min_damping = 1e-6;          ///< smallest accepted step fraction
   int max_backtracks = 30;            ///< line-search halvings before giving up
-  /// Optional box (empty = unbounded). With bounds, the solver runs an
-  /// active-set projected Newton: variables whose Newton step points outside
-  /// a bound they sit on are pinned for the iteration, the reduced system is
-  /// solved for the remaining variables, and the merit function covers free
-  /// residual components only. Convergence means the *free* residuals
-  /// vanish; pinned components are the caller's KKT conditions to check.
-  std::vector<double> lower;
-  std::vector<double> upper;
+  /// Optional box (empty = unbounded), viewed, not owned: the bounds must
+  /// outlive the solve. With bounds, the solver runs an active-set projected
+  /// Newton: variables whose Newton step points outside a bound they sit on
+  /// are pinned for the iteration, the reduced system is solved for the
+  /// remaining variables, and the merit function covers free residual
+  /// components only. Convergence means the *free* residuals vanish; pinned
+  /// components are the caller's KKT conditions to check.
+  std::span<const double> lower;
+  std::span<const double> upper;
 };
 
 /// Terminal state of one solve_newton run.
@@ -72,11 +77,37 @@ inline constexpr std::size_t kNewtonStatusCount = 4;
 /// Short lower-case name ("converged", "max-iterations", ...).
 std::string to_string(NewtonStatus status);
 
+/// Buffers of a finite-difference Jacobian sweep: the perturbed trial points,
+/// their residuals and the per-column steps.
+struct FdBuffers {
+  std::vector<double> points;
+  std::vector<double> values;
+  std::vector<double> steps;
+};
+
+/// Everything one solve_newton run writes besides its result: iterates,
+/// residuals, the Jacobian and its LU factors, the active-set reduced
+/// system, and the finite-difference buffers. Reused across solves (one per
+/// executor thread in the point-solve harness), it allocates only while
+/// growing to the largest system seen, so a warmed-up solve allocates
+/// nothing.
+struct NewtonWorkspace {
+  std::vector<double> u, f, u_trial, f_trial, du;  ///< iterate, residual, trial, step
+  std::vector<bool> active;                        ///< variables pinned this iteration
+  std::vector<std::size_t> free_idx;               ///< the others, in order
+  std::vector<double> f_red, du_red;               ///< reduced system over free_idx
+  util::Matrix jac, reduced;                       ///< Jacobian, its free block
+  util::LuFactorization lu;                        ///< factors of jac or reduced
+  FdBuffers fd;                                    ///< refreshes without a JacobianFn
+};
+
 /// Outcome of one solve_newton run: terminal status, the final iterate, and
 /// the work counters the models roll up into their per-point results.
 struct NewtonResult {
   NewtonStatus status = NewtonStatus::MaxIterations;  ///< terminal state
-  std::vector<double> solution;  ///< final iterate (the root when converged)
+  /// Final iterate (the root when converged). A view into the workspace,
+  /// valid until the workspace's next solve.
+  std::span<const double> solution;
   double residual_norm = 0.0;    ///< final ||F||_inf
   int iterations = 0;            ///< Newton iterations performed
   int residual_evaluations = 0;  ///< ResidualFn evaluations consumed
@@ -85,20 +116,22 @@ struct NewtonResult {
   [[nodiscard]] bool converged() const { return status == NewtonStatus::Converged; }
 };
 
-/// Solves F(u) = 0 starting from `initial`. Each iteration refreshes the
-/// Jacobian through `jacobian` when it is non-null (no residual evaluations
-/// spent on the refresh) and through the scalar finite_difference_jacobian
-/// of `residual` with step scale options.fd_epsilon otherwise (n residual
-/// evaluations per refresh).
-NewtonResult solve_newton(const ResidualFn& residual, std::span<const double> initial,
-                          const NewtonOptions& options = {}, const JacobianFn* jacobian = nullptr);
+/// Solves F(u) = 0 starting from `initial`, in `workspace`. Each iteration
+/// refreshes the Jacobian through `jacobian` when it is set (no residual
+/// evaluations spent on the refresh) and through the scalar
+/// finite_difference_jacobian of `residual` with step scale
+/// options.fd_epsilon otherwise (n residual evaluations per refresh).
+NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
+                          const NewtonOptions& options, NewtonWorkspace& workspace,
+                          JacobianFn jacobian = {});
 
 /// Forward finite-difference Jacobian: column c perturbs u_c by
 /// epsilon * max(1, |u_c|) and differences against `f_of_u` = F(u).
 /// `eval_count` (may be null) advances by n.
-void finite_difference_jacobian(const ResidualFn& residual, std::span<const double> u,
+void finite_difference_jacobian(ResidualFn residual, std::span<const double> u,
                                 std::span<const double> f_of_u, double epsilon,
-                                util::Matrix& jac, int* eval_count = nullptr);
+                                util::Matrix& jac, FdBuffers& buffers,
+                                int* eval_count = nullptr);
 
 /// Batched-column variant: builds every perturbed trial point first, issues
 /// ONE BatchResidualFn call for the whole sweep, and fills the columns from
@@ -106,9 +139,9 @@ void finite_difference_jacobian(const ResidualFn& residual, std::span<const doub
 /// the scalar overload (identical Jacobian when the batch residual matches
 /// the scalar residual column-wise). `eval_count` still advances by n —
 /// it counts residual evaluations, not callback invocations.
-void finite_difference_jacobian(const BatchResidualFn& residual_batch, std::span<const double> u,
+void finite_difference_jacobian(BatchResidualFn residual_batch, std::span<const double> u,
                                 std::span<const double> f_of_u, double epsilon, util::Matrix& jac,
-                                int* eval_count = nullptr);
+                                FdBuffers& buffers, int* eval_count = nullptr);
 
 /// Worst column-scaled deviation of `analytic` from `reference` (both
 /// n x n): the maximum over columns c of

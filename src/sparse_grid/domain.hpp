@@ -27,11 +27,17 @@ class BoxDomain {
 
   /// Unit-cube coordinates -> physical coordinates.
   [[nodiscard]] std::vector<double> to_physical(std::span<const double> u) const {
-    check(u.size());
     std::vector<double> x(u.size());
+    to_physical(u, x);
+    return x;
+  }
+
+  /// Allocation-free variant of to_physical: writes into `x` (same size).
+  void to_physical(std::span<const double> u, std::span<double> x) const {
+    check(u.size());
+    check(x.size());
     for (std::size_t t = 0; t < u.size(); ++t)
       x[t] = lower_[t] + (upper_[t] - lower_[t]) * u[t];
-    return x;
   }
 
   /// Physical coordinates -> unit cube, clamped to [0,1] (the paper truncates

@@ -37,10 +37,21 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
+LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
+  if (!factor_in_place()) throw SingularMatrixError("singular matrix in LU factorization");
+}
+
+bool LuFactorization::factor(const Matrix& a) {
+  lu_ = a;
+  return factor_in_place();
+}
+
+bool LuFactorization::factor_in_place() {
   const std::size_t n = lu_.rows();
   if (lu_.cols() != n) throw std::invalid_argument("LU requires a square matrix");
+  perm_.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+  perm_sign_ = 1;
 
   min_pivot_ = std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < n; ++k) {
@@ -54,7 +65,7 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)), perm_(lu_.rows()
         pivot_row = r;
       }
     }
-    if (pivot_mag < 1e-300) throw SingularMatrixError("singular matrix in LU factorization");
+    if (pivot_mag < 1e-300) return false;
     min_pivot_ = std::min(min_pivot_, pivot_mag);
 
     if (pivot_row != k) {
@@ -71,14 +82,20 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)), perm_(lu_.rows()
       for (std::size_t c = k + 1; c < n; ++c) lu_(r, c) -= factor * lu_(k, c);
     }
   }
+  return true;
 }
 
 std::vector<double> LuFactorization::solve(const std::vector<double>& b) const {
+  std::vector<double> x(lu_.rows());
+  solve(b, x);
+  return x;
+}
+
+void LuFactorization::solve(std::span<const double> b, std::span<double> x) const {
   const std::size_t n = lu_.rows();
-  if (b.size() != n) throw std::invalid_argument("rhs size mismatch in LU solve");
+  if (b.size() != n || x.size() != n) throw std::invalid_argument("rhs size mismatch in LU solve");
 
   // Forward substitution on the permuted rhs (L has implicit unit diagonal).
-  std::vector<double> x(n);
   for (std::size_t r = 0; r < n; ++r) {
     double acc = b[perm_[r]];
     for (std::size_t c = 0; c < r; ++c) acc -= lu_(r, c) * x[c];
@@ -90,7 +107,6 @@ std::vector<double> LuFactorization::solve(const std::vector<double>& b) const {
     for (std::size_t c = ri + 1; c < n; ++c) acc -= lu_(ri, c) * x[c];
     x[ri] = acc / lu_(ri, ri);
   }
-  return x;
 }
 
 double LuFactorization::determinant() const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -22,6 +23,14 @@ class Matrix {
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
+
+  /// Reshapes to rows x cols, reusing the storage (allocates only to grow
+  /// past the largest size seen); entry values are unspecified afterwards.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
 
   double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
@@ -49,14 +58,25 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// LU factorization with partial pivoting: PA = LU. Throws
-/// SingularMatrixError when a pivot underflows.
+/// LU factorization with partial pivoting: PA = LU. The constructor throws
+/// SingularMatrixError when a pivot underflows. A default-constructed object
+/// is a reusable factorization workspace: factor() refactorizes in place in
+/// the storage of earlier calls, so a solver that refreshes its Jacobian
+/// every iteration allocates nothing once warmed up.
 class LuFactorization {
  public:
+  LuFactorization() = default;
   explicit LuFactorization(Matrix a);
+
+  /// Replaces the factors with those of `a` (square). Returns false when a
+  /// pivot underflows; the factors are then unusable.
+  [[nodiscard]] bool factor(const Matrix& a);
 
   /// Solves A x = b using the stored factors.
   [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
+  /// Allocation-free form: writes the solution into `x` (size n, distinct
+  /// from `b`).
+  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Determinant from the product of pivots (with permutation sign).
   [[nodiscard]] double determinant() const;
@@ -66,6 +86,9 @@ class LuFactorization {
   [[nodiscard]] double min_pivot_magnitude() const { return min_pivot_; }
 
  private:
+  /// Factorizes lu_ in place; false on a vanishing pivot.
+  bool factor_in_place();
+
   Matrix lu_;
   std::vector<std::size_t> perm_;
   int perm_sign_ = 1;

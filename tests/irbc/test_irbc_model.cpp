@@ -71,9 +71,12 @@ TEST(IrbcModel, SteadyStateIsEulerFixedPointWithoutRisk) {
   const IrbcModel m(cal);
 
   const core::InitialPolicyEvaluator pnext(m);  // identity policy
-  const std::vector<double> k(3, 1.0);
+  IrbcModel::PointScratch point;
+  (void)m.prepare(0, std::vector<double>(3, 0.5), point);  // k = 1 (box center)
+  const std::vector<double> k = point.k;
+  ASSERT_EQ(k, std::vector<double>(3, 1.0));
   std::vector<double> res(3);
-  m.euler_residuals(0, k, k, pnext, res);
+  m.euler_residuals_batch(point, k, 1, pnext, res);
   for (const double r : res) EXPECT_NEAR(r, 0.0, 1e-10);
 }
 
@@ -198,12 +201,13 @@ TEST(IrbcModel, EulerResidualsFiniteForNonPositiveTrialIterates) {
   cal.countries = 3;
   const IrbcModel m(cal);
   const core::InitialPolicyEvaluator pnext(m);
-  const std::vector<double> k(3, 1.0);
+  IrbcModel::PointScratch point;
+  (void)m.prepare(0, std::vector<double>(3, 0.5), point);  // k = 1
 
   for (const std::vector<double>& k_next :
        {std::vector<double>{0.0, 1.0, 1.0}, {1.0, -0.5, 1.0}, {0.0, 0.0, 0.0}, {-1.0, -1.0, -1.0}}) {
     std::vector<double> res(3);
-    m.euler_residuals(0, k, k_next, pnext, res);
+    m.euler_residuals_batch(point, k_next, 1, pnext, res);
     for (const double r : res) EXPECT_TRUE(std::isfinite(r)) << "k_next[0]=" << k_next[0];
   }
 }
@@ -221,20 +225,22 @@ TEST(IrbcModel, NewtonTrialStepThroughZeroStaysFiniteAndDiagnosable) {
   cal.sigma = 0.0;
   const IrbcModel m(cal);
   const core::InitialPolicyEvaluator pnext(m);
-  const std::vector<double> k(2, 1.0);
+  IrbcModel::PointScratch point;
+  (void)m.prepare(0, std::vector<double>(2, 0.5), point);  // k = 1
 
   bool all_finite = true;
   double min_trial = 1e300;
-  const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
+  const auto residual = [&](std::span<const double> u, std::span<double> out) {
     for (const double ui : u) min_trial = std::min(min_trial, ui);
-    m.euler_residuals(0, k, u, pnext, out);
+    m.euler_residuals_batch(point, u, 1, pnext, out);
     for (const double r : out)
       if (!std::isfinite(r)) all_finite = false;
   };
   solver::NewtonOptions opts;
   opts.max_iterations = 50;
   opts.tolerance = 1e-9;  // deliberately no box: nothing clips the trials
-  const solver::NewtonResult r = solve_newton(residual, std::vector<double>{2.0, 2.0}, opts);
+  solver::NewtonWorkspace ws;
+  const solver::NewtonResult r = solve_newton(residual, std::vector<double>{2.0, 2.0}, opts, ws);
   EXPECT_LT(min_trial, 0.0) << "the scenario no longer drives a trial step through zero";
   EXPECT_TRUE(all_finite) << "a trial step through zero produced a non-finite residual";
   // Infeasible basin, honest diagnosis — not a NaN-corrupted solution.
@@ -249,9 +255,12 @@ TEST(IrbcModel, NewtonTrialStepThroughZeroStaysFiniteAndDiagnosable) {
   // path) converges to the steady state through the production box.
   solver::NewtonOptions boxed = opts;
   boxed.max_iterations = 120;
-  boxed.lower = {0.2, 0.2};
-  boxed.upper = {3.0, 3.0};
-  const solver::NewtonResult rb = solve_newton(residual, std::vector<double>{0.9, 1.1}, boxed);
+  const double lower[] = {0.2, 0.2}, upper[] = {3.0, 3.0};
+  boxed.lower = lower;
+  boxed.upper = upper;
+  solver::NewtonWorkspace boxed_ws;
+  const solver::NewtonResult rb =
+      solve_newton(residual, std::vector<double>{0.9, 1.1}, boxed, boxed_ws);
   ASSERT_TRUE(rb.converged()) << "status " << to_string(rb.status);
   for (const double kj : rb.solution) EXPECT_NEAR(kj, 1.0, 1e-6);
 }
@@ -327,24 +336,23 @@ TEST(IrbcModel, AnalyticJacobianMatchesBatchedFdColumns) {
   double worst = 0.0;
   for (int trial = 0; trial < 10; ++trial) {
     const std::vector<double> x_unit = rng.uniform_point(N);
-    const std::vector<double> k = m.domain().to_physical(x_unit);
-    std::vector<double> u(k);
-    for (double& v : u) v *= (1.0 + 0.05 * rng.uniform(-1.0, 1.0));
     const int z = trial % m.num_shocks();
+    IrbcModel::PointScratch scratch;
+    (void)m.prepare(z, x_unit, scratch);
+    std::vector<double> u(scratch.k);
+    for (double& v : u) v *= (1.0 + 0.05 * rng.uniform(-1.0, 1.0));
 
-    IrbcModel::ResidualScratch scratch;
     util::Matrix ja(static_cast<std::size_t>(N), static_cast<std::size_t>(N));
     util::Matrix jf(static_cast<std::size_t>(N), static_cast<std::size_t>(N));
-    m.euler_jacobian(z, k, u, *policy, ja, scratch);
+    m.euler_jacobian(scratch, u, *policy, ja);
 
-    IrbcModel::ResidualScratch rs;
-    const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
-                                              std::size_t ncols) {
-      m.euler_residuals_batch(z, k, us, ncols, *policy, fs, rs);
+    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
+      m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
     };
     std::vector<double> f0(static_cast<std::size_t>(N));
-    m.euler_residuals_batch(z, k, u, 1, *policy, f0, rs);
-    solver::finite_difference_jacobian(batch, u, f0, 1e-7, jf);
+    m.euler_residuals_batch(scratch, u, 1, *policy, f0);
+    solver::FdBuffers fd;
+    solver::finite_difference_jacobian(batch, u, f0, 1e-7, jf, fd);
 
     worst = std::max(worst, solver::jacobian_deviation(ja, jf));
   }
@@ -366,20 +374,21 @@ TEST(IrbcModel, JacobianModesConvergeToTheSameSolution) {
   std::vector<double> warm(3);
   for (const double center : {0.4, 0.5, 0.6}) {
     const std::vector<double> x_unit(3, center);
-    const std::vector<double> k = m.domain().to_physical(x_unit);
     policy->evaluate(1, x_unit, warm);
-    IrbcModel::ResidualScratch scratch;
+    IrbcModel::PointScratch scratch;
+    (void)m.prepare(1, x_unit, scratch);
     core::EvalCounters fd_counters, an_counters;
     core::EvalCounters* counters = &fd_counters;
-    const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
-      m.euler_residuals_batch(1, k, u, 1, *policy, out, scratch, counters);
+    const auto residual = [&](std::span<const double> u, std::span<double> out) {
+      m.euler_residuals_batch(scratch, u, 1, *policy, out, counters);
     };
-    const solver::JacobianFn analytic = [&](std::span<const double> u, util::Matrix& jac) {
-      m.euler_jacobian(1, k, u, *policy, jac, scratch, counters);
+    const auto analytic = [&](std::span<const double> u, util::Matrix& jac) {
+      m.euler_jacobian(scratch, u, *policy, jac, counters);
     };
-    const solver::NewtonResult fd = solver::solve_newton(residual, warm, opts);
+    solver::NewtonWorkspace fd_ws, an_ws;
+    const solver::NewtonResult fd = solver::solve_newton(residual, warm, opts, fd_ws);
     counters = &an_counters;
-    const solver::NewtonResult an = solver::solve_newton(residual, warm, opts, &analytic);
+    const solver::NewtonResult an = solver::solve_newton(residual, warm, opts, an_ws, analytic);
     ASSERT_TRUE(fd.converged());
     ASSERT_TRUE(an.converged());
     for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(an.solution[j], fd.solution[j], 1e-6);
@@ -389,7 +398,7 @@ TEST(IrbcModel, JacobianModesConvergeToTheSameSolution) {
 
     // solve_point is the analytic run, bit for bit.
     const core::PointSolveResult point = m.solve_point(1, x_unit, *policy, warm);
-    EXPECT_EQ(point.dofs, an.solution);
+    EXPECT_TRUE(std::ranges::equal(point.dofs, an.solution));
     EXPECT_EQ(point.status, an.status);
     EXPECT_EQ(point.jacobian_refreshes, an.jacobian_factorizations);
     EXPECT_EQ(point.interpolations, an_counters.interpolations);
@@ -407,34 +416,35 @@ TEST(IrbcModel, FdCheckModeAuditsCleanlyOnRealSolves) {
 
   std::vector<double> warm(2);
   const std::vector<double> x_unit(2, 0.5);
-  const std::vector<double> k = m.domain().to_physical(x_unit);
   policy->evaluate(0, x_unit, warm);
 
-  IrbcModel::ResidualScratch scratch;
-  const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
-    m.euler_residuals_batch(0, k, u, 1, *policy, out, scratch);
+  IrbcModel::PointScratch scratch;
+  const solver::NewtonOptions options = m.prepare(0, x_unit, scratch);
+  const auto residual = [&](std::span<const double> u, std::span<double> out) {
+    m.euler_residuals_batch(scratch, u, 1, *policy, out);
   };
-  const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
-                                            std::size_t ncols) {
-    m.euler_residuals_batch(0, k, us, ncols, *policy, fs, scratch);
+  const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
+    m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
   };
   int refreshes = 0;
   double worst = 0.0;
-  const solver::JacobianFn audited = [&](std::span<const double> u, util::Matrix& jac) {
-    m.euler_jacobian(0, k, u, *policy, jac, scratch);
+  solver::FdBuffers fd;
+  const auto audited = [&](std::span<const double> u, util::Matrix& jac) {
+    m.euler_jacobian(scratch, u, *policy, jac);
     std::vector<double> fu(u.size());
     residual(u, fu);
     util::Matrix reference(u.size(), u.size());
-    solver::finite_difference_jacobian(batch, u, fu, 1e-7, reference);
+    solver::finite_difference_jacobian(batch, u, fu, 1e-7, reference, fd);
     worst = std::max(worst, solver::jacobian_deviation(jac, reference));
     ++refreshes;
   };
-  const solver::NewtonResult res = solver::solve_newton(residual, warm, m.newton_options(), &audited);
+  solver::NewtonWorkspace ws;
+  const solver::NewtonResult res = solver::solve_newton(residual, warm, options, ws, audited);
   ASSERT_TRUE(res.converged());
   EXPECT_GT(refreshes, 0);
   EXPECT_EQ(refreshes, res.jacobian_factorizations);  // every refresh audited
   EXPECT_LE(worst, 1e-3) << "max column-scaled deviation " << worst;
-  EXPECT_EQ(m.solve_point(0, x_unit, *policy, warm).dofs, res.solution);
+  EXPECT_TRUE(std::ranges::equal(m.solve_point(0, x_unit, *policy, warm).dofs, res.solution));
 }
 
 TEST(IrbcModel, RejectsBadCalibrations) {

@@ -131,7 +131,7 @@ TEST(OlgModel, SolvePointConvergesAcrossStateSpace) {
 }
 
 TEST(OlgModel, EulerResidualsBatchMatchesScalarColumns) {
-  // The batched residual must reproduce per-column euler_residuals exactly —
+  // The batched residual must reproduce single-column calls exactly —
   // the equivalence the batched finite-difference Jacobian relies on.
   const OlgModel m = make_model(6);
   const SteadyPolicy pnext(m);
@@ -139,7 +139,8 @@ TEST(OlgModel, EulerResidualsBatchMatchesScalarColumns) {
   const auto sd = static_cast<std::size_t>(d);
 
   const std::vector<double> x_unit(sd, 0.5);
-  const auto s = m.decode_state(m.domain().to_physical(x_unit));
+  OlgModel::PointScratch scratch;
+  (void)m.prepare(0, x_unit, scratch);
 
   // A few perturbed savings columns around the steady-state profile.
   const SteadyState& ss = m.steady_state();
@@ -151,10 +152,9 @@ TEST(OlgModel, EulerResidualsBatchMatchesScalarColumns) {
       block[col * sd + static_cast<std::size_t>(a)] =
           std::max(ss.savings[static_cast<std::size_t>(a)], 0.05) * (0.8 + 0.4 * rng.uniform());
 
-  OlgModel::ResidualScratch scratch;
   core::EvalCounters counters;
   std::vector<double> batched(kCols * sd);
-  m.euler_residuals_batch(0, s, block, kCols, pnext, batched, scratch, &counters);
+  m.euler_residuals_batch(scratch, block, kCols, pnext, batched, &counters);
   EXPECT_EQ(counters.gathers, 1);
   // One interpolation per (successor shock with mass) x (column).
   int nonzero_successors = 0;
@@ -164,7 +164,8 @@ TEST(OlgModel, EulerResidualsBatchMatchesScalarColumns) {
 
   std::vector<double> scalar(sd);
   for (std::size_t col = 0; col < kCols; ++col) {
-    m.euler_residuals(0, s, std::span<const double>(block).subspan(col * sd, sd), pnext, scalar);
+    m.euler_residuals_batch(scratch, std::span<const double>(block).subspan(col * sd, sd), 1, pnext,
+                            scalar);
     for (int a = 0; a < d; ++a)
       EXPECT_EQ(batched[col * sd + static_cast<std::size_t>(a)],
                 scalar[static_cast<std::size_t>(a)])
@@ -219,27 +220,25 @@ TEST(OlgModel, AnalyticJacobianMatchesBatchedFdColumns) {
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> x_unit = rng.uniform_point(d);
     for (double& v : x_unit) v = 0.15 + 0.7 * v;  // interior: avoid clamp faces
-    const std::vector<double> x_phys = m.domain().to_physical(x_unit);
-    const auto s = m.decode_state(x_phys);
     const int z = trial % m.num_shocks();
+    OlgModel::PointScratch scratch;
+    (void)m.prepare(z, x_unit, scratch);
     std::vector<double> warm(static_cast<std::size_t>(m.ndofs()));
     policy->evaluate(z, x_unit, warm);
     std::vector<double> u(warm.begin(), warm.begin() + d);
     for (double& v : u) v *= (1.0 + 0.02 * rng.uniform(-1.0, 1.0));
 
-    OlgModel::ResidualScratch scratch;
     util::Matrix ja(static_cast<std::size_t>(d), static_cast<std::size_t>(d));
     util::Matrix jf(static_cast<std::size_t>(d), static_cast<std::size_t>(d));
-    m.euler_jacobian(z, s, u, *policy, ja, scratch);
+    m.euler_jacobian(scratch, u, *policy, ja);
 
-    OlgModel::ResidualScratch rs;
-    const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
-                                              std::size_t ncols) {
-      m.euler_residuals_batch(z, s, us, ncols, *policy, fs, rs);
+    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
+      m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
     };
     std::vector<double> f0(static_cast<std::size_t>(d));
-    m.euler_residuals_batch(z, s, u, 1, *policy, f0, rs);
-    solver::finite_difference_jacobian(batch, u, f0, 1e-6, jf);
+    m.euler_residuals_batch(scratch, u, 1, *policy, f0);
+    solver::FdBuffers fd;
+    solver::finite_difference_jacobian(batch, u, f0, 1e-6, jf, fd);
 
     worst = std::max(worst, solver::jacobian_deviation(ja, jf));
   }
@@ -267,23 +266,23 @@ TEST(OlgModel, JacobianModesConvergeToTheSameSolution) {
     const std::vector<double> x_unit(sd, center);
     policy->evaluate(0, x_unit, warm);
     const std::vector<double> guess(warm.begin(), warm.begin() + d);
-    const auto s = m.decode_state(m.domain().to_physical(x_unit));
-    const OlgModel::Bounds bounds = m.feasibility_bounds(1, s);
-    opts.lower = bounds.lower;
-    opts.upper = bounds.upper;
+    OlgModel::PointScratch scratch;
+    const solver::NewtonOptions box = m.prepare(1, x_unit, scratch);
+    opts.lower = box.lower;
+    opts.upper = box.upper;
 
-    OlgModel::ResidualScratch scratch;
     core::EvalCounters fd_counters, an_counters;
     core::EvalCounters* counters = &fd_counters;
-    const solver::ResidualFn residual = [&](std::span<const double> u, std::span<double> out) {
-      m.euler_residuals_batch(1, s, u, 1, *policy, out, scratch, counters);
+    const auto residual = [&](std::span<const double> u, std::span<double> out) {
+      m.euler_residuals_batch(scratch, u, 1, *policy, out, counters);
     };
-    const solver::JacobianFn analytic = [&](std::span<const double> u, util::Matrix& jac) {
-      m.euler_jacobian(1, s, u, *policy, jac, scratch, counters);
+    const auto analytic = [&](std::span<const double> u, util::Matrix& jac) {
+      m.euler_jacobian(scratch, u, *policy, jac, counters);
     };
-    const solver::NewtonResult fd = solver::solve_newton(residual, guess, opts);
+    solver::NewtonWorkspace fd_ws, an_ws, ck_ws;
+    const solver::NewtonResult fd = solver::solve_newton(residual, guess, opts, fd_ws);
     counters = &an_counters;
-    const solver::NewtonResult an = solver::solve_newton(residual, guess, opts, &analytic);
+    const solver::NewtonResult an = solver::solve_newton(residual, guess, opts, an_ws, analytic);
     ASSERT_TRUE(fd.converged());
     ASSERT_TRUE(an.converged());
     for (std::size_t j = 0; j < sd; ++j) EXPECT_NEAR(an.solution[j], fd.solution[j], 1e-6);
@@ -295,24 +294,25 @@ TEST(OlgModel, JacobianModesConvergeToTheSameSolution) {
     EXPECT_EQ(point.status, an.status);
     EXPECT_EQ(point.jacobian_refreshes, an.jacobian_factorizations);
 
-    const solver::BatchResidualFn batch = [&](std::span<const double> us, std::span<double> fs,
-                                              std::size_t ncols) {
-      m.euler_residuals_batch(1, s, us, ncols, *policy, fs, scratch);
+    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
+      m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
     };
     counters = nullptr;
     int refreshes = 0;
     double worst = 0.0;
-    const solver::JacobianFn audited = [&](std::span<const double> u, util::Matrix& jac) {
+    solver::FdBuffers fd_buffers;
+    const auto audited = [&](std::span<const double> u, util::Matrix& jac) {
       analytic(u, jac);
       std::vector<double> fu(sd);
       residual(u, fu);
       util::Matrix reference(sd, sd);
-      solver::finite_difference_jacobian(batch, u, fu, 1e-6, reference);
+      solver::finite_difference_jacobian(batch, u, fu, 1e-6, reference, fd_buffers);
       worst = std::max(worst, solver::jacobian_deviation(jac, reference));
       ++refreshes;
     };
-    const solver::NewtonResult ck = solver::solve_newton(residual, guess, opts, &audited);
-    EXPECT_EQ(ck.solution, an.solution);  // the audit does not perturb the solve
+    const solver::NewtonResult ck = solver::solve_newton(residual, guess, opts, ck_ws, audited);
+    // The audit does not perturb the solve.
+    EXPECT_TRUE(std::ranges::equal(ck.solution, an.solution));
     EXPECT_EQ(refreshes, ck.jacobian_factorizations);
     EXPECT_GT(refreshes, 0);
     EXPECT_LE(worst, 1e-3) << "max column-scaled deviation " << worst;
@@ -328,10 +328,11 @@ TEST(OlgModel, EulerResidualZeroAfterSolve) {
   const auto res = m.solve_point(0, x_unit, pnext, warm);
   ASSERT_TRUE(res.converged);
 
-  const auto s = m.decode_state(m.domain().to_physical(x_unit));
+  OlgModel::PointScratch point;
+  (void)m.prepare(0, x_unit, point);
   std::vector<double> savings(res.dofs.begin(), res.dofs.begin() + 5);
   std::vector<double> r(5);
-  m.euler_residuals(0, s, savings, pnext, r);
+  m.euler_residuals_batch(point, savings, 1, pnext, r);
   for (const double v : r) EXPECT_NEAR(v, 0.0, 1e-7);
 }
 

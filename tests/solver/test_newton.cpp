@@ -12,21 +12,23 @@ namespace {
 
 TEST(Newton, SolvesScalarQuadratic) {
   // x^2 - 4 = 0, start at 3 -> root 2.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] * u[0] - 4.0;
   };
-  const NewtonResult r = solve_newton(f, std::vector<double>{3.0});
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{3.0}, {}, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], 2.0, 1e-8);
   EXPECT_LE(r.residual_norm, 1e-9);
 }
 
 TEST(Newton, SolvesLinearSystemInOneStep) {
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = 2.0 * u[0] + u[1] - 5.0;
     out[1] = u[0] - 3.0 * u[1] + 2.0;
   };
-  const NewtonResult r = solve_newton(f, std::vector<double>{0.0, 0.0});
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.0, 0.0}, {}, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], 13.0 / 7.0, 1e-8);
   EXPECT_NEAR(r.solution[1], 9.0 / 7.0, 1e-8);
@@ -35,14 +37,15 @@ TEST(Newton, SolvesLinearSystemInOneStep) {
 
 TEST(Newton, RosenbrockStationarySystem) {
   // Gradient of Rosenbrock = 0 at (1, 1) — a classic stiff test.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     const double x = u[0], y = u[1];
     out[0] = -2.0 * (1.0 - x) - 400.0 * x * (y - x * x);
     out[1] = 200.0 * (y - x * x);
   };
   NewtonOptions opts;
   opts.max_iterations = 200;
-  const NewtonResult r = solve_newton(f, std::vector<double>{-1.2, 1.0}, opts);
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{-1.2, 1.0}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], 1.0, 1e-6);
   EXPECT_NEAR(r.solution[1], 1.0, 1e-6);
@@ -50,26 +53,28 @@ TEST(Newton, RosenbrockStationarySystem) {
 
 TEST(Newton, TrigSystemNeedsDamping) {
   // Full steps overshoot; the Armijo backtracking must still converge.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = std::tanh(3.0 * u[0]) - 0.5;
   };
-  const NewtonResult r = solve_newton(f, std::vector<double>{2.0});
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{2.0}, {}, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(std::tanh(3.0 * r.solution[0]), 0.5, 1e-8);
 }
 
 TEST(Newton, AnalyticJacobianPath) {
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] * u[0] - u[1];
     out[1] = u[1] - 3.0;
   };
-  const JacobianFn jac = [](std::span<const double> u, util::Matrix& m) {
+  const auto jac = [](std::span<const double> u, util::Matrix& m) {
     m(0, 0) = 2.0 * u[0];
     m(0, 1) = -1.0;
     m(1, 0) = 0.0;
     m(1, 1) = 1.0;
   };
-  const NewtonResult r = solve_newton(f, std::vector<double>{1.0, 1.0}, {}, &jac);
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{1.0, 1.0}, {}, ws, jac);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], std::sqrt(3.0), 1e-8);
   EXPECT_NEAR(r.solution[1], 3.0, 1e-8);
@@ -78,22 +83,25 @@ TEST(Newton, AnalyticJacobianPath) {
 TEST(Newton, BoxKeepsIterateInside) {
   // Root of log(x) - 1 = 0 is e; an unconstrained step from a small x could
   // go negative and NaN out. The box keeps x positive.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = std::log(u[0]) - 1.0;
   };
   NewtonOptions opts;
-  opts.lower = {1e-6};
-  opts.upper = {100.0};
+  const double lower[] = {1e-6}, upper[] = {100.0};
+  opts.lower = lower;
+  opts.upper = upper;
   opts.max_iterations = 100;
-  const NewtonResult r = solve_newton(f, std::vector<double>{0.05}, opts);
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.05}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], std::exp(1.0), 1e-7);
 }
 
 TEST(Newton, ReportsSingularJacobian) {
   // Residual independent of u -> zero Jacobian.
-  const ResidualFn f = [](std::span<const double>, std::span<double> out) { out[0] = 1.0; };
-  const NewtonResult r = solve_newton(f, std::vector<double>{0.0});
+  const auto f = [](std::span<const double>, std::span<double> out) { out[0] = 1.0; };
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.0}, {}, ws);
   EXPECT_EQ(r.status, NewtonStatus::SingularJacobian);
   EXPECT_FALSE(r.converged());
 }
@@ -101,12 +109,13 @@ TEST(Newton, ReportsSingularJacobian) {
 TEST(Newton, ReportsLineSearchFailure) {
   // |u| has a kink at the "root"; Newton directions keep overshooting and
   // the merit cannot decrease enough far from 0 -> line search or max-iters.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = (u[0] > 0 ? 1.0 : -1.0) * std::sqrt(std::fabs(u[0])) + 1e-3;
   };
   NewtonOptions opts;
   opts.max_iterations = 8;
-  const NewtonResult r = solve_newton(f, std::vector<double>{10.0}, opts);
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{10.0}, opts, ws);
   EXPECT_FALSE(r.status == NewtonStatus::SingularJacobian && r.converged());
 }
 
@@ -118,32 +127,36 @@ TEST(Newton, RandomizedPolynomialSystems) {
     std::vector<double> target(n);
     for (auto& t : target) t = rng.uniform(-1.0, 1.0);
 
-    const ResidualFn f = [&target](std::span<const double> u, std::span<double> out) {
+    const auto f = [&target](std::span<const double> u, std::span<double> out) {
       for (std::size_t i = 0; i < u.size(); ++i) {
         const double d = u[i] - target[i];
         out[i] = d + 0.2 * d * d * d;
       }
     };
-    const NewtonResult r = solve_newton(f, std::vector<double>(n, 0.0));
+    NewtonWorkspace ws;
+    const NewtonResult r = solve_newton(f, std::vector<double>(n, 0.0), {}, ws);
     ASSERT_TRUE(r.converged()) << "trial " << trial;
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(r.solution[i], target[i], 1e-7);
   }
 }
 
 TEST(Newton, EmptySystemThrows) {
-  const ResidualFn f = [](std::span<const double>, std::span<double>) {};
-  EXPECT_THROW((void)solve_newton(f, std::vector<double>{}), std::invalid_argument);
+  const auto f = [](std::span<const double>, std::span<double>) {};
+  NewtonWorkspace ws;
+  EXPECT_THROW((void)solve_newton(f, std::vector<double>{}, {}, ws), std::invalid_argument);
 }
 
 TEST(Newton, BoundSizeMismatchThrows) {
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) { out[0] = u[0]; };
+  const auto f = [](std::span<const double> u, std::span<double> out) { out[0] = u[0]; };
   NewtonOptions opts;
-  opts.lower = {0.0, 0.0};
-  EXPECT_THROW((void)solve_newton(f, std::vector<double>{1.0}, opts), std::invalid_argument);
+  const double lower[] = {0.0, 0.0};
+  opts.lower = lower;
+  NewtonWorkspace ws;
+  EXPECT_THROW((void)solve_newton(f, std::vector<double>{1.0}, opts, ws), std::invalid_argument);
 }
 
 TEST(FiniteDifference, MatchesAnalyticJacobian) {
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] * u[0] + u[1];
     out[1] = std::sin(u[0]) * u[1];
   };
@@ -151,7 +164,8 @@ TEST(FiniteDifference, MatchesAnalyticJacobian) {
   std::vector<double> fu(2);
   f(u, fu);
   util::Matrix jac(2, 2);
-  finite_difference_jacobian(f, u, fu, 1e-7, jac);
+  FdBuffers fd;
+  finite_difference_jacobian(f, u, fu, 1e-7, jac, fd);
   EXPECT_NEAR(jac(0, 0), 2.0 * u[0], 1e-5);
   EXPECT_NEAR(jac(0, 1), 1.0, 1e-6);
   EXPECT_NEAR(jac(1, 0), std::cos(u[0]) * u[1], 1e-5);
@@ -161,12 +175,12 @@ TEST(FiniteDifference, MatchesAnalyticJacobian) {
 TEST(FiniteDifference, BatchedColumnsMatchScalarBitIdentical) {
   // The batched overload must produce the same Jacobian to the bit when the
   // batch callback computes each column exactly like the scalar residual.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] * u[0] + std::sin(u[1]) - 0.3 * u[2];
     out[1] = std::exp(0.2 * u[0]) * u[1];
     out[2] = u[2] * u[2] * u[2] - u[0];
   };
-  const BatchResidualFn fb = [&f](std::span<const double> us, std::span<double> fs,
+  const auto fb = [&f](std::span<const double> us, std::span<double> fs,
                                   std::size_t ncols) {
     for (std::size_t c = 0; c < ncols; ++c) f(us.subspan(c * 3, 3), fs.subspan(c * 3, 3));
   };
@@ -176,8 +190,9 @@ TEST(FiniteDifference, BatchedColumnsMatchScalarBitIdentical) {
 
   util::Matrix scalar_jac(3, 3), batched_jac(3, 3);
   int scalar_evals = 0, batched_evals = 0;
-  finite_difference_jacobian(f, u, fu, 1e-7, scalar_jac, &scalar_evals);
-  finite_difference_jacobian(fb, u, fu, 1e-7, batched_jac, &batched_evals);
+  FdBuffers fd;
+  finite_difference_jacobian(f, u, fu, 1e-7, scalar_jac, fd, &scalar_evals);
+  finite_difference_jacobian(fb, u, fu, 1e-7, batched_jac, fd, &batched_evals);
   for (std::size_t r = 0; r < 3; ++r)
     for (std::size_t c = 0; c < 3; ++c)
       EXPECT_EQ(scalar_jac(r, c), batched_jac(r, c)) << "entry (" << r << "," << c << ")";
@@ -189,14 +204,16 @@ TEST(FiniteDifference, BatchedColumnsMatchScalarBitIdentical) {
 // --- Active-set behavior with bounds ---------------------------------------
 
 TEST(NewtonActiveSet, InteriorSolutionUnaffectedByLooseBounds) {
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] - 1.0;
     out[1] = u[1] + 2.0;
   };
   NewtonOptions opts;
-  opts.lower = {-10.0, -10.0};
-  opts.upper = {10.0, 10.0};
-  const NewtonResult r = solve_newton(f, std::vector<double>{0.0, 0.0}, opts);
+  const double lower[] = {-10.0, -10.0}, upper[] = {10.0, 10.0};
+  opts.lower = lower;
+  opts.upper = upper;
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.0, 0.0}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], 1.0, 1e-10);
   EXPECT_NEAR(r.solution[1], -2.0, 1e-10);
@@ -207,14 +224,16 @@ TEST(NewtonActiveSet, PinnedVariableDoesNotBlockOthers) {
   // u1 must still converge exactly — the regression the OLG model hit when a
   // generation's consumption floor bound poisoned every other Euler
   // equation's line search.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] - 5.0;
     out[1] = u[1] - 1.0;
   };
   NewtonOptions opts;
-  opts.lower = {-10.0, -10.0};
-  opts.upper = {2.0, 10.0};
-  const NewtonResult r = solve_newton(f, std::vector<double>{0.0, 0.0}, opts);
+  const double lower[] = {-10.0, -10.0}, upper[] = {2.0, 10.0};
+  opts.lower = lower;
+  opts.upper = upper;
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.0, 0.0}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_DOUBLE_EQ(r.solution[0], 2.0);       // at the bound
   EXPECT_NEAR(r.solution[1], 1.0, 1e-8);      // free component solved
@@ -223,27 +242,31 @@ TEST(NewtonActiveSet, PinnedVariableDoesNotBlockOthers) {
 
 TEST(NewtonActiveSet, CoupledSystemWithBindingBound) {
   // u0 wants to be 4 but is capped at 1; u1 depends on u0.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] - 4.0;
     out[1] = u[1] - 0.5 * u[0];
   };
   NewtonOptions opts;
-  opts.lower = {0.0, -10.0};
-  opts.upper = {1.0, 10.0};
-  const NewtonResult r = solve_newton(f, std::vector<double>{0.5, 0.0}, opts);
+  const double lower[] = {0.0, -10.0}, upper[] = {1.0, 10.0};
+  opts.lower = lower;
+  opts.upper = upper;
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.5, 0.0}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_DOUBLE_EQ(r.solution[0], 1.0);
   EXPECT_NEAR(r.solution[1], 0.5, 1e-9);  // consistent with the pinned u0
 }
 
 TEST(NewtonActiveSet, AllVariablesPinnedIsAKktCorner) {
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] - 5.0;  // wants to exceed the cap
   };
   NewtonOptions opts;
-  opts.lower = {0.0};
-  opts.upper = {1.0};
-  const NewtonResult r = solve_newton(f, std::vector<double>{0.5}, opts);
+  const double lower[] = {0.0}, upper[] = {1.0};
+  opts.lower = lower;
+  opts.upper = upper;
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.5}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_DOUBLE_EQ(r.solution[0], 1.0);
 }
@@ -251,28 +274,32 @@ TEST(NewtonActiveSet, AllVariablesPinnedIsAKktCorner) {
 TEST(NewtonActiveSet, BoundReleasedWhenDirectionTurnsInward) {
   // Start ON the bound but with the solution inside: the variable must not
   // stay pinned.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] - 0.3;
   };
   NewtonOptions opts;
-  opts.lower = {0.0};
-  opts.upper = {1.0};
-  const NewtonResult r = solve_newton(f, std::vector<double>{1.0}, opts);
+  const double lower[] = {0.0}, upper[] = {1.0};
+  opts.lower = lower;
+  opts.upper = upper;
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{1.0}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], 0.3, 1e-10);
 }
 
 TEST(NewtonActiveSet, NonlinearBoundCase) {
   // Nonlinear 3-var system; middle variable binds below.
-  const ResidualFn f = [](std::span<const double> u, std::span<double> out) {
+  const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] * u[0] - 4.0;          // root 2
     out[1] = u[1] + 3.0;                 // wants -3, capped at -1
     out[2] = u[2] - u[0] - u[1];         // follows the others
   };
   NewtonOptions opts;
-  opts.lower = {0.1, -1.0, -100.0};
-  opts.upper = {100.0, 100.0, 100.0};
-  const NewtonResult r = solve_newton(f, std::vector<double>{1.0, 0.0, 0.0}, opts);
+  const double lower[] = {0.1, -1.0, -100.0}, upper[] = {100.0, 100.0, 100.0};
+  opts.lower = lower;
+  opts.upper = upper;
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{1.0, 0.0, 0.0}, opts, ws);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], 2.0, 1e-8);
   EXPECT_DOUBLE_EQ(r.solution[1], -1.0);
@@ -290,19 +317,19 @@ namespace {
 
 // The shared fixture system of the Jacobian-refresh and audit tests: a mildly
 // nonlinear 2x2 system with a closed-form Jacobian.
-const ResidualFn kSystem = [](std::span<const double> u, std::span<double> out) {
+const auto kSystem = [](std::span<const double> u, std::span<double> out) {
   out[0] = u[0] * u[0] - u[1];
   out[1] = u[1] - 3.0;
 };
-const JacobianFn kSystemJacobian = [](std::span<const double> u, util::Matrix& m) {
+const auto kSystemJacobian = [](std::span<const double> u, util::Matrix& m) {
   m(0, 0) = 2.0 * u[0];
   m(0, 1) = -1.0;
   m(1, 0) = 0.0;
   m(1, 1) = 1.0;
 };
 
-/// A JacobianFn that steps with `analytic` and audits every refresh against
-/// the forward-difference reference: `worst` collects the largest
+/// A Jacobian callback that steps with `analytic` and audits every refresh
+/// against the forward-difference reference: `worst` collects the largest
 /// jacobian_deviation seen, `flagged` the refreshes beyond 1e-3.
 struct AuditedJacobian {
   JacobianFn analytic;
@@ -310,18 +337,17 @@ struct AuditedJacobian {
   int refreshes = 0;
   int flagged = 0;
 
-  JacobianFn fn() {
-    return [this](std::span<const double> u, util::Matrix& jac) {
-      analytic(u, jac);
-      std::vector<double> fu(u.size());
-      kSystem(u, fu);
-      util::Matrix reference(u.size(), u.size());
-      finite_difference_jacobian(kSystem, u, fu, 1e-7, reference);
-      const double dev = jacobian_deviation(jac, reference);
-      worst = std::max(worst, dev);
-      ++refreshes;
-      if (dev > 1e-3) ++flagged;
-    };
+  void operator()(std::span<const double> u, util::Matrix& jac) {
+    analytic(u, jac);
+    std::vector<double> fu(u.size());
+    kSystem(u, fu);
+    util::Matrix reference(u.size(), u.size());
+    FdBuffers fd;
+    finite_difference_jacobian(kSystem, u, fu, 1e-7, reference, fd);
+    const double dev = jacobian_deviation(jac, reference);
+    worst = std::max(worst, dev);
+    ++refreshes;
+    if (dev > 1e-3) ++flagged;
   }
 };
 
@@ -329,7 +355,8 @@ struct AuditedJacobian {
 
 TEST(Newton, AnalyticJacobianUsesNoResidualEvaluationsForRefreshes) {
   const std::vector<double> guess{1.0, 1.0};
-  const NewtonResult r = solve_newton(kSystem, guess, {}, &kSystemJacobian);
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(kSystem, guess, {}, ws, kSystemJacobian);
   ASSERT_TRUE(r.converged());
   EXPECT_NEAR(r.solution[0], std::sqrt(3.0), 1e-8);
   EXPECT_GT(r.jacobian_factorizations, 0);
@@ -339,21 +366,22 @@ TEST(Newton, AnalyticJacobianUsesNoResidualEvaluationsForRefreshes) {
 
   // Without a JacobianFn every refresh is an n-column forward-difference
   // sweep of the residual on top of the same initial + trial evaluations.
-  const NewtonResult fd = solve_newton(kSystem, guess);
+  const NewtonResult fd = solve_newton(kSystem, guess, {}, ws);
   ASSERT_TRUE(fd.converged());
   EXPECT_EQ(fd.residual_evaluations, 1 + fd.iterations + 2 * fd.jacobian_factorizations);
 }
 
 TEST(JacobianDeviation, PassesCorrectDerivativeAndKeepsTheAnalyticTrajectory) {
   AuditedJacobian audit{kSystemJacobian};
-  const JacobianFn audited = audit.fn();
-  const NewtonResult checked = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, &audited);
+  NewtonWorkspace checked_ws, plain_ws;
+  const NewtonResult checked =
+      solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, checked_ws, audit);
   const NewtonResult plain =
-      solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, &kSystemJacobian);
+      solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, plain_ws, kSystemJacobian);
 
   ASSERT_TRUE(checked.converged());
   // The audit steps with the analytic matrix: trajectories are identical.
-  EXPECT_EQ(checked.solution, plain.solution);
+  EXPECT_TRUE(std::ranges::equal(checked.solution, plain.solution));
   EXPECT_EQ(checked.iterations, plain.iterations);
   EXPECT_EQ(audit.refreshes, checked.jacobian_factorizations);  // every refresh audited
   EXPECT_GT(audit.refreshes, 0);
@@ -363,15 +391,15 @@ TEST(JacobianDeviation, PassesCorrectDerivativeAndKeepsTheAnalyticTrajectory) {
 
 TEST(JacobianDeviation, FlagsSignFlippedDerivative) {
   // Sign-flipped (0,0) entry: the audit must flag the refreshes.
-  const JacobianFn wrong = [](std::span<const double> u, util::Matrix& m) {
+  const auto wrong = [](std::span<const double> u, util::Matrix& m) {
     m(0, 0) = -2.0 * u[0];  // should be +2 u[0]
     m(0, 1) = -1.0;
     m(1, 0) = 0.0;
     m(1, 1) = 1.0;
   };
   AuditedJacobian audit{wrong};
-  const JacobianFn audited = audit.fn();
-  (void)solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, &audited);
+  NewtonWorkspace ws;
+  (void)solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, ws, audit);
   EXPECT_GT(audit.flagged, 0) << "the audit failed to flag a sign-flipped derivative";
   EXPECT_GT(audit.worst, 1e-3);
 
@@ -382,6 +410,27 @@ TEST(JacobianDeviation, FlagsSignFlippedDerivative) {
   EXPECT_DOUBLE_EQ(jacobian_deviation(jac, exact), 4.0 / 3.0);
   EXPECT_EQ(jacobian_deviation(exact, exact), 0.0);
   EXPECT_THROW((void)jacobian_deviation(jac, util::Matrix(2, 3)), std::invalid_argument);
+}
+
+TEST(NewtonWorkspaceReuse, ReusedWorkspaceReproducesAFreshSolveBitForBit) {
+  // A workspace carries buffers, never state: a solve in a workspace warmed
+  // by a differently sized, bounded system matches a fresh workspace's.
+  NewtonWorkspace warmed, fresh;
+  const auto cubic = [](std::span<const double> u, std::span<double> out) {
+    for (std::size_t i = 0; i < u.size(); ++i) out[i] = u[i] + 0.2 * u[i] * u[i] * u[i] - 1.0;
+  };
+  NewtonOptions boxed;
+  const double lower[] = {-1.0, -1.0, -1.0, -1.0}, upper[] = {0.5, 2.0, 2.0, 2.0};
+  boxed.lower = lower;
+  boxed.upper = upper;
+  (void)solve_newton(cubic, std::vector<double>(4, 0.0), boxed, warmed);
+
+  const NewtonResult again = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, warmed);
+  const NewtonResult first = solve_newton(kSystem, std::vector<double>{1.0, 1.0}, {}, fresh);
+  ASSERT_TRUE(first.converged());
+  EXPECT_TRUE(std::ranges::equal(again.solution, first.solution));
+  EXPECT_EQ(again.iterations, first.iterations);
+  EXPECT_EQ(again.residual_evaluations, first.residual_evaluations);
 }
 
 }  // namespace
