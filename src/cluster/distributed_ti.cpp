@@ -91,14 +91,16 @@ std::shared_ptr<AsgPolicy> distributed_step(SimComm world, const core::DynamicMo
   if (group.size() > 1)
     share.merge = [&group](std::span<const double> rows) { return group.allgatherv(rows); };
 
-  // Build the owned states. Group rank 0 contributes each to the world
-  // exchange; the others send nothing (their copy is identical).
+  // Build the owned states concurrently. Group rank 0 contributes each to
+  // the world exchange; the others send nothing (their copy is identical).
+  std::vector<std::vector<double>> state_blocks(my_states.size());
+  const auto serialize = [&](std::size_t i, core::LevelStepResult& built) {
+    if (group.rank() == 0) append_state_block(my_states[i], built.grid, state_blocks[i]);
+  };
+  core::build_shocks(model, my_states, p_next, opts, pool, share, stats, serialize);
   std::vector<double> my_blocks;
-  for (const int z : my_states) {
-    const core::LevelStepResult built = core::level_step(model, z, p_next, opts, pool, share);
-    stats.record_shock(built.totals);
-    if (group.rank() == 0) append_state_block(z, built.grid, my_blocks);
-  }
+  for (const std::vector<double>& block : state_blocks)
+    my_blocks.insert(my_blocks.end(), block.begin(), block.end());
 
   // World-wide policy merge.
   std::vector<std::unique_ptr<core::ShockGrid>> grids =

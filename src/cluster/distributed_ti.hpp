@@ -18,7 +18,8 @@
 //   4. synchronizes on a world barrier (footnote 4).
 //
 // With fewer ranks than states, a rank builds several states (each rank
-// forms a singleton group per state).
+// forms a singleton group per state), concurrently on its pool through
+// core::build_shocks, the shock loop of the single-node driver.
 #pragma once
 
 #include <memory>

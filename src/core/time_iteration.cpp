@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -104,12 +105,9 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
           [&](std::size_t ci) {
             const std::size_t begin = ci * chunk;
             const std::size_t len = std::min(chunk, nmine - begin);
-            for (std::size_t k = begin; k < begin + len; ++k) {
-              const std::vector<double> x_unit =
-                  storage.coordinates(first + static_cast<std::uint32_t>(k));
-              std::copy(x_unit.begin(), x_unit.end(),
-                        xs.begin() + static_cast<std::ptrdiff_t>(k * sd));
-            }
+            for (std::size_t k = begin; k < begin + len; ++k)
+              sg::point_coordinates(storage.point(first + static_cast<std::uint32_t>(k)),
+                                    std::span<double>(xs).subspan(k * sd, sd));
             p_next.evaluate_batch(z, std::span<const double>(xs).subspan(begin * sd, len * sd),
                                   std::span<double>(warm_values).subspan(begin * snd, len * snd),
                                   len);
@@ -241,20 +239,39 @@ double sampled_euler_residual(const DynamicModel& model, const PolicyEvaluator& 
   return rs.mean();
 }
 
+void build_shocks(const DynamicModel& model, std::span<const int> shocks,
+                  const PolicyEvaluator& p_next, const TimeIterationOptions& opts,
+                  parallel::WorkStealingPool& pool, const LevelShare& share,
+                  IterationStats& stats,
+                  util::function_ref<void(std::size_t, LevelStepResult&)> finish) {
+  if (share.merge && shocks.size() > 1)
+    throw std::invalid_argument("build_shocks: a merged share builds one shock at a time");
+  std::vector<ShockTotals> totals(shocks.size());
+  parallel::parallel_for(
+      pool, 0, shocks.size(),
+      [&](std::size_t i) {
+        LevelStepResult built = level_step(model, shocks[i], p_next, opts, pool, share);
+        totals[i] = built.totals;
+        finish(i, built);
+      },
+      /*grain=*/1);
+  for (const ShockTotals& t : totals) stats.record_shock(t);
+}
+
 std::shared_ptr<AsgPolicy> TimeIterationDriver::step(const PolicyEvaluator& p_next,
                                                      IterationStats& stats) {
   StepAccounting accounting(p_next, stats);
   // The top parallel layer (shocks -> MPI groups) lives in src/cluster/;
-  // within one process the shocks are built in turn, each using the full
-  // thread pool — matching one MPI group's view of Fig. 2.
-  const int Ns = model_.num_shocks();
-  std::vector<std::unique_ptr<ShockGrid>> grids;
-  grids.reserve(static_cast<std::size_t>(Ns));
-  for (int z = 0; z < Ns; ++z) {
-    LevelStepResult built = level_step(model_, z, p_next, opts_, *pool_);
-    stats.record_shock(built.totals);
-    grids.push_back(std::make_unique<ShockGrid>(std::move(built.grid), opts_.kernel));
-  }
+  // within one process the shocks are the tasks of one parallel_for, each
+  // nesting its level's point loops on the same pool.
+  const std::size_t Ns = static_cast<std::size_t>(model_.num_shocks());
+  std::vector<int> shocks(Ns);
+  std::iota(shocks.begin(), shocks.end(), 0);
+  std::vector<std::unique_ptr<ShockGrid>> grids(Ns);
+  const auto bind = [&](std::size_t z, LevelStepResult& built) {
+    grids[z] = std::make_unique<ShockGrid>(std::move(built.grid), opts_.kernel);
+  };
+  build_shocks(model_, shocks, p_next, opts_, *pool_, {}, stats, bind);
   return accounting.finish(model_, opts_, std::move(grids));
 }
 

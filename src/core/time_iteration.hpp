@@ -12,6 +12,7 @@
 // distributed (multi-rank) driver in src/cluster/ calls the same function
 // with a LevelShare naming its block of every level's points and the group
 // merge; the single-node driver solves every point and merges nothing.
+// Both drivers build their shocks concurrently through build_shocks().
 #pragma once
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "parallel/device_dispatcher.hpp"
 #include "parallel/work_stealing_pool.hpp"
 #include "sparse_grid/dense_format.hpp"
+#include "util/function_ref.hpp"
 #include "util/timer.hpp"
 
 namespace hddm::util {
@@ -50,7 +52,7 @@ struct TimeIterationOptions {
 
   /// Worker threads of the driver's parallel::WorkStealingPool (0 =
   /// hardware_concurrency - 1). The calling thread also runs tasks while it
-  /// waits in wait_idle(), so `threads = 1` solves on up to two threads.
+  /// waits on a parallel_for, so `threads = 1` solves on up to two threads.
   std::size_t threads = 1;
   kernels::KernelKind kernel = kernels::KernelKind::X86;
   /// Offload p_next interpolations to the simulated accelerator through the
@@ -155,7 +157,9 @@ struct IterationStats {
     fresh.iteration = iteration;
     *this = std::move(fresh);
   }
-  double seconds = 0.0;
+  double seconds = 0.0;  ///< wall time of the step
+  /// Summed over the shocks, which are built concurrently, so the two can
+  /// add up to more than `seconds`.
   double solve_seconds = 0.0;
   double hierarchize_seconds = 0.0;
 };
@@ -216,6 +220,24 @@ struct LevelStepResult {
 LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluator& p_next,
                            const TimeIterationOptions& opts, parallel::WorkStealingPool& pool,
                            const LevelShare& share = {});
+
+/// Builds the grids of `shocks` for the policy update given p_next as the
+/// tasks of one parallel_for on `pool`: task i runs level_step for
+/// shocks[i], whose point loops nest inside on the same pool, and then
+/// finish(i, result) (compression and kernel bind, or serialization). The
+/// totals are recorded into `stats` after the loop in the order of
+/// `shocks`, so statistics and grids do not depend on the schedule. A
+/// merging share is a collective over its group, so it takes one shock.
+///
+/// Invariant: no pool wait happens inside a point solve. A waiting thread
+/// runs other tasks, including other shocks' point solves, and a point
+/// solve's buffers (core::executor_workspace()) are thread_local, so a wait
+/// inside one would let another solve overwrite them.
+void build_shocks(const DynamicModel& model, std::span<const int> shocks,
+                  const PolicyEvaluator& p_next, const TimeIterationOptions& opts,
+                  parallel::WorkStealingPool& pool, const LevelShare& share,
+                  IterationStats& stats,
+                  util::function_ref<void(std::size_t, LevelStepResult&)> finish);
 
 /// The bookkeeping both drivers' policy updates share. Construction resets
 /// `stats` (keeping the iteration index) and snapshots p_next's cumulative

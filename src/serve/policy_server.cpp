@@ -8,12 +8,8 @@ namespace hddm::serve {
 PolicyServer::PolicyServer(ServerOptions options) : opts_(options) {}
 
 std::shared_ptr<const PolicyServer::Snapshot> PolicyServer::current() const {
-#if defined(__cpp_lib_atomic_shared_ptr) && __cpp_lib_atomic_shared_ptr >= 201711L
-  return snapshot_.load(std::memory_order_acquire);
-#else
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  const std::lock_guard<std::mutex> lock(snapshot_mu_);
   return snapshot_;
-#endif
 }
 
 std::uint64_t PolicyServer::publish(std::shared_ptr<core::AsgPolicy> policy, SnapshotMeta meta) {
@@ -29,15 +25,11 @@ std::uint64_t PolicyServer::publish(std::shared_ptr<core::AsgPolicy> policy, Sna
   snap->version = next_version_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t version = snap->version;
 
-#if defined(__cpp_lib_atomic_shared_ptr) && __cpp_lib_atomic_shared_ptr >= 201711L
-  snapshot_.store(std::move(snap), std::memory_order_release);
-#else
   std::shared_ptr<const Snapshot> victim;  // destroyed outside the lock
   {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    const std::lock_guard<std::mutex> lock(snapshot_mu_);
     victim = std::exchange(snapshot_, std::move(snap));
   }
-#endif
   swaps_.fetch_add(1, std::memory_order_relaxed);
   return version;
 }

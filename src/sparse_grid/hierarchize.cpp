@@ -36,6 +36,7 @@ void hierarchize_in_place(DenseGridData& grid) {
 
   std::vector<std::uint32_t> processed;
   processed.reserve(grid.nno);
+  std::vector<double> x(static_cast<std::size_t>(grid.dim));
   std::size_t pos = 0;
   while (pos < order.size()) {
     // All points sharing this level sum form one batch.
@@ -45,7 +46,7 @@ void hierarchize_in_place(DenseGridData& grid) {
 
     for (std::size_t k = pos; k < end; ++k) {
       const std::uint32_t p = order[k];
-      const auto x = point_coordinates(grid.point(p));
+      point_coordinates(grid.point(p), x);
       subtract_partial_interpolant(grid, processed, x, grid.surplus_row(p));
     }
     for (std::size_t k = pos; k < end; ++k) processed.push_back(order[k]);
@@ -71,6 +72,7 @@ void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known) {
   std::vector<std::uint32_t> processed;
   processed.reserve(grid.nno);
   for (std::uint32_t q = 0; q < n_known; ++q) processed.push_back(q);
+  std::vector<double> x(static_cast<std::size_t>(grid.dim));
   std::size_t pos = 0;
   while (pos < tail.size()) {
     const int lsum = level_sum(grid.point(tail[pos]));
@@ -78,7 +80,7 @@ void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known) {
     while (end < tail.size() && level_sum(grid.point(tail[end])) == lsum) ++end;
     for (std::size_t k = pos; k < end; ++k) {
       const std::uint32_t p = tail[k];
-      const auto x = point_coordinates(grid.point(p));
+      point_coordinates(grid.point(p), x);
       subtract_partial_interpolant(grid, processed, x, grid.surplus_row(p));
     }
     for (std::size_t k = pos; k < end; ++k) processed.push_back(tail[k]);

@@ -44,10 +44,15 @@ inline int nonroot_count(MultiIndexView mi) {
   return c;
 }
 
+/// Physical coordinates in [0,1]^d of a point, written to `x` (size d).
+inline void point_coordinates(MultiIndexView mi, std::span<double> x) {
+  for (std::size_t t = 0; t < mi.size(); ++t) x[t] = point_coordinate(mi[t]);
+}
+
 /// Physical coordinates in [0,1]^d of a point.
 inline std::vector<double> point_coordinates(MultiIndexView mi) {
   std::vector<double> x(mi.size());
-  for (std::size_t t = 0; t < mi.size(); ++t) x[t] = point_coordinate(mi[t]);
+  point_coordinates(mi, x);
   return x;
 }
 

@@ -50,8 +50,8 @@ void expect_identical_grids(const core::AsgPolicy& expected, const core::AsgPoli
 /// Runs the distributed driver on `nranks` ranks and requires every rank to
 /// reproduce the single-node driver (one pool thread) exactly: the same
 /// grids bit for bit, the same policy change and point count per iteration.
-void expect_matches_single_node(const core::TimeIterationOptions& opts, int nranks) {
-  const olg::OlgModel model = small_model();
+void expect_matches_single_node(const core::DynamicModel& model,
+                                const core::TimeIterationOptions& opts, int nranks) {
   core::TimeIterationOptions single = opts;
   single.threads = 1;
   const core::TimeIterationResult ref = core::solve_time_iteration(model, single);
@@ -76,7 +76,7 @@ void expect_matches_single_node(const core::TimeIterationOptions& opts, int nran
 }
 
 TEST(DistributedTi, SingleRankMatchesSingleProcessDriver) {
-  expect_matches_single_node(fixed_iterations(6), 1);
+  expect_matches_single_node(small_model(), fixed_iterations(6), 1);
 }
 
 class DistributedRankCountTest : public ::testing::TestWithParam<int> {};
@@ -88,14 +88,25 @@ TEST_P(DistributedRankCountTest, PolicyIndependentOfRankCount) {
       {"regular grid", fixed_iterations(4)},
       {"adaptive grid", adaptive_iterations(3)},
       {"adaptive grid, two pool threads per rank", pooled}};
+  const olg::OlgModel model = small_model();
   for (const auto& [name, opts] : cases) {
     SCOPED_TRACE(name);
-    expect_matches_single_node(opts, GetParam());
+    expect_matches_single_node(model, opts, GetParam());
   }
 }
 
-// 2 states: 1 rank (both states serially), 2 ranks (one per state), 3 ranks
-// (proportional split), 4 ranks (two per state).
+TEST_P(DistributedRankCountTest, ConcurrentStatesMatchSingleNode) {
+  // Four states: with fewer ranks than that, each rank builds its states
+  // concurrently on its own four-thread pool.
+  const olg::OlgModel model(olg::build_economy(olg::reduced_calibration(4, 2, 2)));
+  ASSERT_EQ(model.num_shocks(), 4);
+  core::TimeIterationOptions opts = adaptive_iterations(3);
+  opts.threads = 4;
+  expect_matches_single_node(model, opts, GetParam());
+}
+
+// 2 states: 1 rank (both states on its pool), 2 ranks (one per state), 3
+// ranks (proportional split), 4 ranks (two per state).
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedRankCountTest, ::testing::Values(1, 2, 3, 4));
 
 TEST(DistributedTi, ConvergesOnSmallOlg) {

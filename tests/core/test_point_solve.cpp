@@ -174,6 +174,52 @@ TEST(PointSolveAllocations, OlgSolvePointAllocatesOnlyTheDofs) {
   EXPECT_LE(worst_point_solve_allocations(model, *policy, {center, off_center}), 1);
 }
 
+/// Heap allocations per grid point of a warmed-up TimeIterationDriver::step
+/// (the second of two steps from the same p_next, a short solve's policy).
+double step_allocations_per_point(const DynamicModel& model, const TimeIterationOptions& opts) {
+  const std::shared_ptr<AsgPolicy> p_next = solve_time_iteration(model, opts).policy;
+  TimeIterationDriver driver(model, opts);
+  IterationStats stats;
+  (void)driver.step(*p_next, stats);  // warm-up
+  std::shared_ptr<AsgPolicy> next;
+  const long n = allocations_in([&] { next = driver.step(*p_next, stats); });
+  EXPECT_GT(stats.total_points, 0u);
+  return static_cast<double>(n) / stats.total_points;
+}
+
+TEST(PointSolveAllocations, IrbcStepAllocationsPerPointBounded) {
+  // Per grid point a step allocates the point solve's dofs plus its share
+  // of the grid build (refinement, hierarchization, compression); the
+  // coordinates of warm starts and hierarchization are written in place.
+  // Measured: 6.3 (irbc) and 3.8 (olg) per point.
+  irbc::IrbcCalibration cal;
+  cal.countries = 3;
+  const irbc::IrbcModel model(cal);
+  TimeIterationOptions opts;
+  opts.base_level = 2;
+  opts.refine_epsilon = 1e-2;
+  opts.max_level = 5;
+  opts.max_iterations = 3;
+  opts.tolerance = 0.0;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    opts.threads = threads;
+    EXPECT_LE(step_allocations_per_point(model, opts), 7.0) << threads << " threads";
+  }
+}
+
+TEST(PointSolveAllocations, OlgStepAllocationsPerPointBounded) {
+  const olg::OlgModel model(olg::build_economy(olg::reduced_calibration(8, 2, 2)));
+  TimeIterationOptions opts;
+  opts.base_level = 3;
+  opts.max_level = 3;
+  opts.max_iterations = 2;
+  opts.tolerance = 0.0;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    opts.threads = threads;
+    EXPECT_LE(step_allocations_per_point(model, opts), 4.5) << threads << " threads";
+  }
+}
+
 /// Surpluses of a few time-iteration steps solved with `threads` workers.
 std::vector<double> surpluses(const DynamicModel& model, TimeIterationOptions opts,
                               std::size_t threads) {

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <vector>
 #include <thread>
 
 #include "parallel/parallel_for.hpp"
@@ -123,6 +125,53 @@ TEST(ParallelFor, ComputesDeterministicResult) {
   }, 8);
   double sum = std::accumulate(out.begin(), out.end(), 0.0);
   EXPECT_DOUBLE_EQ(sum, 0.5 * (999.0 * 1000.0 / 2.0));
+}
+
+TEST(ParallelFor, NestedLoopsCoverEveryIndexOnce) {
+  // Each outer task runs an inner parallel_for on the same pool and waits
+  // on it: a wait on the whole pool could never return from inside a task.
+  constexpr std::size_t kOuter = 8, kInner = 50;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    WorkStealingPool pool(workers);
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    parallel_for(pool, 0, kOuter, [&](std::size_t o) {
+      parallel_for(pool, 0, kInner, [&](std::size_t i) { hits[o * kInner + i].fetch_add(1); });
+    });
+    for (std::size_t k = 0; k < hits.size(); ++k)
+      EXPECT_EQ(hits[k].load(), 1) << workers << " workers, index " << k;
+  }
+}
+
+TEST(ParallelFor, InnerLoopExceptionReachesOuterCaller) {
+  WorkStealingPool pool(2);
+  std::atomic<int> outer_done{0};
+  EXPECT_THROW(parallel_for(pool, 0, 8,
+                            [&](std::size_t o) {
+                              parallel_for(pool, 0, 20, [o](std::size_t i) {
+                                if (o == 5 && i == 13) throw std::runtime_error("inner");
+                              });
+                              outer_done.fetch_add(1);
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(outer_done.load(), 7);  // every other outer task ran to the end
+  std::atomic<int> count{0};
+  parallel_for(pool, 0, 10, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ParallelFor, ManyTinyNestedLoopsNeverMissAWakeup) {
+  // Waiters sleep without a timeout, so one lost notify (work queued or a
+  // group finished while an executor went to sleep) would hang this test.
+  WorkStealingPool pool(3);
+  std::atomic<long> sum{0};
+  for (int rep = 0; rep < 10000; ++rep) {
+    parallel_for(pool, 0, 2, [&](std::size_t) {
+      parallel_for(pool, 0, 3, [&sum](std::size_t i) {
+        sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
+      });
+    });
+  }
+  EXPECT_EQ(sum.load(), 10000L * 2 * (0 + 1 + 2));
 }
 
 }  // namespace
