@@ -84,7 +84,7 @@ std::unique_ptr<core::AsgPolicy> build_policy(const irbc::IrbcModel& model, int 
     }
     sg::hierarchize_tail(dense, 0);
     grids.push_back(
-        std::make_unique<core::ShockGrid>(storage, N, dense.surplus, kernels::KernelKind::X86));
+        std::make_unique<core::ShockGrid>(std::move(dense), kernels::KernelKind::X86));
   }
   return std::make_unique<core::AsgPolicy>(N, std::move(grids));
 }

@@ -5,12 +5,6 @@
 
 namespace hddm::core {
 
-ShockGrid::ShockGrid(const sg::GridStorage& storage, int ndofs, std::span<const double> surpluses,
-                     kernels::KernelKind kind)
-    : dense_(sg::make_dense_grid(storage, ndofs, surpluses)), compressed_(compress(dense_)) {
-  kernel_ = kernels::make_kernel(kind, &dense_, &compressed_);
-}
-
 namespace {
 
 // Structural check running *before* the compression pipeline sees the grid
@@ -36,12 +30,39 @@ void ShockGrid::evaluate_with_gradient(std::span<const double> x_unit, std::span
   kernels::evaluate_with_gradient(compressed_, x_unit.data(), out.data(), grad.data());
 }
 
+namespace {
+
+/// True when two compressed grids walk identically: the same point count,
+/// chain width, factors (xps determines them), chains and skip pointers.
+/// Compared cheapest first; each comparison stops at its first difference.
+bool same_index(const CompressedGridData& a, const CompressedGridData& b) {
+  return a.nno == b.nno && a.nfreq == b.nfreq && a.dim == b.dim && a.xps == b.xps &&
+         a.chains == b.chains && a.skip == b.skip;
+}
+
+}  // namespace
+
 AsgPolicy::AsgPolicy(int ndofs, std::vector<std::unique_ptr<ShockGrid>> grids)
     : ndofs_(ndofs), grids_(std::move(grids)) {
   if (grids_.empty()) throw std::invalid_argument("AsgPolicy: need at least one shock grid");
   for (const auto& g : grids_) {
     if (g == nullptr || g->ndofs() != ndofs_)
       throw std::invalid_argument("AsgPolicy: inconsistent shock grids");
+  }
+  // Shock classes: each shock joins the first earlier representative with
+  // the same compressed index, so only representatives are compared.
+  class_of_.resize(grids_.size());
+  x86_grids_ = true;
+  for (std::size_t z = 0; z < grids_.size(); ++z) {
+    class_of_[z] = static_cast<int>(z);
+    for (std::size_t r = 0; r < z; ++r) {
+      if (class_of_[r] == static_cast<int>(r) &&
+          same_index(grids_[r]->compressed(), grids_[z]->compressed())) {
+        class_of_[z] = static_cast<int>(r);
+        break;
+      }
+    }
+    x86_grids_ = x86_grids_ && grids_[z]->kernel().kind() == kernels::KernelKind::X86;
   }
 }
 
@@ -87,23 +108,56 @@ void AsgPolicy::evaluate_batch(int z, std::span<const double> xs, std::span<doub
 
 namespace {
 
-/// Stable counting sort of gather requests by shock, shared by the value and
-/// gradient gather entry points: after the call, `order[offset[z] + k]` is
-/// the index (into `requests`) of shock z's k-th request in call order.
-/// Caller-owned scratch keeps this allocation-free on the hot path.
-void bucket_requests_by_shock(std::span<const GatherRequest> requests, std::size_t num_shocks,
-                              std::vector<std::size_t>& count, std::vector<std::size_t>& offset,
-                              std::vector<std::size_t>& order) {
-  count.assign(num_shocks, 0);
-  for (const GatherRequest& r : requests) ++count[static_cast<std::size_t>(r.z)];
-  offset.assign(num_shocks + 1, 0);
-  for (std::size_t z = 0; z < num_shocks; ++z) offset[z + 1] = offset[z] + count[z];
+/// Stable counting sort of gather requests by key(request) in [0, nkeys) —
+/// by shock, or by (shock class, row): after the call,
+/// `order[offset[k] + m]` is the index (into `requests`) of key k's m-th
+/// request in call order. Caller-owned scratch keeps this allocation-free on
+/// the hot path.
+template <class Key>
+void bucket_requests(std::span<const GatherRequest> requests, std::size_t nkeys, Key key,
+                     std::vector<std::size_t>& count, std::vector<std::size_t>& offset,
+                     std::vector<std::size_t>& order) {
+  count.assign(nkeys, 0);
+  for (const GatherRequest& r : requests) ++count[key(r)];
+  offset.assign(nkeys + 1, 0);
+  for (std::size_t k = 0; k < nkeys; ++k) offset[k + 1] = offset[k] + count[k];
   order.resize(requests.size());
-  count.assign(num_shocks, 0);
+  count.assign(nkeys, 0);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto z = static_cast<std::size_t>(requests[i].z);
-    order[offset[z] + count[z]++] = i;
+    const std::size_t k = key(requests[i]);
+    order[offset[k] + count[k]++] = i;
   }
+}
+
+/// The class path of both gathers: requests grouped by (shock class,
+/// coordinate row), and each group one shared walk over the class
+/// representative's index — `walk(index, x, targets)`, with target(i)
+/// giving request i's WalkTarget. Returns the number of walks.
+template <class Target, class Walk>
+std::uint64_t walk_classes(std::span<const GatherRequest> requests, std::span<const double> xs,
+                           std::size_t npoints, std::span<const int> class_of,
+                           std::span<const std::unique_ptr<ShockGrid>> grids, Target target,
+                           Walk walk) {
+  thread_local std::vector<std::size_t> count, offset, order;
+  thread_local std::vector<kernels::WalkTarget> targets;
+  const std::size_t d = xs.size() / npoints;
+  bucket_requests(
+      requests, grids.size() * npoints,
+      [&](const GatherRequest& r) {
+        return static_cast<std::size_t>(class_of[static_cast<std::size_t>(r.z)]) * npoints +
+               r.point;
+      },
+      count, offset, order);
+  std::uint64_t walks = 0;
+  for (std::size_t key = 0; key + 1 < offset.size(); ++key) {
+    if (offset[key] == offset[key + 1]) continue;
+    targets.clear();
+    for (std::size_t m = offset[key]; m < offset[key + 1]; ++m) targets.push_back(target(order[m]));
+    walk(grids[key / npoints]->compressed(), xs.data() + (key % npoints) * d,
+         std::span<const kernels::WalkTarget>(targets));
+    ++walks;
+  }
+  return walks;
 }
 
 }  // namespace
@@ -141,6 +195,7 @@ void AsgPolicy::evaluate_gather(std::span<const GatherRequest> requests,
   }
   if (single_shock) {
     fastpath_gathers_.fetch_add(1, std::memory_order_relaxed);
+    walks_.fetch_add(requests.size(), std::memory_order_relaxed);
     const std::size_t n = requests.size();
     const double* xin = xs.data();
     if (!identity_rows) {
@@ -162,7 +217,27 @@ void AsgPolicy::evaluate_gather(std::span<const GatherRequest> requests,
     return;
   }
 
-  bucket_requests_by_shock(requests, Ns, count, offset, order);
+  // Class path: rows repeat (the successor-shock pattern), so shocks sharing
+  // a point set share each row's walk. The shared walk is the x86 kernel's
+  // arithmetic and runs on the CPU, hence only without a device and on x86
+  // grids (DESIGN.md, "Shock classes").
+  if (requests.size() > npoints && dispatcher_ == nullptr && x86_grids_) {
+    const std::uint64_t walks = walk_classes(
+        requests, xs, npoints, class_of_, grids_,
+        [&](std::size_t i) {
+          return kernels::WalkTarget{
+              grids_[static_cast<std::size_t>(requests[i].z)]->compressed().surplus.data(),
+              out.data() + i * out_stride};
+        },
+        kernels::evaluate_shared);
+    walks_.fetch_add(walks, std::memory_order_relaxed);
+    return;
+  }
+
+  walks_.fetch_add(requests.size(), std::memory_order_relaxed);
+  bucket_requests(
+      requests, Ns, [](const GatherRequest& r) { return static_cast<std::size_t>(r.z); }, count,
+      offset, order);
 
   // One evaluate_batch per populated shock: the bucket's coordinate rows are
   // staged contiguously, drained through the batch entry point (and with an
@@ -194,28 +269,18 @@ void AsgPolicy::evaluate_gather_with_gradient(std::span<const GatherRequest> req
   gradient_gathers_.fetch_add(1, std::memory_order_relaxed);
   gradient_requests_.fetch_add(requests.size(), std::memory_order_relaxed);
 
-  const std::size_t d = xs.size() / npoints;
-  const auto nd = static_cast<std::size_t>(ndofs_);
-  const std::size_t Ns = grids_.size();
-
-  // Same per-shock bucketing as evaluate_gather (the PR 4 counting sort) so
-  // each shock's dense grid is walked for a contiguous run of requests; the
-  // walk itself is the CPU-only gold-layout pass of evaluate_with_gradient.
-  thread_local std::vector<std::size_t> count, offset, order;
-  bucket_requests_by_shock(requests, Ns, count, offset, order);
-
-  for (std::size_t z = 0; z < Ns; ++z) {
-    const std::size_t n = offset[z + 1] - offset[z];
-    if (n == 0) continue;
-    const ShockGrid& grid = *grids_[z];
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = order[offset[z] + k];
-      const GatherRequest& r = requests[i];
-      grid.evaluate_with_gradient(
-          xs.subspan(static_cast<std::size_t>(r.point) * d, d),
-          values.subspan(i * value_stride, nd), grads.subspan(i * grad_stride, nd * d));
-    }
-  }
+  // Always the class path: the gradient walk is the x86 arithmetic for every
+  // kernel tier and never uses the device, so one walk per (row, class)
+  // serves any request set.
+  const std::uint64_t walks = walk_classes(
+      requests, xs, npoints, class_of_, grids_,
+      [&](std::size_t i) {
+        return kernels::WalkTarget{
+            grids_[static_cast<std::size_t>(requests[i].z)]->compressed().surplus.data(),
+            values.data() + i * value_stride, grads.data() + i * grad_stride};
+      },
+      kernels::evaluate_shared_with_gradient);
+  walks_.fetch_add(walks, std::memory_order_relaxed);
 }
 
 std::uint32_t AsgPolicy::total_points() const {

@@ -18,7 +18,6 @@
 #include "kernels/kernel_api.hpp"
 #include "parallel/device_dispatcher.hpp"
 #include "sparse_grid/dense_format.hpp"
-#include "sparse_grid/grid_storage.hpp"
 
 namespace hddm::core {
 
@@ -37,6 +36,11 @@ struct GatherStats {
   std::uint64_t fastpath_gathers = 0;
   std::uint64_t gradient_gathers = 0;   ///< evaluate_gather_with_gradient calls
   std::uint64_t gradient_requests = 0;  ///< requests carried by those calls
+  /// Chain walks the value and gradient gathers ran: one per request on the
+  /// per-shock path, one per (coordinate row, shock class) on the class path
+  /// — walks per gather falling below requests per gather is the class path
+  /// working.
+  std::uint64_t walks = 0;
   [[nodiscard]] double mean_requests() const {
     return gathers == 0 ? 0.0
                         : static_cast<double>(gathered_requests) / static_cast<double>(gathers);
@@ -47,23 +51,18 @@ struct GatherStats {
     return {gathers - before.gathers, gathered_requests - before.gathered_requests,
             fastpath_gathers - before.fastpath_gathers,
             gradient_gathers - before.gradient_gathers,
-            gradient_requests - before.gradient_requests};
+            gradient_requests - before.gradient_requests, walks - before.walks};
   }
 };
 
 /// One shock's ASG: points + surpluses in both storage formats + kernel.
 class ShockGrid {
  public:
-  /// Builds from a point set and final surpluses (point-major, ndofs each).
-  ShockGrid(const sg::GridStorage& storage, int ndofs, std::span<const double> surpluses,
-            kernels::KernelKind kind);
-
-  /// Builds directly from a ready dense grid — the snapshot cold-start path
-  /// (serve::PolicySnapshot::load): the deserialized dense block is adopted
-  /// as-is, so no GridStorage hash index is ever rebuilt just to serve
-  /// queries. Point order is preserved, hence the compressed layout and
-  /// every kernel evaluation are bit-identical to a ShockGrid built from the
-  /// originating GridStorage.
+  /// Builds from a dense grid (points + final surpluses, e.g.
+  /// sg::make_dense_grid of a GridStorage, or a snapshot's deserialized
+  /// block), adopted as-is: no GridStorage hash index is ever rebuilt just
+  /// to serve queries. Point order is preserved, hence the compressed layout
+  /// and every kernel evaluation depend only on the dense grid.
   ShockGrid(sg::DenseGridData dense, kernels::KernelKind kind);
 
   [[nodiscard]] std::uint32_t num_points() const { return dense_.nno; }
@@ -110,22 +109,28 @@ class AsgPolicy final : public PolicyEvaluator {
                       std::size_t npoints) const override;
 
   /// Gathered evaluation (see PolicyEvaluator::evaluate_gather for the
-  /// bit-identity contract): requests are bucketed by shock — stably, so the
-  /// scatter order is deterministic — and each shock's bucket goes through
-  /// evaluate_batch, i.e. one kernel batch on the CPU or ticketed chunks on
-  /// the offload pipeline. One gather therefore replaces
-  /// requests.size() per-point evaluate() calls with at most num_shocks()
-  /// batched runs.
+  /// bit-identity contract). When rows repeat (requests.size() > npoints),
+  /// no device is attached and the grids are bound to the x86 kernel, the
+  /// requests are grouped by (coordinate row, shock class) and each group is
+  /// ONE shared chain walk (kernels::evaluate_shared) writing straight into
+  /// the requests' out slots. Otherwise — serving's one-request-per-row
+  /// gathers, the device route, the other kernel tiers — requests are
+  /// bucketed by shock, stably, and each shock's bucket goes through
+  /// evaluate_batch (one kernel batch on the CPU or ticketed chunks on the
+  /// offload pipeline), then is scattered back. See DESIGN.md, "Shock
+  /// classes".
   void evaluate_gather(std::span<const GatherRequest> requests, std::span<const double> xs,
                        std::size_t npoints, std::span<double> out,
                        std::size_t out_stride) const override;
 
   /// Gathered value + policy-gradient evaluation for the analytic Euler
-  /// Jacobians: requests are bucketed per shock with the same stable
-  /// counting sort as evaluate_gather, then each request runs the dense-walk
-  /// ShockGrid::evaluate_with_gradient (CPU only — the gradient walk never
-  /// rides the device pipeline; see the contract on the base class and
-  /// DESIGN.md, "Jacobian pipeline").
+  /// Jacobians: requests are grouped by (coordinate row, shock class) and
+  /// each group is one shared value + gradient walk (kernels::
+  /// evaluate_shared_with_gradient), bit-identical per request to
+  /// ShockGrid::evaluate_with_gradient. It is the x86 arithmetic whatever the
+  /// kernel tier, on the CPU only — the gradient walk never rides the device
+  /// pipeline (see the contract on the base class and DESIGN.md, "Jacobian
+  /// pipeline" and "Shock classes").
   void evaluate_gather_with_gradient(std::span<const GatherRequest> requests,
                                      std::span<const double> xs, std::size_t npoints,
                                      std::span<double> values, std::size_t value_stride,
@@ -139,8 +144,14 @@ class AsgPolicy final : public PolicyEvaluator {
             gathered_requests_.load(std::memory_order_relaxed),
             fastpath_gathers_.load(std::memory_order_relaxed),
             gradient_gathers_.load(std::memory_order_relaxed),
-            gradient_requests_.load(std::memory_order_relaxed)};
+            gradient_requests_.load(std::memory_order_relaxed),
+            walks_.load(std::memory_order_relaxed)};
   }
+
+  /// Shock class of z: the first shock whose grid has the same compressed
+  /// index (nno, nfreq, xps, chains, skip) — shocks of one class differ only
+  /// in their surpluses, so one chain walk serves them all.
+  [[nodiscard]] int shock_class(int z) const { return class_of_[static_cast<std::size_t>(z)]; }
 
   [[nodiscard]] const ShockGrid& grid(int z) const { return *grids_[static_cast<std::size_t>(z)]; }
   /// CPU interpolation backend of the shock grids (all grids share one kind
@@ -167,6 +178,11 @@ class AsgPolicy final : public PolicyEvaluator {
  private:
   int ndofs_;
   std::vector<std::unique_ptr<ShockGrid>> grids_;
+  // class_of_[z]: representative shock of z's class (see shock_class).
+  std::vector<int> class_of_;
+  // Every grid is bound to the x86 kernel, whose values the shared walk
+  // reproduces bit for bit.
+  bool x86_grids_ = false;
   // Device path: one kernel per shock bound to that shock's compressed grid,
   // all served by one dispatcher thread (the "GPU thread" of Fig. 2).
   std::vector<std::unique_ptr<kernels::InterpolationKernel>> device_kernels_;
@@ -177,6 +193,7 @@ class AsgPolicy final : public PolicyEvaluator {
   mutable std::atomic<std::uint64_t> fastpath_gathers_{0};
   mutable std::atomic<std::uint64_t> gradient_gathers_{0};
   mutable std::atomic<std::uint64_t> gradient_requests_{0};
+  mutable std::atomic<std::uint64_t> walks_{0};
 };
 
 /// Per-point view of another evaluator: forwards evaluate() but keeps the

@@ -291,6 +291,14 @@ std::string failure_split(const IterationStats& stats) {
   return out.empty() ? out : out + ")";
 }
 
+/// Chain walks per value or gradient gather p_next served this step (0
+/// without gathers).
+double walks_per_gather(const IterationStats& stats) {
+  const std::uint64_t gathers = stats.policy_gathers + stats.gradient_gathers;
+  return gathers == 0 ? 0.0
+                      : static_cast<double>(stats.gather_walks) / static_cast<double>(gathers);
+}
+
 }  // namespace
 
 TimeIterationResult TimeIterationDriver::run() {
@@ -315,7 +323,8 @@ TimeIterationResult TimeIterationDriver::run() {
     util::log_info("time-iteration it=", it, " points=", stats.total_points,
                    " dlinf=", stats.policy_change_linf, " dl2=", stats.policy_change_l2,
                    " fails=", stats.solver_failures, failure_split(stats),
-                   " gathers=", stats.solver_gathers, " jac=", stats.jacobian_refreshes,
+                   " gathers=", stats.solver_gathers, " walks/gather=", walks_per_gather(stats),
+                   " jac=", stats.jacobian_refreshes,
                    " offl=", stats.device_offloaded, " batches=", stats.device_batches,
                    " secs=", stats.seconds);
 

@@ -111,6 +111,7 @@ struct IterationStats {
   std::uint64_t gathered_requests = 0; ///< interpolations those calls carried
   std::uint64_t fastpath_gathers = 0;  ///< single-shock fast-path gathers p_next served
   std::uint64_t gradient_gathers = 0;  ///< evaluate_gather_with_gradient calls served
+  std::uint64_t gather_walks = 0;      ///< chain walks those value + gradient gathers ran
   std::uint64_t jacobian_refreshes = 0;  ///< Jacobian refreshes of the point solves
   // Offload-pipeline counters for this iteration (deltas of p_next's
   // dispatcher counters; zero when p_next has no device attached).
@@ -134,6 +135,7 @@ struct IterationStats {
     gathered_requests = delta.gathered_requests;
     fastpath_gathers = delta.fastpath_gathers;
     gradient_gathers = delta.gradient_gathers;
+    gather_walks = delta.walks;
   }
   /// Accumulates one shock's level_step() totals (both drivers, every
   /// shock they build). policy_change_l2 holds the plain sum of squares

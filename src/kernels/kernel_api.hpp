@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -52,6 +53,30 @@ class InterpolationKernel {
   virtual void evaluate_batch(const double* x, double* value, std::size_t npoints) const;
 };
 
+/// One surplus set of a shared chain walk and where its results go.
+struct WalkTarget {
+  const double* surplus = nullptr;  ///< nno x ndofs rows, in the index's point order
+  double* value = nullptr;          ///< ndofs outputs
+  double* grad = nullptr;           ///< ndofs x dim outputs (gradient walk only)
+};
+
+/// Shared value walk: several grids with one compressed index (equal nno,
+/// nfreq, factors, chains and skip pointers; only their surplus matrices
+/// differ) evaluated at one x by a single compute_xpv and chain walk over
+/// `index`. Each target's value[0..ndofs) receives temp * surplus row in the
+/// same point order with the same accumulate step as the x86 kernel, so it
+/// is bit-identical to that grid's x86 evaluate(). The gathers run this once
+/// per (coordinate row, shock class); see DESIGN.md, "Shock classes".
+void evaluate_shared(const core::CompressedGridData& index, const double* x,
+                     std::span<const WalkTarget> targets);
+
+/// Shared value + gradient walk over one compressed index: each point's
+/// prefix/suffix derivative products are formed once and applied to every
+/// target, whose value and grad (layout of evaluate_with_gradient) are
+/// bit-identical to a single-grid evaluate_with_gradient on its own grid.
+void evaluate_shared_with_gradient(const core::CompressedGridData& index, const double* x,
+                                   std::span<const WalkTarget> targets);
+
 /// Compressed-format value + gradient walk (scalar): value[0..ndofs) = u(x)
 /// and grad[dof * dim + t] = d u_dof / d x_t (row-major, one dim-row per
 /// dof). Walks the same xpv chains as the x86 kernel with one extra
@@ -60,9 +85,10 @@ class InterpolationKernel {
 /// Values are bit-identical to the x86 kernel's evaluate() (same factors,
 /// same multiplication and accumulation order); the gradient is the exact
 /// a.e. derivative of the piecewise-multilinear interpolant with
-/// sg::hat_derivative's kink convention. This is the walk behind
-/// core::ShockGrid::evaluate_with_gradient and therefore the analytic Euler
-/// Jacobians (see DESIGN.md, "Jacobian pipeline").
+/// sg::hat_derivative's kink convention. It is the one-target call of
+/// evaluate_shared_with_gradient, whose gathers feed the analytic Euler
+/// Jacobians (see DESIGN.md, "Jacobian pipeline"), and the walk behind
+/// core::ShockGrid::evaluate_with_gradient.
 void evaluate_with_gradient(const core::CompressedGridData& grid, const double* x,
                             double* value, double* grad);
 

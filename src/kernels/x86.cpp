@@ -10,8 +10,11 @@
 // skip pointers), which the T_freq point reordering makes long runs.
 //
 // This file also holds compute_xpv, so every tier's factors come from this
-// one baseline-ISA translation unit, and the value + gradient walk behind the
-// analytic Jacobians.
+// one baseline-ISA translation unit, and the shared walks: one chain walk
+// for several surplus sets over one compressed index (the gathers' shock
+// classes), as values and as values + gradients. They sit next to
+// evaluate_x86 so both compile with the same flags and the same accumulate
+// step, which is what keeps their values bit-identical to it.
 #include <algorithm>
 #include <vector>
 
@@ -19,6 +22,16 @@
 #include "sparse_grid/basis.hpp"
 
 namespace hddm::kernels::detail {
+
+namespace {
+
+/// The scalar accumulate step of evaluate_x86 and the shared walks:
+/// value[dof] += temp * srow[dof], multiply then add, in dof order.
+inline void accumulate_row(double* value, const double* srow, int nd, double temp) {
+  for (int dof = 0; dof < nd; ++dof) value[dof] += temp * srow[dof];
+}
+
+}  // namespace
 
 void compute_xpv(const core::CompressedGridData& grid, const double* x, double* xpv) {
   xpv[0] = 1.0;  // sentinel slot: chains terminate before touching it
@@ -33,8 +46,7 @@ void compute_xpv(const core::CompressedGridData& grid, const double* x, double* 
 void evaluate_x86(const core::CompressedGridData& grid, const double* x, double* value) {
   const int nd = grid.ndofs;
   evaluate_compressed(grid, x, value, [&](std::uint32_t p, double temp, std::size_t) {
-    const double* srow = grid.surplus_row(p);
-    for (int dof = 0; dof < nd; ++dof) value[dof] += temp * srow[dof];
+    accumulate_row(value, grid.surplus_row(p), nd, temp);
   });
 }
 
@@ -42,55 +54,101 @@ void evaluate_x86(const core::CompressedGridData& grid, const double* x, double*
 
 namespace hddm::kernels {
 
-void evaluate_with_gradient(const core::CompressedGridData& grid, const double* x, double* value,
-                            double* grad) {
-  const int nd = grid.ndofs;
-  const auto d = static_cast<std::size_t>(grid.dim);
+void evaluate_shared(const core::CompressedGridData& index, const double* x,
+                     std::span<const WalkTarget> targets) {
+  const int nd = index.ndofs;
+  thread_local std::vector<double> xpv;
+  xpv.resize(index.xps_size());
+  detail::compute_xpv(index, x, xpv.data());
+  for (const WalkTarget& t : targets) std::fill(t.value, t.value + nd, 0.0);
+  detail::walk_chains(index, xpv.data(), 0, index.nno,
+                      [&](std::uint32_t p, double temp, std::size_t) {
+    const std::size_t row = static_cast<std::size_t>(p) * static_cast<std::size_t>(nd);
+    for (const WalkTarget& t : targets) detail::accumulate_row(t.value, t.surplus + row, nd, temp);
+  });
+}
+
+void evaluate_shared_with_gradient(const core::CompressedGridData& index, const double* x,
+                                   std::span<const WalkTarget> targets) {
+  const int nd = index.ndofs;
+  const auto d = static_cast<std::size_t>(index.dim);
+  const auto nfreq = static_cast<std::size_t>(index.nfreq);
 
   // xpv as in the x86 kernel, plus the matching derivative table. xpd is
   // zero wherever xpv is zero (hat_derivative's support-edge convention), so
   // the walk's zero-product skip drops value AND gradient exactly.
-  thread_local std::vector<double> xpv, xpd, pre;
-  xpv.resize(grid.xps_size());
-  xpd.resize(grid.xps_size());
-  pre.resize(static_cast<std::size_t>(grid.nfreq));
-  detail::compute_xpv(grid, x, xpv.data());
+  thread_local std::vector<double> xpv, xpd, pre, dtemps, grad_by_dim;
+  thread_local std::vector<std::size_t> dims;
+  xpv.resize(index.xps_size());
+  xpd.resize(index.xps_size());
+  pre.resize(nfreq);
+  dtemps.resize(nfreq);
+  dims.resize(nfreq);
+  detail::compute_xpv(index, x, xpv.data());
   xpd[0] = 0.0;
-  for (std::size_t k = 1; k < grid.factors.size(); ++k) {
-    const core::HatFactor& h = grid.factors[k];
+  for (std::size_t k = 1; k < index.factors.size(); ++k) {
+    const core::HatFactor& h = index.factors[k];
     xpd[k] = sg::hat_derivative(h.center, h.scale, x[h.j]);
   }
 
-  std::fill(value, value + nd, 0.0);
-  std::fill(grad, grad + static_cast<std::size_t>(nd) * d, 0.0);
+  // Gradients accumulate dimension-major (grad_by_dim[(c * d + j) * nd +
+  // dof]), so each term is the contiguous accumulate step over the dofs, and
+  // are transposed into the dof-major output at the end. Every element still
+  // starts at 0 and receives the same terms in the same order.
+  const std::size_t grad_size = static_cast<std::size_t>(nd) * d;
+  grad_by_dim.assign(targets.size() * grad_size, 0.0);
+  for (const WalkTarget& t : targets) std::fill(t.value, t.value + nd, 0.0);
 
-  detail::walk_chains(grid, xpv.data(), 0, grid.nno,
+  detail::walk_chains(index, xpv.data(), 0, index.nno,
                       [&](std::uint32_t p, double temp, std::size_t len) {
-    // Value: identical to the x86 kernel's accumulate step.
-    const double* srow = grid.surplus_row(p);
-    for (int dof = 0; dof < nd; ++dof) value[dof] += temp * srow[dof];
-
-    // Backward pass: dtemp_f = (prod of the other factors) * dphi_f, routed
-    // to the factor's dimension. pre[f] re-forms the walk's product before
-    // slot f (same factors, same order, so the same bits). Chains carry only
-    // non-root factors, so level-1 dimensions correctly keep zero gradient.
-    const std::uint32_t* chain = grid.chain_row(p);
+    // Backward pass, once per point for every target: dtemp_f = (prod of the
+    // other factors) * dphi_f, routed to the factor's dimension. pre[f]
+    // re-forms the walk's product before slot f (same factors, same order,
+    // so the same bits). Chains carry only non-root factors, so level-1
+    // dimensions correctly keep zero gradient.
+    const std::uint32_t* chain = index.chain_row(p);
     double prefix = 1.0;
     for (std::size_t f = 0; f < len; ++f) {
       pre[f] = prefix;
       prefix *= xpv[chain[f]];
     }
+    std::size_t nonzero = 0;
     double suf = 1.0;
     for (std::size_t f = len; f-- > 0;) {
       const std::uint32_t idx = chain[f];
       const double dtemp = pre[f] * suf * xpd[idx];
       suf *= xpv[idx];
       if (dtemp == 0.0) continue;
-      const std::size_t j = grid.factors[idx].j;
-      for (int dof = 0; dof < nd; ++dof)
-        grad[static_cast<std::size_t>(dof) * d + j] += dtemp * srow[dof];
+      dtemps[nonzero] = dtemp;
+      dims[nonzero++] = index.factors[idx].j;
+    }
+
+    // Each target sees the single-grid walk's operations in its order: the
+    // value step of the x86 kernel, then the gradient terms slot by slot
+    // from the last chain slot down.
+    const std::size_t row = static_cast<std::size_t>(p) * static_cast<std::size_t>(nd);
+    for (std::size_t c = 0; c < targets.size(); ++c) {
+      const double* srow = targets[c].surplus + row;
+      double* grad = grad_by_dim.data() + c * grad_size;
+      detail::accumulate_row(targets[c].value, srow, nd, temp);
+      for (std::size_t k = 0; k < nonzero; ++k)
+        detail::accumulate_row(grad + dims[k] * static_cast<std::size_t>(nd), srow, nd, dtemps[k]);
     }
   });
+
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    const double* grad = grad_by_dim.data() + c * grad_size;
+    for (std::size_t j = 0; j < d; ++j)
+      for (int dof = 0; dof < nd; ++dof)
+        targets[c].grad[static_cast<std::size_t>(dof) * d + j] =
+            grad[j * static_cast<std::size_t>(nd) + static_cast<std::size_t>(dof)];
+  }
+}
+
+void evaluate_with_gradient(const core::CompressedGridData& grid, const double* x, double* value,
+                            double* grad) {
+  const WalkTarget target{grid.surplus.data(), value, grad};
+  evaluate_shared_with_gradient(grid, x, {&target, 1});
 }
 
 }  // namespace hddm::kernels

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <set>
+#include <utility>
 
+#include "converged_policies.hpp"
 #include "sparse_grid/hierarchize.hpp"
 #include "sparse_grid/regular.hpp"
 #include "util/rng.hpp"
@@ -18,7 +22,7 @@ std::unique_ptr<ShockGrid> make_shock_grid(int d, int level, int ndofs, std::uin
   util::Rng rng(seed);
   std::vector<double> surpluses(static_cast<std::size_t>(storage.size()) * ndofs);
   for (auto& s : surpluses) s = rng.uniform(-1, 1);
-  return std::make_unique<ShockGrid>(storage, ndofs, surpluses, kind);
+  return std::make_unique<ShockGrid>(sg::make_dense_grid(storage, ndofs, surpluses), kind);
 }
 
 TEST(ShockGrid, ExposesBothFormats) {
@@ -245,6 +249,10 @@ TEST(AsgPolicy, EvaluateGatherDevicePathBitIdenticalAndCounted) {
   EXPECT_DOUBLE_EQ(dev.mean_run(), static_cast<double>(kPoints));
   EXPECT_LE(dev.batches, 2u);
   EXPECT_EQ(policy.gather_stats().gathers, 1u);
+  // Both shocks share a point set and rows repeat, yet the device route
+  // keeps the per-shock buckets: one walk per request.
+  EXPECT_EQ(policy.shock_class(1), 0);
+  EXPECT_EQ(policy.gather_stats().walks, requests.size());
 
   std::vector<double> want(4);
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -409,6 +417,205 @@ TEST(AsgPolicy, GatherGradientMatchesFiniteDifferences) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------ shock classes
+
+/// Distinct (shock class, coordinate row) pairs of a gather: the chain walks
+/// the class path runs for it.
+std::uint64_t class_rows(const AsgPolicy& policy, std::span<const GatherRequest> requests) {
+  std::set<std::pair<int, std::uint32_t>> pairs;
+  for (const GatherRequest& r : requests) pairs.insert({policy.shock_class(r.z), r.point});
+  return pairs.size();
+}
+
+int count_classes(const AsgPolicy& policy) {
+  std::set<int> classes;
+  for (int z = 0; z < policy.num_shocks(); ++z) classes.insert(policy.shock_class(z));
+  return static_cast<int>(classes.size());
+}
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+/// Runs one value gather and one gradient gather of `requests` into strided
+/// outputs and checks every request bit for bit against per-request
+/// evaluate() and ShockGrid::evaluate_with_gradient, with the stride padding
+/// untouched. Returns the chain walks each gather ran.
+std::pair<std::uint64_t, std::uint64_t> expect_gathers_match_per_request(
+    const AsgPolicy& policy, std::span<const GatherRequest> requests,
+    std::span<const double> xs, std::size_t npoints) {
+  constexpr double kPad = -99.0;
+  const auto nd = static_cast<std::size_t>(policy.ndofs());
+  const std::size_t d = xs.size() / npoints;
+  const std::size_t vstride = nd + 2;
+  const std::size_t gstride = nd * d + 3;
+  const std::size_t n = requests.size();
+
+  std::vector<double> values(n * vstride, kPad);
+  const GatherStats before = policy.gather_stats();
+  policy.evaluate_gather(requests, xs, npoints, values, vstride);
+  const std::uint64_t value_walks = policy.gather_stats().since(before).walks;
+  std::vector<double> want(nd), want_grad(nd * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = xs.subspan(requests[i].point * d, d);
+    policy.evaluate(requests[i].z, x, want);
+    EXPECT_TRUE(same_bits(values.data() + i * vstride, want.data(), nd)) << "value, request " << i;
+    for (std::size_t k = nd; k < vstride; ++k) EXPECT_EQ(values[i * vstride + k], kPad);
+  }
+
+  std::fill(values.begin(), values.end(), kPad);
+  std::vector<double> grads(n * gstride, kPad);
+  const GatherStats before_grad = policy.gather_stats();
+  policy.evaluate_gather_with_gradient(requests, xs, npoints, values, vstride, grads, gstride);
+  const std::uint64_t gradient_walks = policy.gather_stats().since(before_grad).walks;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = xs.subspan(requests[i].point * d, d);
+    policy.grid(requests[i].z).evaluate_with_gradient(x, want, want_grad);
+    EXPECT_TRUE(same_bits(values.data() + i * vstride, want.data(), nd))
+        << "gradient gather value, request " << i;
+    EXPECT_TRUE(same_bits(grads.data() + i * gstride, want_grad.data(), nd * d))
+        << "gradient, request " << i;
+    for (std::size_t k = nd; k < vstride; ++k) EXPECT_EQ(values[i * vstride + k], kPad);
+    for (std::size_t k = nd * d; k < gstride; ++k) EXPECT_EQ(grads[i * gstride + k], kPad);
+  }
+  return {value_walks, gradient_walks};
+}
+
+/// Shocks 0, 2, 4 on one level-3 point set, shocks 1, 3 on a level-4 set;
+/// every shock has its own random surpluses.
+AsgPolicy two_class_policy(kernels::KernelKind kind = kernels::KernelKind::X86) {
+  std::vector<std::unique_ptr<ShockGrid>> grids;
+  for (int z = 0; z < 5; ++z)
+    grids.push_back(make_shock_grid(3, z % 2 == 0 ? 3 : 4, 4, 201 + static_cast<std::uint64_t>(z),
+                                    kind));
+  return AsgPolicy(4, std::move(grids));
+}
+
+TEST(AsgPolicy, ShockClassesFollowThePointSet) {
+  const AsgPolicy policy = two_class_policy();
+  EXPECT_EQ(policy.shock_class(0), 0);
+  EXPECT_EQ(policy.shock_class(1), 1);
+  EXPECT_EQ(policy.shock_class(2), 0);
+  EXPECT_EQ(policy.shock_class(3), 1);
+  EXPECT_EQ(policy.shock_class(4), 0);
+  // One class shares the walk, not the surpluses.
+  EXPECT_NE(policy.grid(0).compressed().surplus, policy.grid(2).compressed().surplus);
+  EXPECT_EQ(count_classes(policy), 2);
+}
+
+TEST(AsgPolicy, MirroredPointSetsAreDifferentClasses) {
+  // A level-2 grid refined once in dimension 0, and its mirror refined in
+  // dimension 1: same point count and chain structure, different factors.
+  const auto refined = [](std::size_t t, std::uint64_t seed) {
+    sg::GridStorage storage(2);
+    sg::build_regular_grid(storage, 2);
+    sg::MultiIndex mi(2, sg::kRootPair);
+    mi[t] = {3, 1};
+    storage.close_ancestors(storage.insert(mi).id);
+    util::Rng rng(seed);
+    std::vector<double> surpluses(static_cast<std::size_t>(storage.size()) * 2);
+    for (auto& v : surpluses) v = rng.uniform(-1, 1);
+    return std::make_unique<ShockGrid>(sg::make_dense_grid(storage, 2, surpluses),
+                                       kernels::KernelKind::X86);
+  };
+  std::vector<std::unique_ptr<ShockGrid>> grids;
+  grids.push_back(refined(0, 231));
+  grids.push_back(refined(1, 232));
+  const AsgPolicy policy(2, std::move(grids));
+  ASSERT_EQ(policy.grid(0).num_points(), policy.grid(1).num_points());
+  EXPECT_EQ(policy.shock_class(1), 1);
+
+  const std::vector<double> xs{0.2, 0.7};
+  const std::vector<GatherRequest> requests{{0, 0}, {1, 0}};
+  expect_gathers_match_per_request(policy, requests, xs, 1);
+}
+
+TEST(AsgPolicy, ClassGathersBitIdenticalOnInterleavedClassesAndDuplicates) {
+  const AsgPolicy policy = two_class_policy();
+  constexpr std::size_t kPoints = 4;
+  util::Rng rng(211);
+  std::vector<double> xs(kPoints * 3);
+  for (auto& xi : xs) xi = rng.uniform();
+  // Classes interleaved within and across rows, a duplicate request (shock
+  // 2 at row 1 twice), and a row requested by one shock only.
+  const std::vector<GatherRequest> requests{{0, 1}, {1, 1}, {2, 1}, {2, 0}, {3, 0}, {4, 1},
+                                            {2, 1}, {1, 3}, {4, 0}, {0, 2}, {3, 1}};
+  const auto [value_walks, gradient_walks] =
+      expect_gathers_match_per_request(policy, requests, xs, kPoints);
+  EXPECT_EQ(value_walks, class_rows(policy, requests));
+  EXPECT_EQ(gradient_walks, class_rows(policy, requests));
+  EXPECT_LT(value_walks, requests.size());
+}
+
+TEST(AsgPolicy, ClassGathersBitIdenticalOnFdSweepPattern) {
+  // The n-column finite-difference sweep: every successor shock with mass
+  // at each of n trial columns, shock-major.
+  const AsgPolicy policy = two_class_policy();
+  constexpr std::size_t kColumns = 3;
+  util::Rng rng(223);
+  std::vector<double> xs(kColumns * 3);
+  for (auto& xi : xs) xi = rng.uniform();
+  const std::vector<double> pi{0.2, 0.3, 0.0, 0.4, 0.1};
+  std::vector<GatherRequest> requests;
+  successor_requests(pi, kColumns, requests);
+  const auto [value_walks, gradient_walks] =
+      expect_gathers_match_per_request(policy, requests, xs, kColumns);
+  EXPECT_EQ(value_walks, 2 * kColumns);
+  EXPECT_EQ(gradient_walks, 2 * kColumns);
+}
+
+TEST(AsgPolicy, VectorTierValueGathersKeepThePerShockPath) {
+  // The shared value walk is the x86 arithmetic, so policies bound to the
+  // FMA tiers bucket by shock as before (one walk per request); the gradient
+  // gather is x86 arithmetic on every tier and still shares walks.
+  for (const kernels::KernelKind kind : {kernels::KernelKind::Avx2, kernels::KernelKind::Avx512}) {
+    if (!kernels::kernel_supported(kind)) continue;
+    const AsgPolicy policy = two_class_policy(kind);
+    constexpr std::size_t kPoints = 2;
+    util::Rng rng(227);
+    std::vector<double> xs(kPoints * 3);
+    for (auto& xi : xs) xi = rng.uniform();
+    const std::vector<double> pi(5, 0.2);
+    std::vector<GatherRequest> requests;
+    successor_requests(pi, kPoints, requests);
+    const auto [value_walks, gradient_walks] =
+        expect_gathers_match_per_request(policy, requests, xs, kPoints);
+    EXPECT_EQ(value_walks, requests.size()) << kernels::kernel_name(kind);
+    EXPECT_EQ(gradient_walks, class_rows(policy, requests)) << kernels::kernel_name(kind);
+  }
+}
+
+TEST(AsgPolicy, ConvergedIrbcPolicyHasTwoShockClassesAndExactClassGathers) {
+  const irbc::IrbcModel model = testing::irbc_model(3);
+  const TimeIterationResult result = solve_time_iteration(model, testing::irbc_options());
+  ASSERT_TRUE(result.converged);
+  const AsgPolicy& policy = *result.policy;
+  EXPECT_EQ(count_classes(policy), 2);
+
+  // The models' own request patterns on this mixed adaptive policy: all
+  // successors at one row (residual, Jacobian) and at n trial columns.
+  util::Rng rng(229);
+  for (const std::size_t columns : {std::size_t{1}, std::size_t{3}}) {
+    for (int z = 0; z < model.num_shocks(); z += 3) {
+      std::vector<double> xs(columns * 3);
+      for (auto& xi : xs) xi = rng.uniform();
+      std::vector<GatherRequest> requests;
+      successor_requests(model.chain().row(static_cast<std::size_t>(z)), columns, requests);
+      const auto [value_walks, gradient_walks] =
+          expect_gathers_match_per_request(policy, requests, xs, columns);
+      EXPECT_EQ(value_walks, 2 * columns);
+      EXPECT_EQ(gradient_walks, 2 * columns);
+    }
+  }
+}
+
+TEST(AsgPolicy, ConvergedOlgPolicyHasOneShockClass) {
+  const olg::OlgModel model = testing::olg_model();
+  const TimeIterationResult result = solve_time_iteration(model, testing::olg_options());
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(count_classes(*result.policy), 1);
 }
 
 TEST(PolicyEvaluatorDefault, GatherWithGradientFdFallbackApproximates) {

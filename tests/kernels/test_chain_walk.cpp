@@ -1,6 +1,6 @@
 // Exactness of the compressed chain walk. The kernels evaluate factors from
 // the compression's factor table and jump over zero-prefix runs with its
-// skip pointers; neither may change a single bit. Three checks:
+// skip pointers; neither may change a single bit. Four checks:
 //   * every compressed CPU tier and evaluate_with_gradient against a
 //     test-local reference walk that visits every point, evaluates factors
 //     with sg::hat_value / sg::hat_derivative from (l, i), and accumulates in
@@ -8,7 +8,9 @@
 //   * every compressed tier, cuda(sim) included, against itself on a copy of
 //     the grid whose skip pointers are neutralized (skip = p + 1, i.e. no
 //     point is ever jumped over);
-//   * the skip-table invariants, directly.
+//   * the skip-table invariants, directly;
+//   * the shared walks (one walk, several surplus sets on one point set)
+//     against one single-grid walk per surplus set, with and without skips.
 // Grids are adaptive and shaped like the two models' (IRBC: d = 3, one dof
 // per country; OLG: d = 7, 14 dofs), plus one built without the point
 // reordering. Probes include hat kinks and support edges: 0, 1 and grid
@@ -20,8 +22,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compression.hpp"
@@ -218,6 +222,58 @@ TEST_P(ChainWalkExactness, SkipChangesNoBitOfAnyTier) {
       walked->evaluate(x.data(), want.data());
       skipped->evaluate(x.data(), got.data());
       EXPECT_TRUE(bitwise_equal(want, got)) << kernel_name(kind) << " on " << s.name;
+    }
+  }
+}
+
+TEST_P(ChainWalkExactness, SharedWalksMatchSeparateWalksBitForBit) {
+  const Shape& s = GetParam();
+  const Fixture fx = build(s);
+  const auto nd = static_cast<std::size_t>(s.ndofs);
+  const auto gn = nd * static_cast<std::size_t>(s.d);
+  // Three grids on the fixture's point set with their own surpluses (what
+  // compress() gives shocks of one class), plus grid 0 once more: a
+  // duplicate request.
+  constexpr std::size_t kGrids = 3;
+  constexpr std::size_t kTargets = kGrids + 1;
+  std::vector<core::CompressedGridData> grids(kGrids, fx.grid);
+  util::Rng rng(0x5EED);
+  for (auto& g : grids)
+    for (auto& v : g.surplus) v = rng.uniform(-1.0, 1.0);
+  std::vector<std::unique_ptr<InterpolationKernel>> x86;
+  for (const auto& g : grids) x86.push_back(make_kernel(KernelKind::X86, nullptr, &g));
+  core::CompressedGridData noskip = fx.grid;
+  const auto nfreq = static_cast<std::size_t>(fx.grid.nfreq);
+  for (std::uint32_t p = 0; p < noskip.nno; ++p)
+    for (std::size_t f = 0; f < nfreq; ++f) noskip.skip[p * nfreq + f] = p + 1;
+
+  std::vector<std::vector<double>> want(kTargets, std::vector<double>(nd));
+  std::vector<std::vector<double>> want_value(want), got(want);
+  std::vector<std::vector<double>> want_grad(kTargets, std::vector<double>(gn));
+  std::vector<std::vector<double>> got_grad(want_grad);
+  std::vector<WalkTarget> targets;
+  for (std::size_t c = 0; c < kTargets; ++c)
+    targets.push_back({grids[c % kGrids].surplus.data(), got[c].data(), got_grad[c].data()});
+
+  for (const core::CompressedGridData* index : {&fx.grid, &std::as_const(noskip)}) {
+    const char* walk = index == &noskip ? "without skips" : "with skips";
+    for (const auto& x : probes(fx, s.d)) {
+      for (std::size_t c = 0; c < kTargets; ++c) {
+        x86[c % kGrids]->evaluate(x.data(), want[c].data());
+        evaluate_with_gradient(grids[c % kGrids], x.data(), want_value[c].data(),
+                               want_grad[c].data());
+      }
+      evaluate_shared(*index, x.data(), targets);
+      for (std::size_t c = 0; c < kTargets; ++c)
+        EXPECT_TRUE(bitwise_equal(want[c], got[c]))
+            << "shared value walk " << walk << ", target " << c << " on " << s.name;
+      evaluate_shared_with_gradient(*index, x.data(), targets);
+      for (std::size_t c = 0; c < kTargets; ++c) {
+        EXPECT_TRUE(bitwise_equal(want_value[c], got[c]))
+            << "shared gradient walk value " << walk << ", target " << c << " on " << s.name;
+        EXPECT_TRUE(bitwise_equal(want_grad[c], got_grad[c]))
+            << "shared gradient walk gradient " << walk << ", target " << c << " on " << s.name;
+      }
     }
   }
 }

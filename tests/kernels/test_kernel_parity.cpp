@@ -172,7 +172,7 @@ std::shared_ptr<core::AsgPolicy> parity_policy(KernelKind kind) {
   std::vector<double> surpluses(static_cast<std::size_t>(storage.size()) * 5);
   for (auto& s : surpluses) s = rng.uniform(-1.0, 1.0);
   std::vector<std::unique_ptr<core::ShockGrid>> grids;
-  grids.push_back(std::make_unique<core::ShockGrid>(storage, 5, surpluses, kind));
+  grids.push_back(std::make_unique<core::ShockGrid>(sg::make_dense_grid(storage, 5, surpluses), kind));
   return std::make_shared<core::AsgPolicy>(5, std::move(grids));
 }
 

@@ -23,7 +23,7 @@ std::shared_ptr<core::AsgPolicy> make_policy(int nshocks, int d, int level, int 
     sg::build_regular_grid(storage, level);
     std::vector<double> surpluses(static_cast<std::size_t>(storage.size()) * ndofs);
     for (auto& s : surpluses) s = rng.uniform(-2, 2);
-    grids.push_back(std::make_unique<core::ShockGrid>(storage, ndofs, surpluses,
+    grids.push_back(std::make_unique<core::ShockGrid>(sg::make_dense_grid(storage, ndofs, surpluses),
                                                       kernels::KernelKind::X86));
   }
   return std::make_shared<core::AsgPolicy>(ndofs, std::move(grids));

@@ -34,7 +34,7 @@ std::shared_ptr<core::AsgPolicy> make_policy(std::uint64_t seed) {
     sg::build_regular_grid(storage, 3);
     std::vector<double> surpluses(static_cast<std::size_t>(storage.size()) * kNdofs);
     for (auto& s : surpluses) s = rng.uniform(-2, 2);
-    grids.push_back(std::make_unique<core::ShockGrid>(storage, kNdofs, surpluses,
+    grids.push_back(std::make_unique<core::ShockGrid>(sg::make_dense_grid(storage, kNdofs, surpluses),
                                                       kernels::KernelKind::X86));
   }
   return std::make_shared<core::AsgPolicy>(kNdofs, std::move(grids));
