@@ -12,10 +12,13 @@
 //      adaptive refinement then run redundantly on every group rank, keeping
 //      the grids bit-identical without further communication;
 //   3. ships its state's finished grid world-wide in the dense-grid block
-//      format (sg::append_dense_grid_bytes — the "merge policy" step), so
-//      every rank holds the complete policy p = (p(1), ..., p(Ns)) for the
-//      next iteration;
-//   4. synchronizes on a world barrier (footnote 4).
+//      format (sg::append_dense_grid_bytes — the "merge policy" step), with
+//      the state's nodal residual rows, so every rank holds the complete
+//      policy p = (p(1), ..., p(Ns)) for the next iteration;
+//   4. synchronizes on a world barrier (footnote 4);
+//   5. runs the Anderson mix of the single-node driver (core::AndersonMixer)
+//      on the merged grids and residual rows, which every rank holds alike,
+//      so every rank returns the single-node driver's bits.
 //
 // With fewer ranks than states, a rank builds several states (each rank
 // forms a singleton group per state), concurrently on its pool through

@@ -25,6 +25,13 @@ ShockGrid::ShockGrid(sg::DenseGridData dense, kernels::KernelKind kind)
   kernel_ = kernels::make_kernel(kind, &dense_, &compressed_);
 }
 
+void ShockGrid::replace_surpluses(std::span<const double> dense_order) {
+  if (dense_order.size() != dense_.surplus.size())
+    throw std::invalid_argument("ShockGrid::replace_surpluses: size mismatch");
+  std::copy(dense_order.begin(), dense_order.end(), dense_.surplus.begin());
+  update_surpluses(compressed_, dense_.surplus);
+}
+
 void ShockGrid::evaluate_with_gradient(std::span<const double> x_unit, std::span<double> out,
                                        std::span<double> grad) const {
   kernels::evaluate_with_gradient(compressed_, x_unit.data(), out.data(), grad.data());

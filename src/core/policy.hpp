@@ -75,6 +75,12 @@ class ShockGrid {
     kernel_->evaluate(x_unit.data(), out.data());
   }
 
+  /// Replaces the surpluses (nno x ndofs, dense point order) on the same
+  /// point set — the accelerated time iteration's mixed update. The
+  /// compressed copy follows, and the bound kernel serves the new values.
+  /// Not for a grid a published policy already serves.
+  void replace_surpluses(std::span<const double> dense_order);
+
   /// Value + gradient on the compressed-format walk: out[0..ndofs) = p(x),
   /// grad[dof*dim + t] = d p_dof / d x_t (row-major per dof). Values are
   /// bit-identical to the x86 kernel's evaluate() (same chain walk — see

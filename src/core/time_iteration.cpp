@@ -19,7 +19,7 @@
 namespace hddm::core {
 
 TimeIterationDriver::TimeIterationDriver(const DynamicModel& model, TimeIterationOptions options)
-    : model_(model), opts_(std::move(options)) {
+    : model_(model), opts_(std::move(options)), mixer_(opts_.acceleration_depth) {
   if (opts_.base_level < 1) throw std::invalid_argument("TimeIteration: base_level must be >= 1");
   if (opts_.max_level < opts_.base_level)
     throw std::invalid_argument("TimeIteration: max_level must be >= base_level");
@@ -38,12 +38,14 @@ Range block_partition(std::uint64_t count, int parts, int index) {
 
 LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluator& p_next,
                            const TimeIterationOptions& opts, parallel::WorkStealingPool& pool,
-                           const LevelShare& share) {
+                           LevelBuffers& buffers, const LevelShare& share) {
   const int d = model.state_dim();
   const int nd = model.ndofs();
   const int nd_ind = model.indicator_dofs();
   const auto sd = static_cast<std::size_t>(d);
   const auto snd = static_cast<std::size_t>(nd);
+  const auto snd_ind = static_cast<std::size_t>(nd_ind);
+  std::vector<double>* residual = opts.acceleration_depth > 0 ? &buffers.residual : nullptr;
 
   LevelStepResult out;
   ShockTotals& totals = out.totals;
@@ -79,6 +81,7 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
     dense.pairs.assign(flat.begin(), flat.end());
     dense.nno = storage.size();
     dense.surplus.resize(static_cast<std::size_t>(dense.nno) * nd, 0.0);
+    if (residual != nullptr) residual->resize(static_cast<std::size_t>(dense.nno) * snd_ind);
 
     // This caller's block of the level: point ids [first, first + nmine).
     const Range mine = block_partition(n_new, share.size, share.rank);
@@ -96,8 +99,10 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
       // blocking per-point interpolation inside the workers. The coordinate
       // gather runs inside the chunk workers too, so no serial O(n) section
       // precedes the parallel solve.
-      std::vector<double> xs(nmine * sd);
-      std::vector<double> warm_values(nmine * snd);
+      std::vector<double>& xs = buffers.xs;
+      std::vector<double>& warm_values = buffers.warm_values;
+      xs.resize(nmine * sd);
+      warm_values.resize(nmine * snd);
       const std::size_t chunk = std::max<std::size_t>(opts.offload.max_batch, 1);
       const std::size_t nchunks = (nmine + chunk - 1) / chunk;
       parallel::parallel_for(
@@ -115,7 +120,8 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
           /*grain=*/1);
       totals.interpolations += nmine;
 
-      std::vector<PointSolveResult> solved(nmine);
+      std::vector<PointSolveResult>& solved = buffers.solved;
+      solved.resize(nmine);
       parallel::parallel_for(
           pool, 0, nmine,
           [&](std::size_t k) {
@@ -129,7 +135,8 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
 
       // Reduce the block once, in point order. Policy-change metric: the
       // normalized difference of the new nodal values to p_next's (the warm
-      // starts) on the indicator dofs.
+      // starts) on the indicator dofs; the residual rows keep the plain
+      // difference for the Anderson mix.
       for (std::size_t k = 0; k < nmine; ++k) {
         const PointSolveResult& res = solved[k];
         if (!res.converged) {
@@ -141,6 +148,10 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
         totals.jacobian_refreshes += static_cast<std::uint64_t>(res.jacobian_refreshes);
 
         const double* warm = warm_values.data() + k * snd;
+        if (residual != nullptr) {
+          double* row = residual->data() + (first + k) * snd_ind;
+          for (std::size_t dof = 0; dof < snd_ind; ++dof) row[dof] = res.dofs[dof] - warm[dof];
+        }
         double l2 = 0.0;
         for (int dof = 0; dof < nd_ind; ++dof) {
           const double diff = std::fabs(res.dofs[static_cast<std::size_t>(dof)] - warm[dof]) /
@@ -152,13 +163,18 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
       }
     }
 
-    // --- Merge every caller's rows of the level (Fig. 2 "merge").
+    // --- Merge every caller's rows of the level (Fig. 2 "merge"): the
+    // nodal values, then the residual rows.
     if (share.merge) {
-      const std::vector<double> all = share.merge(
-          std::span<const double>(dense.surplus_row(first), nmine * snd));
-      if (all.size() != static_cast<std::size_t>(n_new) * snd)
-        throw std::runtime_error("level_step: merged row count mismatch");
-      std::copy(all.begin(), all.end(), dense.surplus_row(n_known));
+      const auto merge_rows = [&](double* level_rows, std::size_t width) {
+        const std::vector<double> all = share.merge(
+            std::span<const double>(level_rows + mine.begin * width, nmine * width));
+        if (all.size() != static_cast<std::size_t>(n_new) * width)
+          throw std::runtime_error("level_step: merged row count mismatch");
+        std::copy(all.begin(), all.end(), level_rows);
+      };
+      merge_rows(dense.surplus_row(n_known), snd);
+      if (residual != nullptr) merge_rows(residual->data() + n_known * snd_ind, snd_ind);
     }
 
     // --- Hierarchize the new nodal values into surpluses.
@@ -206,11 +222,16 @@ StepAccounting::StepAccounting(const PolicyEvaluator& p_next, IterationStats& st
 
 std::shared_ptr<AsgPolicy> StepAccounting::finish(const DynamicModel& model,
                                                   const TimeIterationOptions& opts,
-                                                  std::vector<std::unique_ptr<ShockGrid>> grids) {
+                                                  std::vector<std::unique_ptr<ShockGrid>> grids,
+                                                  std::span<const std::span<const double>> residuals,
+                                                  AndersonMixer& mixer) {
   if (prev_ != nullptr) {
     stats_.record_device_delta(prev_->device_stats().since(device_before_));
     stats_.record_gather_delta(prev_->gather_stats().since(gather_before_));
   }
+  const MixOutcome mixed = mixer.mix(grids, residuals);
+  stats_.acceleration_columns = mixed.columns;
+  stats_.acceleration_restarts = mixed.restarted ? 1 : 0;
 
   auto policy = std::make_shared<AsgPolicy>(model.ndofs(), std::move(grids));
   // One dispatcher per driver instance (per rank in the distributed one):
@@ -242,15 +263,17 @@ double sampled_euler_residual(const DynamicModel& model, const PolicyEvaluator& 
 void build_shocks(const DynamicModel& model, std::span<const int> shocks,
                   const PolicyEvaluator& p_next, const TimeIterationOptions& opts,
                   parallel::WorkStealingPool& pool, const LevelShare& share,
-                  IterationStats& stats,
+                  IterationStats& stats, std::span<LevelBuffers> buffers,
                   util::function_ref<void(std::size_t, LevelStepResult&)> finish) {
   if (share.merge && shocks.size() > 1)
     throw std::invalid_argument("build_shocks: a merged share builds one shock at a time");
+  if (buffers.size() != shocks.size())
+    throw std::invalid_argument("build_shocks: one LevelBuffers per shock");
   std::vector<ShockTotals> totals(shocks.size());
   parallel::parallel_for(
       pool, 0, shocks.size(),
       [&](std::size_t i) {
-        LevelStepResult built = level_step(model, shocks[i], p_next, opts, pool, share);
+        LevelStepResult built = level_step(model, shocks[i], p_next, opts, pool, buffers[i], share);
         totals[i] = built.totals;
         finish(i, built);
       },
@@ -271,8 +294,11 @@ std::shared_ptr<AsgPolicy> TimeIterationDriver::step(const PolicyEvaluator& p_ne
   const auto bind = [&](std::size_t z, LevelStepResult& built) {
     grids[z] = std::make_unique<ShockGrid>(std::move(built.grid), opts_.kernel);
   };
-  build_shocks(model_, shocks, p_next, opts_, *pool_, {}, stats, bind);
-  return accounting.finish(model_, opts_, std::move(grids));
+  buffers_.resize(Ns);
+  build_shocks(model_, shocks, p_next, opts_, *pool_, {}, stats, buffers_, bind);
+  std::vector<std::span<const double>> residuals;
+  for (const LevelBuffers& b : buffers_) residuals.emplace_back(b.residual);
+  return accounting.finish(model_, opts_, std::move(grids), residuals, mixer_);
 }
 
 namespace {
@@ -303,6 +329,7 @@ double walks_per_gather(const IterationStats& stats) {
 
 TimeIterationResult TimeIterationDriver::run() {
   TimeIterationResult result;
+  mixer_.clear();
 
   util::Rng residual_rng(opts_.seed);
   const InitialPolicyEvaluator initial(model_);
@@ -325,6 +352,8 @@ TimeIterationResult TimeIterationDriver::run() {
                    " fails=", stats.solver_failures, failure_split(stats),
                    " gathers=", stats.solver_gathers, " walks/gather=", walks_per_gather(stats),
                    " jac=", stats.jacobian_refreshes,
+                   " anderson=", stats.acceleration_columns,
+                   " restarts=", stats.acceleration_restarts,
                    " offl=", stats.device_offloaded, " batches=", stats.device_batches,
                    " secs=", stats.seconds);
 

@@ -12,7 +12,9 @@
 // distributed (multi-rank) driver in src/cluster/ calls the same function
 // with a LevelShare naming its block of every level's points and the group
 // merge; the single-node driver solves every point and merges nothing.
-// Both drivers build their shocks concurrently through build_shocks().
+// Both drivers build their shocks concurrently through build_shocks(), and
+// both return the Anderson-mixed policy of core::AndersonMixer (depth
+// TimeIterationOptions::acceleration_depth; 0 is the plain Algorithm 1).
 #pragma once
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "core/anderson.hpp"
 #include "core/model.hpp"
 #include "core/policy.hpp"
 #include "kernels/kernel_api.hpp"
@@ -49,6 +52,10 @@ struct TimeIterationOptions {
   int max_iterations = 100;
   /// Convergence tolerance on the sup-norm policy change (asset dofs).
   double tolerance = 1e-4;
+  /// Anderson acceleration depth m: each step returns the mix of its solved
+  /// policy with up to m difference columns of the previous steps (see
+  /// core::AndersonMixer). 0 gives the paper's plain Algorithm 1.
+  int acceleration_depth = 2;
 
   /// Worker threads of the driver's parallel::WorkStealingPool (0 =
   /// hardware_concurrency - 1). The calling thread also runs tasks while it
@@ -120,6 +127,11 @@ struct IterationStats {
   std::uint64_t device_batches = 0;    ///< device launches
   std::uint64_t device_runs = 0;       ///< accepted ticketed submissions
   double device_mean_batch = 0.0;      ///< offloaded / launches
+  /// Difference columns the Anderson mix used (0: the plain update).
+  int acceleration_columns = 0;
+  /// 1 when this step cleared a non-empty Anderson history (new point set
+  /// or growing residual), else 0.
+  int acceleration_restarts = 0;
   /// Fills the device_* fields from a dispatcher counter delta (both
   /// drivers report per-step deltas of p_next's cumulative counters).
   void record_device_delta(const parallel::DispatcherStats& delta) {
@@ -209,6 +221,19 @@ struct LevelStepResult {
   ShockTotals totals;
 };
 
+/// One shock's level_step buffers. A driver keeps them from step to step,
+/// so a warmed step reallocates none of them.
+struct LevelBuffers {
+  std::vector<double> xs;                ///< a level's point coordinates
+  std::vector<double> warm_values;       ///< their warm starts
+  std::vector<PointSolveResult> solved;  ///< their point solves
+  /// The step's nodal residual rows g - x (solved minus warm-start values
+  /// on the indicator dofs), one per grid point in dense point order, of
+  /// every caller's points — the Anderson mix's input. Filled only when
+  /// opts.acceleration_depth > 0.
+  std::vector<double> residual;
+};
+
 /// Builds shock z's ASG for the policy update given p_next, level by level
 /// (the Fig. 2 inner loop): add the level's points (the regular increment up
 /// to base_level, surplus-driven refinement above it), interpolate warm
@@ -219,17 +244,19 @@ struct LevelStepResult {
 /// redundantly on every caller, so all callers end with bit-identical grids.
 /// Per-point counters and policy changes are reduced once per level, in
 /// point order, so the totals do not depend on the pool's thread count.
+/// The merge carries the residual rows too (LevelBuffers::residual).
 LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluator& p_next,
                            const TimeIterationOptions& opts, parallel::WorkStealingPool& pool,
-                           const LevelShare& share = {});
+                           LevelBuffers& buffers, const LevelShare& share = {});
 
 /// Builds the grids of `shocks` for the policy update given p_next as the
 /// tasks of one parallel_for on `pool`: task i runs level_step for
-/// shocks[i], whose point loops nest inside on the same pool, and then
-/// finish(i, result) (compression and kernel bind, or serialization). The
-/// totals are recorded into `stats` after the loop in the order of
-/// `shocks`, so statistics and grids do not depend on the schedule. A
-/// merging share is a collective over its group, so it takes one shock.
+/// shocks[i] in buffers[i], whose point loops nest inside on the same pool,
+/// and then finish(i, result) (compression and kernel bind, or
+/// serialization). The totals are recorded into `stats` after the loop in
+/// the order of `shocks`, so statistics and grids do not depend on the
+/// schedule. A merging share is a collective over its group, so it takes
+/// one shock.
 ///
 /// Invariant: no pool wait happens inside a point solve. A waiting thread
 /// runs other tasks, including other shocks' point solves, and a point
@@ -238,20 +265,24 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
 void build_shocks(const DynamicModel& model, std::span<const int> shocks,
                   const PolicyEvaluator& p_next, const TimeIterationOptions& opts,
                   parallel::WorkStealingPool& pool, const LevelShare& share,
-                  IterationStats& stats,
+                  IterationStats& stats, std::span<LevelBuffers> buffers,
                   util::function_ref<void(std::size_t, LevelStepResult&)> finish);
 
 /// The bookkeeping both drivers' policy updates share. Construction resets
 /// `stats` (keeping the iteration index) and snapshots p_next's cumulative
 /// offload and gather counters. finish() reports this step's deltas of them,
-/// wraps the shock grids into the next policy (attaching the device when
-/// opts.use_device), fills the point counts, turns the summed squared change
-/// into an RMS over (points x indicator dofs) and stamps the wall time.
+/// runs the Anderson mix over the shock grids (`residuals[z]` holds shock
+/// z's LevelBuffers::residual), wraps the grids into the next policy
+/// (attaching the device when opts.use_device), fills the point counts,
+/// turns the summed squared change into an RMS over (points x indicator
+/// dofs) and stamps the wall time.
 class StepAccounting {
  public:
   StepAccounting(const PolicyEvaluator& p_next, IterationStats& stats);
   std::shared_ptr<AsgPolicy> finish(const DynamicModel& model, const TimeIterationOptions& opts,
-                                    std::vector<std::unique_ptr<ShockGrid>> grids);
+                                    std::vector<std::unique_ptr<ShockGrid>> grids,
+                                    std::span<const std::span<const double>> residuals,
+                                    AndersonMixer& mixer);
 
  private:
   util::Timer timer_;
@@ -272,12 +303,15 @@ class TimeIterationDriver {
  public:
   TimeIterationDriver(const DynamicModel& model, TimeIterationOptions options);
 
-  /// Runs Algorithm 1 to convergence (or the iteration cap).
+  /// Runs Algorithm 1 to convergence (or the iteration cap), starting from
+  /// an empty Anderson history.
   TimeIterationResult run();
 
-  /// Performs exactly one policy update given p_next; exposed for the
-  /// single-node benchmark (Fig. 7 evaluates "a single time step") and for
-  /// step-by-step callers (restarts, tracing).
+  /// Performs exactly one policy update given p_next and returns it mixed
+  /// with the driver's Anderson history of earlier step() calls; exposed for
+  /// the single-node benchmark (Fig. 7 evaluates "a single time step") and
+  /// for step-by-step callers (restarts, tracing). A fresh driver stepped
+  /// from the initial policy reproduces run() bit for bit.
   std::shared_ptr<AsgPolicy> step(const PolicyEvaluator& p_next, IterationStats& stats);
 
   /// Optional per-iteration observer (progress logging in examples/benches).
@@ -287,6 +321,8 @@ class TimeIterationDriver {
   const DynamicModel& model_;
   TimeIterationOptions opts_;
   std::unique_ptr<parallel::WorkStealingPool> pool_;
+  AndersonMixer mixer_;
+  std::vector<LevelBuffers> buffers_;  ///< per shock, reused by every step
 };
 
 /// Convenience entry point.

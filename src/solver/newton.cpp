@@ -143,6 +143,7 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
   f_trial.resize(n);
   u_trial.resize(n);
   du.resize(n);
+  ws.u_kink.resize(n);
   active.assign(n, false);
   jac.resize(n, n);
   std::fill(jac.data(), jac.data() + n * n, 0.0);
@@ -159,24 +160,29 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
   double fnorm = inf_norm(f);
   double m0 = merit(f);
 
-  for (int it = 0; it < options.max_iterations; ++it) {
-    result.iterations = it;
-    if (fnorm <= options.tolerance) {
-      result.status = NewtonStatus::Converged;
-      break;
-    }
-
+  // One Newton iteration: refresh and factorize the Jacobian at u (or, for
+  // the kink retry, at ws.u_kink), take the Newton direction for F(u), run
+  // the active-set pass and the Armijo line search from u. Stopped means
+  // result.status is final.
+  enum class Attempt { Accepted, LineSearchFailed, Stopped };
+  const auto attempt = [&](bool kink_retry) {
     // Rebuild and factorize the Jacobian: closed-form columns when the
     // caller supplies them, a forward-difference sweep (n residual
-    // evaluations, reusing f = F(u)) otherwise.
-    if (jacobian)
-      jacobian(u, jac);
-    else
-      finite_difference_jacobian(residual, u, f, options.fd_epsilon, jac, ws.fd,
-                                 &result.residual_evaluations);
+    // evaluations, plus F at the retry's point) otherwise.
+    const std::span<const double> lin = kink_retry ? ws.u_kink : u;
+    if (jacobian) {
+      jacobian(lin, jac);
+    } else {
+      if (kink_retry) {
+        residual(lin, f_trial);
+        ++result.residual_evaluations;
+      }
+      finite_difference_jacobian(residual, lin, kink_retry ? f_trial : f, options.fd_epsilon,
+                                 jac, ws.fd, &result.residual_evaluations);
+    }
     if (!ws.lu.factor(jac)) {
       result.status = NewtonStatus::SingularJacobian;
-      break;
+      return Attempt::Stopped;
     }
     ++result.jacobian_factorizations;
 
@@ -213,20 +219,20 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
           }
           if (!ws.lu.factor(ws.reduced)) {
             result.status = NewtonStatus::SingularJacobian;
-            break;
+            return Attempt::Stopped;
           }
           ws.lu.solve(ws.f_red, ws.du_red);
           for (std::size_t r = 0; r < m; ++r) du[free_idx[r]] = -ws.du_red[r];
         } else {
           // Every variable pinned: the KKT point is the current corner.
           result.status = NewtonStatus::Converged;
-          break;
+          return Attempt::Stopped;
         }
         m0 = merit_free(f, active);
         fnorm = inf_norm_free(f, active);
         if (fnorm <= options.tolerance) {
           result.status = NewtonStatus::Converged;
-          break;
+          return Attempt::Stopped;
         }
       }
     }
@@ -235,28 +241,48 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
       // No representable progress left; accept if the residual is small-ish.
       result.status = fnorm <= std::sqrt(options.tolerance) ? NewtonStatus::Converged
                                                             : NewtonStatus::LineSearchFailed;
-      break;
+      return Attempt::Stopped;
     }
 
     // Armijo backtracking on the (free-component) merit 0.5||F||^2. For
     // Newton directions the expected decrease is the full merit, so the
     // acceptance test uses m0 itself.
     double lambda = 1.0;
-    bool accepted = false;
     for (int bt = 0; bt < options.max_backtracks; ++bt) {
       for (std::size_t t = 0; t < n; ++t) u_trial[t] = u[t] + lambda * du[t];
       clip_to_box(u_trial, options);
       residual(u_trial, f_trial);
       ++result.residual_evaluations;
       const double m_trial = merit_free(f_trial, active);
-      if (m_trial <= (1.0 - 2.0 * options.armijo_c * lambda) * m0 || m_trial < m0 * 1e-8) {
-        accepted = true;
-        break;
-      }
+      if (m_trial <= (1.0 - 2.0 * options.armijo_c * lambda) * m0 || m_trial < m0 * 1e-8)
+        return Attempt::Accepted;
       lambda *= 0.5;
       if (lambda < options.min_damping) break;
     }
-    if (!accepted) {
+    return Attempt::LineSearchFailed;
+  };
+
+  for (int it = 0; it < options.max_iterations; ++it) {
+    result.iterations = it;
+    if (fnorm <= options.tolerance) {
+      result.status = NewtonStatus::Converged;
+      break;
+    }
+
+    Attempt outcome = attempt(false);
+    if (outcome == Attempt::LineSearchFailed) {
+      // Kink retry: at a kink of F (a policy clamped at its domain face)
+      // the Jacobian at u is one side's derivative, and the direction it
+      // gives may not descend on the side it points into. Re-linearize once
+      // at u + min_damping * du, on that side, and retry the iteration.
+      for (std::size_t t = 0; t < n; ++t) ws.u_kink[t] = u[t] + options.min_damping * du[t];
+      clip_to_box(ws.u_kink, options);
+      fnorm = inf_norm(f);
+      m0 = merit(f);
+      outcome = attempt(true);
+    }
+    if (outcome == Attempt::Stopped) break;
+    if (outcome == Attempt::LineSearchFailed) {
       result.status = NewtonStatus::LineSearchFailed;
       break;
     }

@@ -10,6 +10,8 @@
 // Jacobian through the caller's JacobianFn when one is given (the models'
 // closed-form Euler-system columns) and through a forward finite-difference
 // sweep of the residual when not — the inputs decide, not a mode switch.
+// An iteration whose line search fails is retried once with the Jacobian
+// taken just across a kink of F (see solve_newton).
 // All buffers live in a caller-owned NewtonWorkspace, so a warmed-up solve
 // allocates nothing. jacobian_deviation audits an analytic Jacobian against a finite-difference
 // reference (see DESIGN.md, "Jacobian pipeline").
@@ -93,6 +95,7 @@ struct FdBuffers {
 /// nothing.
 struct NewtonWorkspace {
   std::vector<double> u, f, u_trial, f_trial, du;  ///< iterate, residual, trial, step
+  std::vector<double> u_kink;                      ///< where the kink retry re-linearizes
   std::vector<bool> active;                        ///< variables pinned this iteration
   std::vector<std::size_t> free_idx;               ///< the others, in order
   std::vector<double> f_red, du_red;               ///< reduced system over free_idx
@@ -121,6 +124,12 @@ struct NewtonResult {
 /// evaluations spent on the refresh) and through the scalar
 /// finite_difference_jacobian of `residual` with step scale
 /// options.fd_epsilon otherwise (n residual evaluations per refresh).
+///
+/// Kink retry: when an iteration's line search fails, the iteration is
+/// retried once with the Jacobian refreshed at u + min_damping * du (the
+/// side of a kink of F the failed direction points into) instead of at u;
+/// only if that retry fails too does the solve stop with LineSearchFailed.
+/// Solves whose line searches never fail are untouched by it, bit for bit.
 NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
                           const NewtonOptions& options, NewtonWorkspace& workspace,
                           JacobianFn jacobian = {});

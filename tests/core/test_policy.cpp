@@ -587,11 +587,24 @@ TEST(AsgPolicy, VectorTierValueGathersKeepThePerShockPath) {
   }
 }
 
-TEST(AsgPolicy, ConvergedIrbcPolicyHasTwoShockClassesAndExactClassGathers) {
+TEST(AsgPolicy, TwoConvergedIrbcGridSetsGiveTwoShockClassesAndExactClassGathers) {
+  // A converged adaptive IRBC N=3 solve refines every shock alike (one
+  // class), so the two-class policy takes shocks 0-3 from it and shocks 4-7
+  // from a converged solve on the regular base grid.
   const irbc::IrbcModel model = testing::irbc_model(3);
-  const TimeIterationResult result = solve_time_iteration(model, testing::irbc_options());
-  ASSERT_TRUE(result.converged);
-  const AsgPolicy& policy = *result.policy;
+  const TimeIterationResult adaptive = solve_time_iteration(model, testing::irbc_options());
+  TimeIterationOptions regular_options = testing::irbc_options();
+  regular_options.refine_epsilon = 0.0;
+  const TimeIterationResult regular = solve_time_iteration(model, regular_options);
+  ASSERT_TRUE(adaptive.converged);
+  ASSERT_TRUE(regular.converged);
+  EXPECT_EQ(count_classes(*adaptive.policy), 1);
+  std::vector<std::unique_ptr<ShockGrid>> grids;
+  for (int z = 0; z < model.num_shocks(); ++z) {
+    const AsgPolicy& source = z < 4 ? *adaptive.policy : *regular.policy;
+    grids.push_back(std::make_unique<ShockGrid>(source.grid(z).dense(), kernels::KernelKind::X86));
+  }
+  const AsgPolicy policy(model.ndofs(), std::move(grids));
   EXPECT_EQ(count_classes(policy), 2);
 
   // The models' own request patterns on this mixed adaptive policy: all

@@ -96,11 +96,14 @@ TEST(TimeIteration, ConvergesToKnownFixedPoint) {
 }
 
 TEST(TimeIteration, GeometricContractionRate) {
+  // The contraction rate is a property of the plain Algorithm 1; Anderson
+  // mixing solves this linear map in three steps (see below).
   const ContractionModel model(2, 2, 0.5);
   TimeIterationOptions opts;
   opts.base_level = 2;
   opts.max_iterations = 12;
   opts.tolerance = 0.0;  // run all iterations
+  opts.acceleration_depth = 0;
   const TimeIterationResult result = solve_time_iteration(model, opts);
   ASSERT_EQ(result.history.size(), 12u);
   // Linear convergence at rate rho = 0.5 (after the first iteration).
@@ -109,6 +112,96 @@ TEST(TimeIteration, GeometricContractionRate) {
         result.history[it].policy_change_linf / result.history[it - 1].policy_change_linf;
     EXPECT_NEAR(ratio, 0.5, 0.1) << "iteration " << it;
   }
+}
+
+TEST(TimeIteration, AcceleratedLinearMapReachesItsFixedPointInThreeSteps) {
+  // At the grid points the map is x -> g + rho x, so its residuals g - x of
+  // the first two steps are collinear: the second step's mix over their one
+  // difference column is the fixed point, and the third step measures a
+  // change at rounding level.
+  const ContractionModel model(2, 3, 0.9);
+  TimeIterationOptions opts;
+  opts.base_level = 3;
+  opts.max_iterations = 60;
+  opts.tolerance = 1e-10;
+  ASSERT_GT(opts.acceleration_depth, 0);
+  const TimeIterationResult result = solve_time_iteration(model, opts);
+  ASSERT_TRUE(result.converged);
+  EXPECT_LE(result.iterations, 3);
+  EXPECT_EQ(result.history[0].acceleration_columns, 0);
+  EXPECT_EQ(result.history[1].acceleration_columns, 1);
+
+  std::vector<double> v(2);
+  const std::vector<double> node{0.25, 0.5};
+  for (int z = 0; z < 3; ++z) {
+    result.policy->evaluate(z, node, v);
+    const auto fp = model.fixed_point(z, node);
+    EXPECT_NEAR(v[0], fp[0], 1e-9) << "z=" << z;
+    EXPECT_NEAR(v[1], fp[1], 1e-9) << "z=" << z;
+  }
+}
+
+TEST(TimeIteration, RepeatedStepOfOnePolicyGivesThePlainUpdate) {
+  // Stepping the same p_next again (the Fig. 7 single-step benchmark's
+  // pattern) repeats the residuals bit for bit, so the difference columns
+  // are zero: each repeat returns the plain update, finite, without
+  // restarting the history.
+  const ContractionModel model(2, 2, 0.5);
+  TimeIterationOptions opts;
+  opts.base_level = 3;
+  TimeIterationOptions plain_opts = opts;
+  plain_opts.acceleration_depth = 0;
+  TimeIterationDriver accelerated(model, opts), plain(model, plain_opts);
+  const InitialPolicyEvaluator initial(model);
+  IterationStats stats;
+  const std::shared_ptr<AsgPolicy> p = plain.step(initial, stats);
+  const std::shared_ptr<AsgPolicy> expected = plain.step(*p, stats);
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::shared_ptr<AsgPolicy> next = accelerated.step(*p, stats);
+    EXPECT_EQ(stats.acceleration_columns, 0) << "rep " << rep;
+    EXPECT_EQ(stats.acceleration_restarts, 0) << "rep " << rep;
+    for (int z = 0; z < 2; ++z) {
+      const auto& got = next->grid(z).dense().surplus;
+      for (const double v : got) EXPECT_TRUE(std::isfinite(v));
+      EXPECT_EQ(got, expected->grid(z).dense().surplus) << "rep " << rep << " z=" << z;
+    }
+  }
+}
+
+/// ContractionModel with a kink whose location moves once p_next carries a
+/// second dof of 1: the first step refines around x0 = 0.37, every later
+/// one around x0 = 0.61, so the point set changes once, at step 1.
+class MovingKinkModel final : public ContractionModel {
+ public:
+  MovingKinkModel() : ContractionModel(2, 1, 0.0) {}
+  [[nodiscard]] PointSolveResult solve_point(int z, std::span<const double> x,
+                                             const PolicyEvaluator& p_next,
+                                             std::span<const double>) const override {
+    std::vector<double> center(2);
+    p_next.evaluate(z, std::vector<double>{0.5, 0.5}, center);
+    const double kink = center[1] > 0.5 ? 0.61 : 0.37;
+    PointSolveResult res;
+    res.dofs = {std::fabs(x[0] - kink), 1.0};
+    res.converged = true;
+    return res;
+  }
+};
+
+TEST(TimeIteration, PointSetChangeRestartsTheAndersonHistory) {
+  const MovingKinkModel model;
+  TimeIterationOptions opts;
+  opts.base_level = 3;
+  opts.refine_epsilon = 1e-3;
+  opts.max_level = 6;
+  opts.max_iterations = 3;
+  opts.tolerance = 0.0;
+  const TimeIterationResult result = solve_time_iteration(model, opts);
+  ASSERT_EQ(result.history.size(), 3u);
+  EXPECT_EQ(result.history[0].acceleration_restarts, 0);  // nothing to clear yet
+  EXPECT_EQ(result.history[1].acceleration_restarts, 1);  // the kink moved
+  EXPECT_EQ(result.history[1].acceleration_columns, 0);
+  EXPECT_EQ(result.history[2].acceleration_restarts, 0);  // same points as step 1
+  EXPECT_EQ(result.history[2].acceleration_columns, 1);
 }
 
 TEST(TimeIteration, HistoryTracksPointCounts) {

@@ -173,6 +173,36 @@ TEST(IrbcModel, SymmetricStatesGiveSymmetricPolicies) {
   EXPECT_NEAR(a[1], b[0], 1e-6);
 }
 
+TEST(IrbcModel, CornerSolveOnTheDomainFaceConverges) {
+  // Regression for the domain-face failures: in the symmetric configuration
+  // above, the mixed states z = 1, 2 at the unit corner (0, 0) start from
+  // k' = (0.8, 0.8), exactly on the grid domain's lower face, where the
+  // clamped policy puts a kink in the Euler residual. The Jacobian there is
+  // one side's derivative, and the Newton direction it gives does not
+  // descend on the side it points into: without solve_newton's kink retry,
+  // every Armijo step fails and the solve stops with line-search-failed at
+  // iteration 0.
+  IrbcCalibration cal;
+  cal.countries = 2;
+  cal.max_shock_bits = 2;
+  const IrbcModel m(cal);
+  const core::InitialPolicyEvaluator pnext(m);  // the first step's p_next
+  const std::vector<double> corner{0.0, 0.0};
+  std::vector<double> warm(2);
+  std::vector<std::vector<double>> k_next;
+  for (const int z : {1, 2}) {
+    pnext.evaluate(z, corner, warm);
+    ASSERT_EQ(warm, (std::vector<double>{0.8, 0.8}));
+    const core::PointSolveResult res = m.solve_point(z, corner, pnext, warm);
+    EXPECT_TRUE(res.converged) << "z=" << z << ": " << solver::to_string(res.status);
+    EXPECT_LT(res.residual_norm, 1e-10) << "z=" << z;
+    k_next.push_back(res.dofs);
+  }
+  // The two states mirror each other.
+  EXPECT_NEAR(k_next[0][0], k_next[1][1], 1e-12);
+  EXPECT_NEAR(k_next[0][1], k_next[1][0], 1e-12);
+}
+
 TEST(IrbcModel, EquilibriumResidualSmallAfterConvergence) {
   IrbcCalibration cal;
   cal.countries = 2;

@@ -412,6 +412,98 @@ TEST(JacobianDeviation, FlagsSignFlippedDerivative) {
   EXPECT_THROW((void)jacobian_deviation(jac, util::Matrix(2, 3)), std::invalid_argument);
 }
 
+/// A piecewise-linear system with a kink along u0 = 0: F(u) = (1, 1) + J u
+/// with J = [[1, 0], [4, 1]] for u0 >= 0 and the identity below, continuous
+/// across the kink. Its only root, (-1, -1), lies below. The Jacobian
+/// callback reports the derivative from above at the kink.
+const auto kKinked = [](std::span<const double> u, std::span<double> out) {
+  out[0] = 1.0 + u[0];
+  out[1] = 1.0 + (u[0] >= 0.0 ? 4.0 : 0.0) * u[0] + u[1];
+};
+const auto kKinkedJacobian = [](std::span<const double> u, util::Matrix& jac) {
+  jac(0, 0) = 1.0;
+  jac(0, 1) = 0.0;
+  jac(1, 0) = u[0] >= 0.0 ? 4.0 : 0.0;
+  jac(1, 1) = 1.0;
+};
+
+TEST(NewtonKinkRetry, RelinearizesAcrossAKinkAndConverges) {
+  // From the kink, the derivative from above gives du = (-1, 3): it points
+  // below, where the merit 0.5 ((1 - l)^2 + (1 + 3 l)^2) exceeds the start's
+  // at every step fraction l, so Armijo fails all the way down to
+  // min_damping (without the retry the solve stops there with
+  // LineSearchFailed at iteration 0). Re-linearized at u + min_damping du,
+  // below the kink, the full Newton step lands on the root. A forward
+  // difference at the kink also sees the slope from above, so both refresh
+  // kinds take the retry.
+  for (const bool analytic : {true, false}) {
+    NewtonWorkspace ws;
+    const std::vector<double> start{0.0, 0.0};
+    const NewtonResult r = analytic ? solve_newton(kKinked, start, {}, ws, kKinkedJacobian)
+                                    : solve_newton(kKinked, start, {}, ws);
+    ASSERT_TRUE(r.converged()) << (analytic ? "analytic" : "fd") << ": " << to_string(r.status);
+    EXPECT_NEAR(r.solution[0], -1.0, 1e-9);
+    EXPECT_NEAR(r.solution[1], -1.0, 1e-9);
+    EXPECT_EQ(r.iterations, 1);
+    EXPECT_EQ(r.jacobian_factorizations, 2);  // the failed linearization and the retry's
+  }
+}
+
+TEST(NewtonKinkRetry, RetryThatAlsoFailsReportsLineSearchFailed) {
+  // A kink that is a maximum of |F|: no side descends, so the retry fails
+  // as well and the solve reports it.
+  const auto peak = [](std::span<const double> u, std::span<double> out) {
+    out[0] = -1.0 - std::fabs(u[0]);
+  };
+  const auto slope = [](std::span<const double> u, util::Matrix& jac) {
+    jac(0, 0) = u[0] >= 0.0 ? -1.0 : 1.0;
+  };
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(peak, std::vector<double>{0.0}, {}, ws, slope);
+  EXPECT_EQ(r.status, NewtonStatus::LineSearchFailed);
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_EQ(r.jacobian_factorizations, 2);
+}
+
+TEST(NewtonKinkRetry, SmoothSolveKeepsThePlainNewtonIteratesBitForBit) {
+  // A smooth system whose full Newton steps are all accepted: every
+  // residual evaluation is an iterate u_{k+1} = u_k - J(u_k)^{-1} F(u_k),
+  // bit for bit the plain Newton recursion computed here with the same LU.
+  const auto f = [](std::span<const double> u, std::span<double> out) {
+    out[0] = u[0] + 0.1 * u[1] * u[1] - 1.2;
+    out[1] = 0.2 * u[0] * u[0] + u[1] - 0.9;
+  };
+  const auto jac = [](std::span<const double> u, util::Matrix& m) {
+    m(0, 0) = 1.0;
+    m(0, 1) = 0.2 * u[1];
+    m(1, 0) = 0.4 * u[0];
+    m(1, 1) = 1.0;
+  };
+  std::vector<std::vector<double>> evaluated;
+  const auto recording = [&](std::span<const double> u, std::span<double> out) {
+    evaluated.emplace_back(u.begin(), u.end());
+    f(u, out);
+  };
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(recording, std::vector<double>{1.0, 1.0}, {}, ws, jac);
+  ASSERT_TRUE(r.converged());
+  EXPECT_EQ(r.residual_evaluations, r.iterations + 1);  // no backtracking, no retry
+  EXPECT_EQ(r.jacobian_factorizations, r.iterations);
+
+  std::vector<double> u{1.0, 1.0}, fu(2), du(2);
+  util::Matrix m(2, 2);
+  util::LuFactorization lu;
+  ASSERT_EQ(evaluated.size(), static_cast<std::size_t>(r.iterations) + 1);
+  for (const std::vector<double>& iterate : evaluated) {
+    EXPECT_EQ(iterate, u);  // bitwise
+    f(u, fu);
+    jac(u, m);
+    ASSERT_TRUE(lu.factor(m));
+    lu.solve(fu, du);
+    for (std::size_t t = 0; t < 2; ++t) u[t] = u[t] + 1.0 * -du[t];
+  }
+}
+
 TEST(NewtonWorkspaceReuse, ReusedWorkspaceReproducesAFreshSolveBitForBit) {
   // A workspace carries buffers, never state: a solve in a workspace warmed
   // by a differently sized, bounded system matches a fresh workspace's.
