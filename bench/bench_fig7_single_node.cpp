@@ -63,6 +63,9 @@ void run_step_bench(benchlib::State& state, std::size_t threads, bool device) {
   opts.base_level = 2;  // "the first two sparse grid levels" (Sec. V-B)
   opts.threads = threads;
   opts.use_device = device;
+  // The paper's plain Algorithm 1: every rep runs the same update, which an
+  // Anderson history of the earlier reps would mix.
+  opts.acceleration_depth = 0;
   core::TimeIterationDriver driver(model(), opts);
 
   const core::InitialPolicyEvaluator initial(model());

@@ -59,6 +59,7 @@ void run_point_solve(benchlib::State& state) {
   core::TimeIterationOptions opts;
   opts.base_level = 2;
   opts.threads = 1;
+  opts.acceleration_depth = 0;  // the paper's plain Algorithm 1
   core::TimeIterationDriver driver(model, opts);
   const core::InitialPolicyEvaluator initial(model);
   core::IterationStats warm;
@@ -99,6 +100,7 @@ void run_distributed(benchlib::State& state, int nranks) {
   opts.base_level = 3;
   opts.max_iterations = 1;
   opts.tolerance = 0.0;
+  opts.acceleration_depth = 0;
 
   std::uint32_t points = 0;
   state.run([&] {

@@ -122,6 +122,9 @@ void run_convergence(benchlib::State& state) {
       opts.refine_epsilon = eps;
       opts.max_level = lmax;
       opts.threads = 1;
+      // The paper's plain Algorithm 1, whose linear rate the Linf column
+      // and the stall rule below assume.
+      opts.acceleration_depth = 0;
       core::TimeIterationDriver driver(model, opts);
 
       double best_change = 1e300;

@@ -87,7 +87,6 @@ std::shared_ptr<AsgPolicy> distributed_step(SimComm world, const core::DynamicMo
                                             const std::vector<std::uint64_t>& workload,
                                             const core::TimeIterationOptions& opts,
                                             parallel::WorkStealingPool& pool,
-                                            std::vector<core::LevelBuffers>& buffers,
                                             core::AndersonMixer& mixer,
                                             core::IterationStats& stats) {
   core::StepAccounting accounting(p_next, stats);
@@ -117,12 +116,11 @@ std::shared_ptr<AsgPolicy> distributed_step(SimComm world, const core::DynamicMo
   // Build the owned states concurrently. Group rank 0 contributes each to
   // the world exchange; the others send nothing (their copy is identical).
   std::vector<std::vector<double>> state_blocks(my_states.size());
-  buffers.resize(my_states.size());
   const auto serialize = [&](std::size_t i, core::LevelStepResult& built) {
     if (group.rank() == 0)
-      append_state_block(my_states[i], built.grid, buffers[i].residual, state_blocks[i]);
+      append_state_block(my_states[i], built.grid, built.residual, state_blocks[i]);
   };
-  core::build_shocks(model, my_states, p_next, opts, pool, share, stats, buffers, serialize);
+  core::build_shocks(model, my_states, p_next, opts, pool, share, stats, serialize);
   std::vector<double> my_blocks;
   for (const std::vector<double>& block : state_blocks)
     my_blocks.insert(my_blocks.end(), block.begin(), block.end());
@@ -147,7 +145,6 @@ DistributedResult run_distributed_time_iteration(SimComm world, const core::Dyna
                                                  const core::TimeIterationOptions& options) {
   DistributedResult result;
   parallel::WorkStealingPool pool(options.threads);
-  std::vector<core::LevelBuffers> buffers;
   core::AndersonMixer mixer(options.acceleration_depth);
   util::Rng residual_rng(options.seed);
   const core::InitialPolicyEvaluator initial(model);
@@ -159,7 +156,7 @@ DistributedResult run_distributed_time_iteration(SimComm world, const core::Dyna
     core::IterationStats stats;
     stats.iteration = it;
     std::shared_ptr<AsgPolicy> next =
-        distributed_step(world, model, *p_next, workload, options, pool, buffers, mixer, stats);
+        distributed_step(world, model, *p_next, workload, options, pool, mixer, stats);
     if (options.residual_samples > 0)
       stats.euler_residual =
           core::sampled_euler_residual(model, *next, options.residual_samples, residual_rng);

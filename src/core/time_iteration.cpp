@@ -38,18 +38,18 @@ Range block_partition(std::uint64_t count, int parts, int index) {
 
 LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluator& p_next,
                            const TimeIterationOptions& opts, parallel::WorkStealingPool& pool,
-                           LevelBuffers& buffers, const LevelShare& share) {
+                           const LevelShare& share) {
   const int d = model.state_dim();
   const int nd = model.ndofs();
   const int nd_ind = model.indicator_dofs();
   const auto sd = static_cast<std::size_t>(d);
   const auto snd = static_cast<std::size_t>(nd);
   const auto snd_ind = static_cast<std::size_t>(nd_ind);
-  std::vector<double>* residual = opts.acceleration_depth > 0 ? &buffers.residual : nullptr;
 
   LevelStepResult out;
   ShockTotals& totals = out.totals;
   sg::DenseGridData& dense = out.grid;
+  std::vector<double>& residual = out.residual;
   dense.dim = d;
   dense.ndofs = nd;
   sg::GridStorage storage(d);
@@ -81,7 +81,7 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
     dense.pairs.assign(flat.begin(), flat.end());
     dense.nno = storage.size();
     dense.surplus.resize(static_cast<std::size_t>(dense.nno) * nd, 0.0);
-    if (residual != nullptr) residual->resize(static_cast<std::size_t>(dense.nno) * snd_ind);
+    residual.resize(static_cast<std::size_t>(dense.nno) * snd_ind);
 
     // This caller's block of the level: point ids [first, first + nmine).
     const Range mine = block_partition(n_new, share.size, share.rank);
@@ -99,10 +99,8 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
       // blocking per-point interpolation inside the workers. The coordinate
       // gather runs inside the chunk workers too, so no serial O(n) section
       // precedes the parallel solve.
-      std::vector<double>& xs = buffers.xs;
-      std::vector<double>& warm_values = buffers.warm_values;
-      xs.resize(nmine * sd);
-      warm_values.resize(nmine * snd);
+      std::vector<double> xs(nmine * sd);
+      std::vector<double> warm_values(nmine * snd);
       const std::size_t chunk = std::max<std::size_t>(opts.offload.max_batch, 1);
       const std::size_t nchunks = (nmine + chunk - 1) / chunk;
       parallel::parallel_for(
@@ -120,8 +118,7 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
           /*grain=*/1);
       totals.interpolations += nmine;
 
-      std::vector<PointSolveResult>& solved = buffers.solved;
-      solved.resize(nmine);
+      std::vector<PointSolveResult> solved(nmine);
       parallel::parallel_for(
           pool, 0, nmine,
           [&](std::size_t k) {
@@ -148,10 +145,8 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
         totals.jacobian_refreshes += static_cast<std::uint64_t>(res.jacobian_refreshes);
 
         const double* warm = warm_values.data() + k * snd;
-        if (residual != nullptr) {
-          double* row = residual->data() + (first + k) * snd_ind;
-          for (std::size_t dof = 0; dof < snd_ind; ++dof) row[dof] = res.dofs[dof] - warm[dof];
-        }
+        double* row = residual.data() + (first + k) * snd_ind;
+        for (std::size_t dof = 0; dof < snd_ind; ++dof) row[dof] = res.dofs[dof] - warm[dof];
         double l2 = 0.0;
         for (int dof = 0; dof < nd_ind; ++dof) {
           const double diff = std::fabs(res.dofs[static_cast<std::size_t>(dof)] - warm[dof]) /
@@ -174,7 +169,7 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
         std::copy(all.begin(), all.end(), level_rows);
       };
       merge_rows(dense.surplus_row(n_known), snd);
-      if (residual != nullptr) merge_rows(residual->data() + n_known * snd_ind, snd_ind);
+      merge_rows(residual.data() + n_known * snd_ind, snd_ind);
     }
 
     // --- Hierarchize the new nodal values into surpluses.
@@ -263,17 +258,15 @@ double sampled_euler_residual(const DynamicModel& model, const PolicyEvaluator& 
 void build_shocks(const DynamicModel& model, std::span<const int> shocks,
                   const PolicyEvaluator& p_next, const TimeIterationOptions& opts,
                   parallel::WorkStealingPool& pool, const LevelShare& share,
-                  IterationStats& stats, std::span<LevelBuffers> buffers,
+                  IterationStats& stats,
                   util::function_ref<void(std::size_t, LevelStepResult&)> finish) {
   if (share.merge && shocks.size() > 1)
     throw std::invalid_argument("build_shocks: a merged share builds one shock at a time");
-  if (buffers.size() != shocks.size())
-    throw std::invalid_argument("build_shocks: one LevelBuffers per shock");
   std::vector<ShockTotals> totals(shocks.size());
   parallel::parallel_for(
       pool, 0, shocks.size(),
       [&](std::size_t i) {
-        LevelStepResult built = level_step(model, shocks[i], p_next, opts, pool, buffers[i], share);
+        LevelStepResult built = level_step(model, shocks[i], p_next, opts, pool, share);
         totals[i] = built.totals;
         finish(i, built);
       },
@@ -291,14 +284,14 @@ std::shared_ptr<AsgPolicy> TimeIterationDriver::step(const PolicyEvaluator& p_ne
   std::vector<int> shocks(Ns);
   std::iota(shocks.begin(), shocks.end(), 0);
   std::vector<std::unique_ptr<ShockGrid>> grids(Ns);
+  std::vector<std::vector<double>> residuals(Ns);
   const auto bind = [&](std::size_t z, LevelStepResult& built) {
     grids[z] = std::make_unique<ShockGrid>(std::move(built.grid), opts_.kernel);
+    residuals[z] = std::move(built.residual);
   };
-  buffers_.resize(Ns);
-  build_shocks(model_, shocks, p_next, opts_, *pool_, {}, stats, buffers_, bind);
-  std::vector<std::span<const double>> residuals;
-  for (const LevelBuffers& b : buffers_) residuals.emplace_back(b.residual);
-  return accounting.finish(model_, opts_, std::move(grids), residuals, mixer_);
+  build_shocks(model_, shocks, p_next, opts_, *pool_, {}, stats, bind);
+  const std::vector<std::span<const double>> views(residuals.begin(), residuals.end());
+  return accounting.finish(model_, opts_, std::move(grids), views, mixer_);
 }
 
 namespace {

@@ -215,23 +215,15 @@ struct LevelShare {
   std::function<std::vector<double>(std::span<const double>)> merge;
 };
 
-/// One shock's finished grid plus the caller's totals.
+/// One shock's finished grid, its nodal residual rows and the caller's
+/// totals.
 struct LevelStepResult {
   sg::DenseGridData grid;
-  ShockTotals totals;
-};
-
-/// One shock's level_step buffers. A driver keeps them from step to step,
-/// so a warmed step reallocates none of them.
-struct LevelBuffers {
-  std::vector<double> xs;                ///< a level's point coordinates
-  std::vector<double> warm_values;       ///< their warm starts
-  std::vector<PointSolveResult> solved;  ///< their point solves
-  /// The step's nodal residual rows g - x (solved minus warm-start values
-  /// on the indicator dofs), one per grid point in dense point order, of
-  /// every caller's points — the Anderson mix's input. Filled only when
-  /// opts.acceleration_depth > 0.
+  /// The nodal residual rows g - x (solved minus warm-start values on the
+  /// indicator dofs), one per grid point in dense point order, of every
+  /// caller's points: the Anderson mix's input.
   std::vector<double> residual;
+  ShockTotals totals;
 };
 
 /// Builds shock z's ASG for the policy update given p_next, level by level
@@ -244,19 +236,18 @@ struct LevelBuffers {
 /// redundantly on every caller, so all callers end with bit-identical grids.
 /// Per-point counters and policy changes are reduced once per level, in
 /// point order, so the totals do not depend on the pool's thread count.
-/// The merge carries the residual rows too (LevelBuffers::residual).
+/// The merge carries the residual rows too (LevelStepResult::residual).
 LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluator& p_next,
                            const TimeIterationOptions& opts, parallel::WorkStealingPool& pool,
-                           LevelBuffers& buffers, const LevelShare& share = {});
+                           const LevelShare& share = {});
 
 /// Builds the grids of `shocks` for the policy update given p_next as the
 /// tasks of one parallel_for on `pool`: task i runs level_step for
-/// shocks[i] in buffers[i], whose point loops nest inside on the same pool,
-/// and then finish(i, result) (compression and kernel bind, or
-/// serialization). The totals are recorded into `stats` after the loop in
-/// the order of `shocks`, so statistics and grids do not depend on the
-/// schedule. A merging share is a collective over its group, so it takes
-/// one shock.
+/// shocks[i], whose point loops nest inside on the same pool, and then
+/// finish(i, result) (compression and kernel bind, or serialization). The
+/// totals are recorded into `stats` after the loop in the order of
+/// `shocks`, so statistics and grids do not depend on the schedule. A
+/// merging share is a collective over its group, so it takes one shock.
 ///
 /// Invariant: no pool wait happens inside a point solve. A waiting thread
 /// runs other tasks, including other shocks' point solves, and a point
@@ -265,14 +256,14 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
 void build_shocks(const DynamicModel& model, std::span<const int> shocks,
                   const PolicyEvaluator& p_next, const TimeIterationOptions& opts,
                   parallel::WorkStealingPool& pool, const LevelShare& share,
-                  IterationStats& stats, std::span<LevelBuffers> buffers,
+                  IterationStats& stats,
                   util::function_ref<void(std::size_t, LevelStepResult&)> finish);
 
 /// The bookkeeping both drivers' policy updates share. Construction resets
 /// `stats` (keeping the iteration index) and snapshots p_next's cumulative
 /// offload and gather counters. finish() reports this step's deltas of them,
 /// runs the Anderson mix over the shock grids (`residuals[z]` holds shock
-/// z's LevelBuffers::residual), wraps the grids into the next policy
+/// z's LevelStepResult::residual), wraps the grids into the next policy
 /// (attaching the device when opts.use_device), fills the point counts,
 /// turns the summed squared change into an RMS over (points x indicator
 /// dofs) and stamps the wall time.
@@ -322,7 +313,6 @@ class TimeIterationDriver {
   TimeIterationOptions opts_;
   std::unique_ptr<parallel::WorkStealingPool> pool_;
   AndersonMixer mixer_;
-  std::vector<LevelBuffers> buffers_;  ///< per shock, reused by every step
 };
 
 /// Convenience entry point.

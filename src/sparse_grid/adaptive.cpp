@@ -16,12 +16,13 @@ RefinementReport refine_by_surplus(GridStorage& storage, std::uint32_t first_can
   const int dim = storage.dim();
   const std::uint32_t old_size = storage.size();
 
+  MultiIndex work;  // the candidate's multi-index, one buffer for all candidates
   for (std::uint32_t k = 0; k < indicators.size(); ++k) {
     if (indicators[k] < options.epsilon) continue;
     const std::uint32_t p = first_candidate + k;
     ++report.candidates_refined;
 
-    MultiIndex work(storage.point(p).begin(), storage.point(p).end());
+    work.assign(storage.point(p).begin(), storage.point(p).end());
     for (int t = 0; t < dim; ++t) {
       LevelIndex kids[2];
       const int nkids = children(work[t], kids);
@@ -29,11 +30,10 @@ RefinementReport refine_by_surplus(GridStorage& storage, std::uint32_t first_can
       for (int c = 0; c < nkids; ++c) {
         if (static_cast<int>(kids[c].l) > options.max_level) continue;
         work[t] = kids[c];
-        const auto [id, inserted] = storage.insert(work);
-        if (inserted) {
+        if (storage.insert(work).inserted) {
           ++report.children_added;
           if (options.close_ancestors)
-            report.ancestors_added += storage.close_ancestors(id);
+            report.ancestors_added += storage.close_ancestors(work);
         }
       }
       work[t] = original;

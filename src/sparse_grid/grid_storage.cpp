@@ -40,20 +40,27 @@ std::optional<std::uint32_t> GridStorage::find(MultiIndexView mi) const {
 }
 
 std::uint32_t GridStorage::close_ancestors(std::uint32_t id) {
-  std::uint32_t added = 0;
   MultiIndex work(point(id).begin(), point(id).end());
+  return close_ancestors(work);
+}
+
+std::uint32_t GridStorage::close_ancestors(std::span<LevelIndex> mi) {
+  if (static_cast<int>(mi.size()) != dim_)
+    throw std::invalid_argument("GridStorage::close_ancestors: dimension mismatch");
+  std::uint32_t added = 0;
   // For each dimension with a non-root pair, walk to the 1-D parent and
-  // insert the resulting multi-index if missing, then recurse from there.
+  // insert the resulting multi-index if missing, then recurse from there:
+  // `mi` then holds the parent, which the recursion restores before it
+  // returns.
   for (int t = 0; t < dim_; ++t) {
-    if (work[t].l == 1) continue;
-    const LevelIndex original = work[t];
-    work[t] = parent(original);
-    const auto [pid, inserted] = insert(work);
-    if (inserted) {
+    if (mi[t].l == 1) continue;
+    const LevelIndex original = mi[t];
+    mi[t] = parent(original);
+    if (insert(mi).inserted) {
       ++added;
-      added += close_ancestors(pid);
+      added += close_ancestors(mi);
     }
-    work[t] = original;
+    mi[t] = original;
   }
   return added;
 }

@@ -57,6 +57,9 @@ class GridStorage {
   /// Returns the number of points added. Surplus computation assumes grids
   /// are ancestor-closed; refinement calls this after adding children.
   std::uint32_t close_ancestors(std::uint32_t id);
+  /// The same for the stored point whose multi-index `mi` holds, with `mi`
+  /// as the walk's scratch (restored on return), so no copy is allocated.
+  std::uint32_t close_ancestors(std::span<LevelIndex> mi);
 
   /// Ids sorted by ascending level sum (stable within a level sum). This is
   /// the processing order under which level-wise hierarchization is exact.

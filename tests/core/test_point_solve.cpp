@@ -191,7 +191,7 @@ TEST(PointSolveAllocations, IrbcStepAllocationsPerPointBounded) {
   // Per grid point a step allocates the point solve's dofs plus its share
   // of the grid build (refinement, hierarchization, compression); the
   // coordinates of warm starts and hierarchization are written in place.
-  // Measured: 6.3 (irbc) and 3.8 (olg) per point.
+  // Measured: 5.7 (irbc) and 3.9 (olg) per point.
   irbc::IrbcCalibration cal;
   cal.countries = 3;
   const irbc::IrbcModel model(cal);

@@ -114,6 +114,40 @@ TEST(GridStorage, CloseAncestorsIdempotent) {
   EXPECT_EQ(g.close_ancestors(id), 0u);
 }
 
+/// Depth-first ancestor closure, written out: for each dimension, insert
+/// the parent and close it before the next dimension.
+void close_depth_first(GridStorage& g, MultiIndex work) {
+  for (std::size_t t = 0; t < work.size(); ++t) {
+    if (work[t].l == 1) continue;
+    const LevelIndex original = work[t];
+    work[t] = parent(original);
+    if (g.insert(work).inserted) close_depth_first(g, work);
+    work[t] = original;
+  }
+}
+
+TEST(GridStorage, CloseAncestorsInsertsDepthFirst) {
+  // Point ids fix the dense grid's row order, so both overloads must insert
+  // in the depth-first order; the buffer overload hands its buffer back.
+  const MultiIndex mi{{3, 1}, {4, 5}, {2, 2}};
+  GridStorage expected(3);
+  expected.insert(mi);
+  close_depth_first(expected, mi);
+
+  GridStorage by_id(3);
+  EXPECT_EQ(by_id.close_ancestors(by_id.insert(mi).id), expected.size() - 1);
+  GridStorage by_buffer(3);
+  by_buffer.insert(mi);
+  MultiIndex work = mi;
+  EXPECT_EQ(by_buffer.close_ancestors(work), expected.size() - 1);
+  EXPECT_EQ(work, mi);
+  for (const GridStorage* g : {&by_id, &by_buffer}) {
+    ASSERT_EQ(g->size(), expected.size());
+    for (std::uint32_t p = 0; p < expected.size(); ++p)
+      EXPECT_TRUE(std::ranges::equal(g->point(p), expected.point(p))) << p;
+  }
+}
+
 TEST(GridStorage, IdsByLevelSumAscends) {
   GridStorage g(2);
   MultiIndex mi{{4, 1}, {1, 1}};
