@@ -320,10 +320,6 @@ void AsgPolicy::attach_default_device(kernels::KernelKind kind,
   attach_device(std::move(dev), options);
 }
 
-std::uint64_t AsgPolicy::device_offloaded() const {
-  return dispatcher_ ? dispatcher_->offloaded() : 0;
-}
-
 parallel::DispatcherStats AsgPolicy::device_stats() const {
   return dispatcher_ ? dispatcher_->stats() : parallel::DispatcherStats{};
 }

@@ -176,7 +176,6 @@ class AsgPolicy final : public PolicyEvaluator {
   /// one `kind` kernel per shock bound to this policy's own grids and
   /// attaches the dispatcher.
   void attach_default_device(kernels::KernelKind kind, parallel::DispatcherOptions options = {});
-  [[nodiscard]] std::uint64_t device_offloaded() const;
   /// Offload counters (points offloaded/rejected, launches, mean batch);
   /// zeros when no device is attached.
   [[nodiscard]] parallel::DispatcherStats device_stats() const;
@@ -190,7 +189,8 @@ class AsgPolicy final : public PolicyEvaluator {
   // reproduces bit for bit.
   bool x86_grids_ = false;
   // Device path: one kernel per shock bound to that shock's compressed grid,
-  // all served by one dispatcher thread (the "GPU thread" of Fig. 2).
+  // all sharing one dispatcher (one accelerator per node), whose queue the
+  // waiting solver threads drive themselves.
   std::vector<std::unique_ptr<kernels::InterpolationKernel>> device_kernels_;
   std::unique_ptr<parallel::DeviceDispatcher> dispatcher_;
   // Gather traffic counters (relaxed: diagnostics, not synchronization).
@@ -209,8 +209,9 @@ class AsgPolicy final : public PolicyEvaluator {
 /// evaluation bit for bit. The gradient entry point forwards to the inner
 /// evaluator unchanged: it is not part of the scalar-vs-gathered value
 /// contract under test, and forwarding keeps solve trajectories bit-
-/// identical across the two views in every Jacobian mode (the base-class
-/// finite-difference default would perturb them).
+/// identical across the two views. The models' analytic Euler Jacobians
+/// read p_next's gradients through this entry point; the base-class
+/// finite-difference default would perturb them.
 class ScalarPolicyView final : public PolicyEvaluator {
  public:
   explicit ScalarPolicyView(const PolicyEvaluator& inner) : inner_(inner) {}

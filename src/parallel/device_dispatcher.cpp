@@ -11,8 +11,7 @@ struct DeviceDispatcher::Ticket::Request {
   std::size_t npoints = 0;
   // Completion flag. Stored under the dispatcher mutex (for the condition
   // variable) but read atomically so wait() can fast-path a finished ticket
-  // without touching the mutex — which also makes tickets completed by the
-  // destructor safe to observe afterwards.
+  // without touching the mutex.
   std::atomic<bool> done{false};
 };
 
@@ -23,16 +22,11 @@ DeviceDispatcher::DeviceDispatcher(DispatcherOptions options) : opts_(options) {
   // submission would be rejected even when the device is idle — silently
   // disabling offload entirely.
   opts_.queue_capacity = std::max(opts_.queue_capacity, opts_.max_batch);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
 DeviceDispatcher::~DeviceDispatcher() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  dispatcher_.join();
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!queue_.empty()) combine(lock);
 }
 
 DeviceDispatcher::Ticket DeviceDispatcher::try_submit(const kernels::InterpolationKernel& kernel,
@@ -46,7 +40,7 @@ DeviceDispatcher::Ticket DeviceDispatcher::try_submit(const kernels::Interpolati
   req->npoints = npoints;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || outstanding_points_ + npoints > opts_.queue_capacity) {
+    if (outstanding_points_ + npoints > opts_.queue_capacity) {
       rejected_.fetch_add(npoints, std::memory_order_relaxed);
       return Ticket{};
     }
@@ -54,7 +48,6 @@ DeviceDispatcher::Ticket DeviceDispatcher::try_submit(const kernels::Interpolati
     outstanding_points_ += npoints;
   }
   submitted_runs_.fetch_add(1, std::memory_order_relaxed);
-  queue_cv_.notify_one();
   return Ticket{std::move(req)};
 }
 
@@ -62,12 +55,14 @@ void DeviceDispatcher::wait(Ticket ticket) {
   if (!ticket.req_) return;
   if (ticket.req_->done.load(std::memory_order_acquire)) return;
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&ticket] { return ticket.req_->done.load(std::memory_order_acquire); });
-}
-
-std::size_t DeviceDispatcher::outstanding_points() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return outstanding_points_;
+  // An unfinished ticket is either queued or in the running launch, so with
+  // no launch running the queue holds it and this waiter combines.
+  while (!ticket.req_->done.load(std::memory_order_acquire)) {
+    if (launching_)
+      done_cv_.wait(lock);
+    else
+      combine(lock);
+  }
 }
 
 bool DeviceDispatcher::try_offload(const kernels::InterpolationKernel& kernel, const double* x,
@@ -78,53 +73,39 @@ bool DeviceDispatcher::try_offload(const kernels::InterpolationKernel& kernel, c
   return true;
 }
 
-void DeviceDispatcher::dispatch_loop() {
-  std::vector<std::shared_ptr<Ticket::Request>> batch;
-  std::vector<double> xbuf;
-  std::vector<double> vbuf;
-  for (;;) {
-    batch.clear();
-    std::size_t points = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      // Coalesce the head run of submissions sharing one kernel into a
-      // single batch, capped at max_batch points. Flush-on-idle: only what
-      // is queued *now* is taken — the device never waits for a batch to
-      // fill. The first submission is always admitted even when it alone
-      // exceeds max_batch (run_batch slices the launches).
-      const kernels::InterpolationKernel* kernel = queue_.front()->kernel;
-      while (!queue_.empty() && queue_.front()->kernel == kernel &&
-             (points == 0 || points + queue_.front()->npoints <= opts_.max_batch)) {
-        points += queue_.front()->npoints;
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-
-    // The device kernel runs outside the lock — workers keep queueing.
-    run_batch(batch, points, xbuf, vbuf);
-
-    // Counters update before completion is published, so a worker returning
-    // from wait() always observes them included.
-    offloaded_.fetch_add(points, std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& req : batch) req->done.store(true, std::memory_order_release);
-      outstanding_points_ -= points;
-    }
-    done_cv_.notify_all();
+void DeviceDispatcher::combine(std::unique_lock<std::mutex>& lock) noexcept {
+  // Coalesce the head run of submissions sharing one kernel into a single
+  // batch, capped at max_batch points. Flush-on-idle: only what is queued
+  // *now* is taken — the device never waits for a batch to fill. The first
+  // submission is always admitted even when it alone exceeds max_batch
+  // (run_batch slices the launches).
+  const kernels::InterpolationKernel* kernel = queue_.front()->kernel;
+  std::size_t points = 0;
+  while (!queue_.empty() && queue_.front()->kernel == kernel &&
+         (points == 0 || points + queue_.front()->npoints <= opts_.max_batch)) {
+    points += queue_.front()->npoints;
+    batch_.push_back(std::move(queue_.front()));
+    queue_.pop_front();
   }
+  launching_ = true;
+
+  // The device kernel runs outside the lock — workers keep queueing.
+  lock.unlock();
+  run_batch(points);
+  // Counters update before completion is published, so a worker returning
+  // from wait() always observes them included.
+  offloaded_.fetch_add(points, std::memory_order_relaxed);
+  lock.lock();
+
+  for (const auto& req : batch_) req->done.store(true, std::memory_order_release);
+  batch_.clear();
+  outstanding_points_ -= points;
+  launching_ = false;
+  done_cv_.notify_all();
 }
 
-void DeviceDispatcher::run_batch(const std::vector<std::shared_ptr<Ticket::Request>>& batch,
-                                 std::size_t points, std::vector<double>& xbuf,
-                                 std::vector<double>& vbuf) {
-  const kernels::InterpolationKernel& kernel = *batch.front()->kernel;
+void DeviceDispatcher::run_batch(std::size_t points) {
+  const kernels::InterpolationKernel& kernel = *batch_.front()->kernel;
   const auto d = static_cast<std::size_t>(kernel.dim());
   const auto nd = static_cast<std::size_t>(kernel.ndofs());
 
@@ -137,9 +118,9 @@ void DeviceDispatcher::run_batch(const std::vector<std::shared_ptr<Ticket::Reque
     }
   };
 
-  if (batch.size() == 1) {
+  if (batch_.size() == 1) {
     // Single submission: evaluate in place, no staging copy.
-    launch(batch.front()->x, batch.front()->value, batch.front()->npoints);
+    launch(batch_.front()->x, batch_.front()->value, batch_.front()->npoints);
     return;
   }
 
@@ -147,18 +128,18 @@ void DeviceDispatcher::run_batch(const std::vector<std::shared_ptr<Ticket::Reque
   // drain it in a single launch, and scatter the results back. The staging
   // copies are bitwise, so batched results stay bit-identical to per-point
   // evaluate() on the same kernel.
-  xbuf.resize(points * d);
-  vbuf.resize(points * nd);
+  xbuf_.resize(points * d);
+  vbuf_.resize(points * nd);
   std::size_t row = 0;
-  for (const auto& req : batch) {
-    std::copy(req->x, req->x + req->npoints * d, xbuf.begin() + static_cast<std::ptrdiff_t>(row * d));
+  for (const auto& req : batch_) {
+    std::copy(req->x, req->x + req->npoints * d, xbuf_.begin() + static_cast<std::ptrdiff_t>(row * d));
     row += req->npoints;
   }
-  launch(xbuf.data(), vbuf.data(), points);
+  launch(xbuf_.data(), vbuf_.data(), points);
   row = 0;
-  for (const auto& req : batch) {
-    std::copy(vbuf.begin() + static_cast<std::ptrdiff_t>(row * nd),
-              vbuf.begin() + static_cast<std::ptrdiff_t>((row + req->npoints) * nd), req->value);
+  for (const auto& req : batch_) {
+    std::copy(vbuf_.begin() + static_cast<std::ptrdiff_t>(row * nd),
+              vbuf_.begin() + static_cast<std::ptrdiff_t>((row + req->npoints) * nd), req->value);
     row += req->npoints;
   }
 }

@@ -1,18 +1,18 @@
-// Batched asynchronous device offload — Sec. IV-A's "one of the TBB-managed
-// threads is exclusively used for the GPU dispatch", extended into the
-// batching pipeline described in DESIGN.md ("Batched device-offload
-// pipeline").
+// Batched asynchronous device offload — the batching pipeline described in
+// DESIGN.md ("Batched device-offload pipeline"), built on Sec. IV-A's
+// hybrid node with its single accelerator.
 //
-// A dedicated dispatcher thread models the single accelerator of a hybrid
-// node. Worker threads *submit* whole runs of interpolation points (a
-// Ticket per submission) instead of one point per blocking handshake; the
-// dispatcher accumulates queued submissions for the same kernel, drains up
-// to `max_batch` points through InterpolationKernel::evaluate_batch() in a
-// single launch (flush-on-idle: whatever is queued launches immediately —
-// the queue never waits for a batch to fill), and completes every ticket of
-// the batch at once. A worker can therefore submit several chunks and wait
-// once per chunk *after* all submissions, overlapping its own CPU work with
-// the device.
+// Worker threads *submit* whole runs of interpolation points (a Ticket per
+// submission) instead of one point per blocking handshake. There is no
+// dispatcher thread: the device queue is driven by its waiters (flat
+// combining, Hendler et al., SPAA 2010). A thread that waits on an
+// unfinished ticket while no launch is running becomes the combiner: it
+// takes the head run of queued submissions for one kernel, drains up to
+// `max_batch` points through InterpolationKernel::evaluate_batch() in a
+// single launch (flush-on-idle: whatever is queued launches — nothing waits
+// for a batch to fill), completes every ticket of the batch at once, and
+// repeats until its own ticket is done. A worker can therefore submit
+// several chunks and wait once per chunk *after* all submissions.
 //
 // When admitting a submission would exceed `queue_capacity` outstanding
 // points (device saturated), try_submit returns a null ticket and the
@@ -29,7 +29,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "kernels/kernel_api.hpp"
@@ -79,9 +78,8 @@ class DeviceDispatcher {
  public:
   explicit DeviceDispatcher(DispatcherOptions options = {});
 
-  /// Completes every accepted submission (in-flight batches are drained, not
-  /// dropped), then joins the dispatcher thread. Unwaited tickets are safe:
-  /// their results are written before the destructor returns.
+  /// Runs every still-queued submission inline, so unwaited tickets are
+  /// safe: their results are written before the destructor returns.
   ~DeviceDispatcher();
 
   DeviceDispatcher(const DeviceDispatcher&) = delete;
@@ -109,48 +107,49 @@ class DeviceDispatcher {
   [[nodiscard]] Ticket try_submit(const kernels::InterpolationKernel& kernel, const double* x,
                                   double* value, std::size_t npoints);
 
-  /// Blocks until the ticket's batch completed on the device. Null tickets
-  /// return immediately.
+  /// Returns once the ticket's batch completed on the device, running queued
+  /// launches on the calling thread while no other waiter does. Null
+  /// tickets return immediately.
   void wait(Ticket ticket);
 
   /// Single-point convenience retained for point-granular callers: one
   /// submission + wait. Returns false when the device rejected the point.
   bool try_offload(const kernels::InterpolationKernel& kernel, const double* x, double* value);
 
-  /// Instantaneous queue depth in points (queued + in flight) — the gauge
-  /// behind the serving layer's backpressure telemetry: queue_capacity minus
-  /// this is the admission headroom the next try_submit sees. Monotonic
-  /// counters live in stats(); this one goes up and down with load.
-  [[nodiscard]] std::size_t outstanding_points() const;
-
-  [[nodiscard]] std::uint64_t offloaded() const { return offloaded_.load(); }
-  [[nodiscard]] std::uint64_t rejected() const { return rejected_.load(); }
-  [[nodiscard]] std::uint64_t batches() const { return batches_.load(); }
-  [[nodiscard]] std::uint64_t submitted_runs() const { return submitted_runs_.load(); }
   [[nodiscard]] DispatcherStats stats() const {
     return {offloaded_.load(), rejected_.load(), batches_.load(), submitted_runs_.load()};
   }
   [[nodiscard]] const DispatcherOptions& options() const { return opts_; }
 
  private:
-  void dispatch_loop();
-  void run_batch(const std::vector<std::shared_ptr<Ticket::Request>>& batch,
-                 std::size_t points, std::vector<double>& xbuf, std::vector<double>& vbuf);
+  // Called with mu_ held and launching_ false on a non-empty queue: takes
+  // the head run, launches it outside the lock and publishes its tickets.
+  // A combiner may be inside a point solve's gather, so a launch calls
+  // nothing but InterpolationKernel::evaluate_batch — never the pool or
+  // core::executor_workspace() (DESIGN.md, "The workspace invariant").
+  // noexcept: a throwing launch terminates instead of leaving launching_
+  // set, which would strand every other waiter.
+  void combine(std::unique_lock<std::mutex>& lock) noexcept;
+  void run_batch(std::size_t points);
 
   DispatcherOptions opts_;
 
-  mutable std::mutex mu_;
-  std::condition_variable queue_cv_;  // dispatcher waits for work
-  std::condition_variable done_cv_;   // requesters wait for completion
+  std::mutex mu_;
+  std::condition_variable done_cv_;  // waiters wait for completion
   std::deque<std::shared_ptr<Ticket::Request>> queue_;
   std::size_t outstanding_points_ = 0;  // queued + in-flight
-  bool stop_ = false;
+  bool launching_ = false;              // a combiner owns the device
+
+  // The combiner's launch and staging buffers. Only one launch runs at a
+  // time, so they are reused across launches without allocating.
+  std::vector<std::shared_ptr<Ticket::Request>> batch_;
+  std::vector<double> xbuf_;
+  std::vector<double> vbuf_;
 
   std::atomic<std::uint64_t> offloaded_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> submitted_runs_{0};
-  std::thread dispatcher_;
 };
 
 }  // namespace hddm::parallel

@@ -112,7 +112,7 @@ TEST(AsgPolicy, DeviceOffloadGivesIdenticalValues) {
       EXPECT_NEAR(v[dof], expected[static_cast<std::size_t>(k)][dof], 1e-12);
   }
   // With an idle queue every request should have been offloaded.
-  EXPECT_GT(policy.device_offloaded(), 0u);
+  EXPECT_GT(policy.device_stats().offloaded_points, 0u);
 }
 
 TEST(AsgPolicy, EvaluateBatchMatchesEvaluateBitIdentical) {

@@ -1,8 +1,10 @@
 // Tests of the batched async device-offload pipeline (DESIGN.md, "Batched
 // device-offload pipeline"): bit-identical batch-vs-single-point parity,
-// capacity rejection with CPU fallback, clean shutdown with in-flight
-// batches, and a ThreadSanitizer/ASan-friendly stress test (no sleeps, no
-// unsynchronized shared state) exercised by the -DHDDM_SANITIZE=ON CI leg.
+// capacity rejection with CPU fallback, the combining rules (a waiter runs
+// whatever launches precede its own ticket, including dropped tickets),
+// shutdown that runs still-queued submissions inline, and a ThreadSanitizer/
+// ASan-friendly stress test (no sleeps, no unsynchronized shared state)
+// exercised by the sanitizer CI legs.
 #include "parallel/device_dispatcher.hpp"
 
 #include <gtest/gtest.h>
@@ -65,7 +67,7 @@ TEST(Dispatcher, BatchedMatchesSinglePointBitIdentical) {
 
     for (std::size_t i = 0; i < batched.size(); ++i)
       EXPECT_EQ(batched[i], single[i]) << "npoints=" << npoints << " value " << i;
-    EXPECT_EQ(dispatcher.offloaded(), npoints);
+    EXPECT_EQ(dispatcher.stats().offloaded_points, npoints);
   }
 }
 
@@ -97,10 +99,13 @@ TEST(Dispatcher, CoalescedSubmissionsStayBitIdentical) {
       EXPECT_EQ(got[k * kDofs + static_cast<std::size_t>(dof)],
                 want[static_cast<std::size_t>(dof)]) << "point " << k;
   }
-  EXPECT_EQ(dispatcher.offloaded(), kTickets * kPerTicket);
-  EXPECT_GE(dispatcher.batches(), 1u);
-  EXPECT_LE(dispatcher.batches(), kTickets);  // never more launches than tickets
-  EXPECT_GE(dispatcher.stats().mean_batch(), 1.0);
+  // Nothing runs until the first wait, which finds all 24 tickets queued
+  // and combines them head first: 6 tickets (30 points) fit max_batch = 32,
+  // so 4 launches of 30 points each.
+  const DispatcherStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.offloaded_points, kTickets * kPerTicket);
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch(), 30.0);
 }
 
 // The gather-accounting counter: every *accepted* try_submit is one
@@ -147,8 +152,8 @@ TEST(Dispatcher, OversizedSubmissionIsSlicedIntoMaxBatchLaunches) {
   ASSERT_TRUE(ticket);
   dispatcher.wait(std::move(ticket));
 
-  EXPECT_EQ(dispatcher.offloaded(), kPoints);
-  EXPECT_EQ(dispatcher.batches(), kPoints / 16);
+  EXPECT_EQ(dispatcher.stats().offloaded_points, kPoints);
+  EXPECT_EQ(dispatcher.stats().batches, kPoints / 16);
   for (std::size_t k = 0; k < kPoints; ++k) {
     std::vector<double> want(kDofs);
     fx.device->evaluate(xs.data() + k * kDim, want.data());
@@ -168,8 +173,8 @@ TEST(Dispatcher, CapacityRejectionFallsBackToCpu) {
 
   auto ticket = dispatcher.try_submit(*fx.device, xs.data(), got.data(), 16);
   EXPECT_FALSE(ticket);
-  EXPECT_EQ(dispatcher.rejected(), 16u);
-  EXPECT_EQ(dispatcher.offloaded(), 0u);
+  EXPECT_EQ(dispatcher.stats().rejected_points, 16u);
+  EXPECT_EQ(dispatcher.stats().offloaded_points, 0u);
 
   // CPU fallback produces the values the caller needs.
   fx.cpu->evaluate_batch(xs.data(), got.data(), 16);
@@ -181,9 +186,8 @@ TEST(Dispatcher, CapacityRejectionFallsBackToCpu) {
   }
 }
 
-// Destroying the dispatcher with accepted-but-unwaited tickets must drain
-// the in-flight batches (results written) before the thread joins — never
-// drop or deadlock.
+// Destroying the dispatcher with accepted-but-unwaited tickets must run
+// the queued batches inline (results written) — never drop or deadlock.
 TEST(Dispatcher, CleanShutdownWithInFlightBatches) {
   Fixture fx;
   constexpr std::size_t kTickets = 8;
@@ -207,6 +211,72 @@ TEST(Dispatcher, CleanShutdownWithInFlightBatches) {
   }
 }
 
+// Combining runs the queue head first: a waiter whose ticket sits behind a
+// run on another kernel launches that run too before its own, so one wait
+// completes both (one launch per kernel — runs never coalesce across
+// kernels).
+TEST(Dispatcher, WaitRunsEarlierRunOnAnotherKernel) {
+  Fixture fx;
+  const auto other = kernels::make_kernel(kernels::KernelKind::SimGpu, &fx.dense, &fx.compressed);
+  DeviceDispatcher dispatcher({/*queue_capacity=*/256, /*max_batch=*/16});
+  constexpr std::size_t kPoints = 6;
+  const std::vector<double> xa = fx.random_points(kPoints, 61);
+  const std::vector<double> xb = fx.random_points(kPoints, 67);
+  std::vector<double> got_a(kPoints * kDofs, -1.0), got_b(kPoints * kDofs, -1.0);
+
+  auto ticket_a = dispatcher.try_submit(*fx.device, xa.data(), got_a.data(), kPoints);
+  auto ticket_b = dispatcher.try_submit(*other, xb.data(), got_b.data(), kPoints);
+  ASSERT_TRUE(ticket_a);
+  ASSERT_TRUE(ticket_b);
+  dispatcher.wait(std::move(ticket_b));  // ticket_a is never waited on
+
+  EXPECT_EQ(dispatcher.stats().offloaded_points, 2 * kPoints);
+  EXPECT_EQ(dispatcher.stats().batches, 2u);
+  for (std::size_t k = 0; k < kPoints; ++k) {
+    std::vector<double> want_a(kDofs), want_b(kDofs);
+    fx.device->evaluate(xa.data() + k * kDim, want_a.data());
+    other->evaluate(xb.data() + k * kDim, want_b.data());
+    for (int dof = 0; dof < kDofs; ++dof) {
+      const std::size_t i = k * kDofs + static_cast<std::size_t>(dof);
+      EXPECT_EQ(got_a[i], want_a[static_cast<std::size_t>(dof)]) << "run A point " << k;
+      EXPECT_EQ(got_b[i], want_b[static_cast<std::size_t>(dof)]) << "run B point " << k;
+    }
+  }
+}
+
+// A ticket dropped without wait() stays queued until some waiter combines:
+// another thread's wait on a later ticket completes it.
+TEST(Dispatcher, DroppedTicketIsCompletedByAnotherThreadsWait) {
+  Fixture fx;
+  DeviceDispatcher dispatcher({/*queue_capacity=*/256, /*max_batch=*/16});
+  constexpr std::size_t kPoints = 4;
+  const std::vector<double> xs = fx.random_points(2 * kPoints, 71);
+  std::vector<double> got(2 * kPoints * kDofs, -1.0);
+
+  std::thread dropper([&] {
+    EXPECT_TRUE(dispatcher.try_submit(*fx.device, xs.data(), got.data(), kPoints));
+  });
+  dropper.join();
+  EXPECT_EQ(dispatcher.stats().offloaded_points, 0u);  // nobody has waited yet
+
+  std::thread waiter([&] {
+    auto ticket = dispatcher.try_submit(*fx.device, xs.data() + kPoints * kDim,
+                                        got.data() + kPoints * kDofs, kPoints);
+    ASSERT_TRUE(ticket);
+    dispatcher.wait(std::move(ticket));
+  });
+  waiter.join();
+
+  EXPECT_EQ(dispatcher.stats().offloaded_points, 2 * kPoints);
+  for (std::size_t k = 0; k < 2 * kPoints; ++k) {
+    std::vector<double> want(kDofs);
+    fx.device->evaluate(xs.data() + k * kDim, want.data());
+    for (int dof = 0; dof < kDofs; ++dof)
+      EXPECT_EQ(got[k * kDofs + static_cast<std::size_t>(dof)], want[static_cast<std::size_t>(dof)])
+          << "point " << k;
+  }
+}
+
 // queue_capacity below max_batch is raised to it, so a caller chunking at
 // max_batch (AsgPolicy does) is never starved into permanent CPU fallback.
 TEST(Dispatcher, CapacityIsRaisedToMaxBatch) {
@@ -218,13 +288,13 @@ TEST(Dispatcher, CapacityIsRaisedToMaxBatch) {
   auto ticket = dispatcher.try_submit(*fx.device, xs.data(), got.data(), 32);
   EXPECT_TRUE(ticket);  // a full-size batch fits an idle queue
   dispatcher.wait(std::move(ticket));
-  EXPECT_EQ(dispatcher.offloaded(), 32u);
+  EXPECT_EQ(dispatcher.stats().offloaded_points, 32u);
 }
 
 TEST(Dispatcher, CleanShutdownWithNoRequests) {
   DeviceDispatcher dispatcher({/*queue_capacity=*/4, /*max_batch=*/4});
-  EXPECT_EQ(dispatcher.offloaded(), 0u);
-  EXPECT_EQ(dispatcher.batches(), 0u);
+  EXPECT_EQ(dispatcher.stats().offloaded_points, 0u);
+  EXPECT_EQ(dispatcher.stats().batches, 0u);
 }
 
 // The retained single-point convenience path (one submission + wait) still
@@ -240,8 +310,8 @@ TEST(Dispatcher, SinglePointOffloadProducesCorrectResult) {
   for (int dof = 0; dof < kDofs; ++dof)
     EXPECT_NEAR(dev_value[static_cast<std::size_t>(dof)], cpu_value[static_cast<std::size_t>(dof)],
                 1e-12);
-  EXPECT_EQ(dispatcher.offloaded(), 1u);
-  EXPECT_EQ(dispatcher.batches(), 1u);
+  EXPECT_EQ(dispatcher.stats().offloaded_points, 1u);
+  EXPECT_EQ(dispatcher.stats().batches, 1u);
 }
 
 // Stress: many workers mixing batch submissions, single-point offloads, and
@@ -301,10 +371,11 @@ TEST(Dispatcher, StressManyThreadsManyBatches) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(dispatcher.offloaded() + cpu_points.load(), total_points.load());
-  EXPECT_EQ(dispatcher.rejected(), cpu_points.load());
-  if (dispatcher.batches() > 0) {
-    EXPECT_GE(dispatcher.stats().mean_batch(), 1.0);
+  const DispatcherStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.offloaded_points + cpu_points.load(), total_points.load());
+  EXPECT_EQ(stats.rejected_points, cpu_points.load());
+  if (stats.batches > 0) {
+    EXPECT_GE(stats.mean_batch(), 1.0);
   }
 }
 
