@@ -16,7 +16,9 @@
 // model's residual, its Newton settings and capital box
 // (IrbcModel::newton_options), one warm start, solved by solver::solve_newton
 // once with and once without euler_jacobian — and FAILS (non-zero exit) if
-//   * at N >= 4 the analytic sweep does not beat the batched-FD sweep,
+//   * at N >= 4 the analytic sweep does not beat the batched-FD sweep, on
+//     the medians of 21 interleaved samples of each that the check times
+//     itself,
 //   * the analytic and FD-refreshed solutions diverge beyond the documented
 //     trajectory tolerance (1e-6 inf-norm on converged dofs — both solve to
 //     residual 1e-10, so agreeing endpoints are the correctness statement;
@@ -40,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -49,7 +52,9 @@
 #include "sparse_grid/hierarchize.hpp"
 #include "sparse_grid/regular.hpp"
 #include "util/env.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -194,48 +199,91 @@ Setup& setup(int countries) {
   return *slot;
 }
 
+/// The two refresh loops, over every trial point of a Setup once: what the
+/// benchmarks time, and what the speed-up check samples itself.
+class Refreshes {
+ public:
+  explicit Refreshes(Setup& s)
+      : s_(s), n_(static_cast<std::size_t>(s.model->state_dim())), jac_(n_, n_), f0_(n_) {
+    (void)s.model->prepare(0, s.x_unit, scratch_);
+  }
+
+  /// The refresh as solve_newton runs it: residual at u, then the batched
+  /// N-column sweep (one gather carrying Ns x N requests).
+  void fd() {
+    const irbc::IrbcModel& model = *s_.model;
+    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
+      model.euler_residuals_batch(scratch_, us, ncols, *s_.policy, fs);
+    };
+    for (std::size_t sweep = 0; sweep < s_.sweeps; ++sweep) {
+      const std::span<const double> u(s_.us.data() + sweep * n_, n_);
+      model.euler_residuals_batch(scratch_, u, 1, *s_.policy, f0_);
+      solver::finite_difference_jacobian(batch, u, f0_, kFdEpsilon, jac_, fd_buffers_);
+    }
+    benchlib::do_not_optimize(jac_.data());
+  }
+
+  /// One closed-form refresh per trial point: a single gather-with-gradient
+  /// of Ns requests replaces the whole FD sweep.
+  void analytic() {
+    for (std::size_t sweep = 0; sweep < s_.sweeps; ++sweep) {
+      const std::span<const double> u(s_.us.data() + sweep * n_, n_);
+      s_.model->euler_jacobian(scratch_, u, *s_.policy, jac_);
+    }
+    benchlib::do_not_optimize(jac_.data());
+  }
+
+ private:
+  Setup& s_;
+  std::size_t n_;
+  util::Matrix jac_;
+  std::vector<double> f0_;
+  irbc::IrbcModel::PointScratch scratch_;
+  solver::FdBuffers fd_buffers_;
+};
+
 void bench_fd(benchlib::State& state, int countries) {
   Setup& s = setup(countries);
-  const auto N = static_cast<std::size_t>(countries);
-  util::Matrix jac(N, N);
-  std::vector<double> f0(N);
-  const irbc::IrbcModel& model = *s.model;
-  irbc::IrbcModel::PointScratch scratch;
-  (void)model.prepare(0, s.x_unit, scratch);
-  solver::FdBuffers fd_buffers;
-  const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
-    model.euler_residuals_batch(scratch, us, ncols, *s.policy, fs);
-  };
+  Refreshes refreshes(s);
   state.set_items_per_rep(static_cast<double>(s.sweeps));
-  state.run([&] {
-    for (std::size_t sweep = 0; sweep < s.sweeps; ++sweep) {
-      const std::span<const double> u(s.us.data() + sweep * N, N);
-      // The refresh as solve_newton runs it: residual at u, then the batched
-      // N-column sweep (one gather carrying Ns x N requests).
-      model.euler_residuals_batch(scratch, u, 1, *s.policy, f0);
-      solver::finite_difference_jacobian(batch, u, f0, 1e-7, jac, fd_buffers);
-    }
-  });
-  benchlib::do_not_optimize(jac.data());
+  state.run([&] { refreshes.fd(); });
 }
 
 void bench_analytic(benchlib::State& state, int countries) {
   Setup& s = setup(countries);
-  const auto N = static_cast<std::size_t>(countries);
-  util::Matrix jac(N, N);
-  const irbc::IrbcModel& model = *s.model;
-  irbc::IrbcModel::PointScratch scratch;
-  (void)model.prepare(0, s.x_unit, scratch);
+  Refreshes refreshes(s);
   state.set_items_per_rep(static_cast<double>(s.sweeps));
-  state.run([&] {
-    for (std::size_t sweep = 0; sweep < s.sweeps; ++sweep) {
-      const std::span<const double> u(s.us.data() + sweep * N, N);
-      // One closed-form refresh: a single gather-with-gradient of Ns
-      // requests replaces the whole FD sweep.
-      model.euler_jacobian(scratch, u, *s.policy, jac);
+  state.run([&] { refreshes.analytic(); });
+}
+
+/// Interleaved samples per path of the N >= 4 speed-up check.
+constexpr int kCheckSamples = 21;
+
+struct CheckMedians {
+  double fd_s = 0.0;  ///< median seconds per FD refresh
+  double an_s = 0.0;  ///< median seconds per analytic refresh
+};
+
+/// The speed-up check's own timing: kCheckSamples FD and analytic passes
+/// over the trial points, interleaved (alternating which path goes first)
+/// after one warm-up pass each, so both paths see the same host state and
+/// the decision rests on medians rather than on the harness's samples, which
+/// a smoke run takes once.
+CheckMedians check_medians(Setup& s) {
+  Refreshes refreshes(s);
+  refreshes.fd();
+  refreshes.analytic();
+  std::vector<double> fd, an;
+  for (int i = 0; i < kCheckSamples; ++i) {
+    for (int k = 0; k < 2; ++k) {
+      const bool run_fd = (i + k) % 2 == 0;
+      const util::Timer timer;
+      run_fd ? refreshes.fd() : refreshes.analytic();
+      (run_fd ? fd : an).push_back(timer.seconds());
     }
-  });
-  benchlib::do_not_optimize(jac.data());
+  }
+  const auto sweeps = static_cast<double>(s.sweeps);
+  return {util::percentile(fd, 0.5) / sweeps, util::percentile(an, 0.5) / sweeps};
 }
 
 int jacobian_report(const benchlib::RunReport& report) {
@@ -245,6 +293,7 @@ int jacobian_report(const benchlib::RunReport& report) {
               " gather-with-gradient — see DESIGN.md, \"Jacobian pipeline\")\n");
 
   util::Table table({"countries", "Ns", "path", "host s/refresh", "speedup"});
+  std::vector<std::pair<int, CheckMedians>> checks;
   int rc = 0;
   for (const int countries : kCountryCounts) {
     std::string tag = "N";
@@ -263,16 +312,24 @@ int jacobian_report(const benchlib::RunReport& report) {
                    util::fmt_seconds(an_s), util::fmt_double(speedup, 2)});
 
     // Acceptance at N >= 4 — the paper-relevant scale: the analytic refresh
-    // must actually be faster than the batched-FD sweep it replaces.
-    if (countries >= 4 && !(speedup > 1.0)) {
+    // must actually be faster than the batched-FD sweep it replaces, on the
+    // medians of the check's own interleaved samples.
+    if (countries >= 4) checks.emplace_back(countries, check_medians(s));
+  }
+  bench::print_table(table);
+
+  for (const auto& [countries, m] : checks) {
+    std::printf("speed-up check N=%d: median of %d interleaved samples, batched-fd %.3e "
+                "s/refresh, analytic %.3e s/refresh\n",
+                countries, kCheckSamples, m.fd_s, m.an_s);
+    if (!(m.an_s < m.fd_s)) {
       std::fprintf(stderr,
-                   "FAIL: jacobian/analytic/%s (%.3e s/refresh) does not beat the batched-FD "
-                   "sweep (%.3e s/refresh)\n",
-                   tag.c_str(), an_s, fd_s);
+                   "FAIL: jacobian/analytic/N%d (median %.3e s/refresh) does not beat the "
+                   "batched-FD sweep (median %.3e s/refresh)\n",
+                   countries, m.an_s, m.fd_s);
       rc = 1;
     }
   }
-  bench::print_table(table);
 
   bench::print_header("Newton-trajectory + FD-audit acceptance (untimed, converged pairs)");
   util::Table solves({"countries", "pairs", "analytic refreshes", "fd refreshes",

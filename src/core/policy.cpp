@@ -176,58 +176,19 @@ void AsgPolicy::evaluate_gather(std::span<const GatherRequest> requests,
   gathers_.fetch_add(1, std::memory_order_relaxed);
   gathered_requests_.fetch_add(requests.size(), std::memory_order_relaxed);
 
-  const std::size_t d = xs.size() / npoints;
-  const auto nd = static_cast<std::size_t>(ndofs_);
-  const std::size_t Ns = grids_.size();
-
-  // Scratch is thread_local — this runs inside every Newton residual
-  // evaluation of every worker.
-  thread_local std::vector<std::size_t> count, offset, order;
-  thread_local std::vector<double> xbuf, vbuf;
-
-  // Single-shock fast path (ROADMAP item): when every request targets one
-  // shock there is nothing to bucket, and when the requests additionally
-  // walk the coordinate rows in identity order into a contiguous output the
-  // whole call is ONE evaluate_batch with zero staging/scatter copies.
-  // Results stay bit-identical to the general path: the same rows reach the
-  // same kernel in the same order, and the general path's staging copies
-  // are bitwise.
-  const std::int32_t z0 = requests[0].z;
-  bool single_shock = true;
-  bool identity_rows = requests.size() <= npoints;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    single_shock = single_shock && requests[i].z == z0;
-    identity_rows = identity_rows && requests[i].point == i;
-    if (!single_shock) break;
-  }
-  if (single_shock) {
-    fastpath_gathers_.fetch_add(1, std::memory_order_relaxed);
-    walks_.fetch_add(requests.size(), std::memory_order_relaxed);
-    const std::size_t n = requests.size();
-    const double* xin = xs.data();
-    if (!identity_rows) {
-      xbuf.resize(n * d);
-      for (std::size_t k = 0; k < n; ++k)
-        std::copy_n(xs.data() + static_cast<std::size_t>(requests[k].point) * d, d,
-                    xbuf.begin() + static_cast<std::ptrdiff_t>(k * d));
-      xin = xbuf.data();
-    }
-    if (out_stride == nd) {
-      evaluate_batch(z0, std::span<const double>(xin, n * d), out.first(n * nd), n);
-    } else {
-      vbuf.resize(n * nd);
-      evaluate_batch(z0, std::span<const double>(xin, n * d), vbuf, n);
-      for (std::size_t k = 0; k < n; ++k)
-        std::copy_n(vbuf.begin() + static_cast<std::ptrdiff_t>(k * nd), nd,
-                    out.begin() + static_cast<std::ptrdiff_t>(k * out_stride));
-    }
-    return;
-  }
-
-  // Class path: rows repeat (the successor-shock pattern), so shocks sharing
-  // a point set share each row's walk. The shared walk is the x86 kernel's
-  // arithmetic and runs on the CPU, hence only without a device and on x86
-  // grids (DESIGN.md, "Shock classes").
+  // Exactly two routes, and the call selects one:
+  // - class walk: rows repeat (requests.size() > npoints, the successor-shock
+  //   pattern of every point solve), no device is attached and the grids are
+  //   x86. One chain walk per (row, shock class) writes straight into the out
+  //   slots (DESIGN.md, "Shock classes").
+  // - per-shock buckets through evaluate_batch: everything else, i.e.
+  //   serving's one-request-per-row gathers, the device's ticketed launches
+  //   and the FMA tiers, whose bits the x86 walk would change.
+  // Both stay because each wins on its side. In alternating perfbench pairs,
+  // serving the distinct-row queries by class walk read query_p10_us +18.5%
+  // (irbc) and +9% (olg), and an x86 evaluate() as a one-target class walk
+  // +20% (irbc) and +9.5% (olg). A single-shock gather takes whichever route
+  // its rows select; both are bit-identical to evaluate().
   if (requests.size() > npoints && dispatcher_ == nullptr && x86_grids_) {
     const std::uint64_t walks = walk_classes(
         requests, xs, npoints, class_of_, grids_,
@@ -241,6 +202,13 @@ void AsgPolicy::evaluate_gather(std::span<const GatherRequest> requests,
     return;
   }
 
+  // Scratch is thread_local — this runs inside every Newton residual
+  // evaluation of every worker.
+  thread_local std::vector<std::size_t> count, offset, order;
+  thread_local std::vector<double> xbuf, vbuf;
+  const std::size_t d = xs.size() / npoints;
+  const auto nd = static_cast<std::size_t>(ndofs_);
+  const std::size_t Ns = grids_.size();
   walks_.fetch_add(requests.size(), std::memory_order_relaxed);
   bucket_requests(
       requests, Ns, [](const GatherRequest& r) { return static_cast<std::size_t>(r.z); }, count,

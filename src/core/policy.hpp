@@ -29,11 +29,6 @@ namespace hddm::core {
 struct GatherStats {
   std::uint64_t gathers = 0;            ///< evaluate_gather calls served
   std::uint64_t gathered_requests = 0;  ///< requests carried by those calls
-  /// evaluate_gather calls that took the single-shock fast path (all
-  /// requests on one shock: no per-shock bucketing, and no scatter copy when
-  /// the request rows are the identity and the output is contiguous) —
-  /// proof the ROADMAP fast path actually fires.
-  std::uint64_t fastpath_gathers = 0;
   std::uint64_t gradient_gathers = 0;   ///< evaluate_gather_with_gradient calls
   std::uint64_t gradient_requests = 0;  ///< requests carried by those calls
   /// Chain walks the value and gradient gathers ran: one per request on the
@@ -49,7 +44,6 @@ struct GatherStats {
   /// the per-iteration stats in core::IterationStats are derived).
   [[nodiscard]] GatherStats since(const GatherStats& before) const {
     return {gathers - before.gathers, gathered_requests - before.gathered_requests,
-            fastpath_gathers - before.fastpath_gathers,
             gradient_gathers - before.gradient_gathers,
             gradient_requests - before.gradient_requests, walks - before.walks};
   }
@@ -148,7 +142,6 @@ class AsgPolicy final : public PolicyEvaluator {
   [[nodiscard]] GatherStats gather_stats() const {
     return {gathers_.load(std::memory_order_relaxed),
             gathered_requests_.load(std::memory_order_relaxed),
-            fastpath_gathers_.load(std::memory_order_relaxed),
             gradient_gathers_.load(std::memory_order_relaxed),
             gradient_requests_.load(std::memory_order_relaxed),
             walks_.load(std::memory_order_relaxed)};
@@ -196,7 +189,6 @@ class AsgPolicy final : public PolicyEvaluator {
   // Gather traffic counters (relaxed: diagnostics, not synchronization).
   mutable std::atomic<std::uint64_t> gathers_{0};
   mutable std::atomic<std::uint64_t> gathered_requests_{0};
-  mutable std::atomic<std::uint64_t> fastpath_gathers_{0};
   mutable std::atomic<std::uint64_t> gradient_gathers_{0};
   mutable std::atomic<std::uint64_t> gradient_requests_{0};
   mutable std::atomic<std::uint64_t> walks_{0};

@@ -70,7 +70,7 @@ LevelStepResult level_step(const DynamicModel& model, int z, const PolicyEvaluat
       sg::append_level_increment(storage, level);
     } else {
       if (opts.refine_epsilon <= 0.0) break;
-      const sg::RefinementOptions ropts{opts.refine_epsilon, opts.max_level, true};
+      const sg::RefinementOptions ropts{opts.refine_epsilon, opts.max_level};
       sg::refine_by_surplus(storage, last_first, last_indicators, ropts);
     }
     if (storage.size() == n_known) break;  // nothing new -> done
@@ -221,8 +221,8 @@ std::shared_ptr<AsgPolicy> StepAccounting::finish(const DynamicModel& model,
                                                   std::span<const std::span<const double>> residuals,
                                                   AndersonMixer& mixer) {
   if (prev_ != nullptr) {
-    stats_.record_device_delta(prev_->device_stats().since(device_before_));
-    stats_.record_gather_delta(prev_->gather_stats().since(gather_before_));
+    stats_.device = prev_->device_stats().since(device_before_);
+    stats_.gather = prev_->gather_stats().since(gather_before_);
   }
   const MixOutcome mixed = mixer.mix(grids, residuals);
   stats_.acceleration_columns = mixed.columns;
@@ -313,9 +313,9 @@ std::string failure_split(const IterationStats& stats) {
 /// Chain walks per value or gradient gather p_next served this step (0
 /// without gathers).
 double walks_per_gather(const IterationStats& stats) {
-  const std::uint64_t gathers = stats.policy_gathers + stats.gradient_gathers;
+  const std::uint64_t gathers = stats.gather.gathers + stats.gather.gradient_gathers;
   return gathers == 0 ? 0.0
-                      : static_cast<double>(stats.gather_walks) / static_cast<double>(gathers);
+                      : static_cast<double>(stats.gather.walks) / static_cast<double>(gathers);
 }
 
 }  // namespace
@@ -347,7 +347,7 @@ TimeIterationResult TimeIterationDriver::run() {
                    " jac=", stats.jacobian_refreshes,
                    " anderson=", stats.acceleration_columns,
                    " restarts=", stats.acceleration_restarts,
-                   " offl=", stats.device_offloaded, " batches=", stats.device_batches,
+                   " offl=", stats.device.offloaded_points, " batches=", stats.device.batches,
                    " secs=", stats.seconds);
 
     current = std::move(next);

@@ -111,44 +111,18 @@ struct IterationStats {
   /// despite a converged Newton run).
   std::array<std::uint32_t, solver::kNewtonStatusCount> failures_by_status{};
   std::uint64_t interpolations = 0;
-  // Per-solve gather counters (from the models' PointSolveResult plus the
-  // policy-level delta of p_next's evaluate_gather traffic).
-  std::uint64_t solver_gathers = 0;    ///< gathers issued inside point solves
-  std::uint64_t policy_gathers = 0;    ///< evaluate_gather calls p_next served
-  std::uint64_t gathered_requests = 0; ///< interpolations those calls carried
-  std::uint64_t fastpath_gathers = 0;  ///< single-shock fast-path gathers p_next served
-  std::uint64_t gradient_gathers = 0;  ///< evaluate_gather_with_gradient calls served
-  std::uint64_t gather_walks = 0;      ///< chain walks those value + gradient gathers ran
+  std::uint64_t solver_gathers = 0;      ///< gathers issued inside point solves
   std::uint64_t jacobian_refreshes = 0;  ///< Jacobian refreshes of the point solves
-  // Offload-pipeline counters for this iteration (deltas of p_next's
-  // dispatcher counters; zero when p_next has no device attached).
-  std::uint64_t device_offloaded = 0;  ///< points served by the device
-  std::uint64_t device_rejected = 0;   ///< points refused (CPU fallback)
-  std::uint64_t device_batches = 0;    ///< device launches
-  std::uint64_t device_runs = 0;       ///< accepted ticketed submissions
-  double device_mean_batch = 0.0;      ///< offloaded / launches
+  /// This step's delta of p_next's gather counters (zero when p_next is not
+  /// an AsgPolicy).
+  GatherStats gather;
+  /// This step's delta of p_next's offload counters (zero without a device).
+  parallel::DispatcherStats device;
   /// Difference columns the Anderson mix used (0: the plain update).
   int acceleration_columns = 0;
   /// 1 when this step cleared a non-empty Anderson history (new point set
   /// or growing residual), else 0.
   int acceleration_restarts = 0;
-  /// Fills the device_* fields from a dispatcher counter delta (both
-  /// drivers report per-step deltas of p_next's cumulative counters).
-  void record_device_delta(const parallel::DispatcherStats& delta) {
-    device_offloaded = delta.offloaded_points;
-    device_rejected = delta.rejected_points;
-    device_batches = delta.batches;
-    device_runs = delta.submitted_runs;
-    device_mean_batch = delta.mean_batch();
-  }
-  /// Fills the policy gather fields from a policy counter delta.
-  void record_gather_delta(const GatherStats& delta) {
-    policy_gathers = delta.gathers;
-    gathered_requests = delta.gathered_requests;
-    fastpath_gathers = delta.fastpath_gathers;
-    gradient_gathers = delta.gradient_gathers;
-    gather_walks = delta.walks;
-  }
   /// Accumulates one shock's level_step() totals (both drivers, every
   /// shock they build). policy_change_l2 holds the plain sum of squares
   /// until StepAccounting::finish() turns it into an RMS.

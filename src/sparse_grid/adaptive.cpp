@@ -14,7 +14,6 @@ RefinementReport refine_by_surplus(GridStorage& storage, std::uint32_t first_can
 
   RefinementReport report;
   const int dim = storage.dim();
-  const std::uint32_t old_size = storage.size();
 
   MultiIndex work;  // the candidate's multi-index, one buffer for all candidates
   for (std::uint32_t k = 0; k < indicators.size(); ++k) {
@@ -32,16 +31,12 @@ RefinementReport refine_by_surplus(GridStorage& storage, std::uint32_t first_can
         work[t] = kids[c];
         if (storage.insert(work).inserted) {
           ++report.children_added;
-          if (options.close_ancestors)
-            report.ancestors_added += storage.close_ancestors(work);
+          report.ancestors_added += storage.close_ancestors(work);
         }
       }
       work[t] = original;
     }
   }
-
-  // close_ancestors counts every fill-in it inserts; children counted above.
-  (void)old_size;
   return report;
 }
 

@@ -20,8 +20,6 @@ struct RefinementOptions {
   /// Cap on the per-dimension level |l|_inf of created points; the paper
   /// runs with Lmax = 6 (footnote 12).
   int max_level = 6;
-  /// Keep the grid ancestor-closed (recommended; see hierarchize.hpp).
-  bool close_ancestors = true;
 };
 
 struct RefinementReport {

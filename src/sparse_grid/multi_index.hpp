@@ -5,7 +5,6 @@
 // inside GridStorage; MultiIndexView is a non-owning window onto one point.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -27,21 +26,6 @@ inline int level_sum(MultiIndexView mi) {
   int s = 0;
   for (const auto& li : mi) s += li.l;
   return s;
-}
-
-/// |l|_inf — the maximum 1-D level of the point.
-inline int level_max(MultiIndexView mi) {
-  int m = 0;
-  for (const auto& li : mi) m = std::max<int>(m, li.l);
-  return m;
-}
-
-/// Number of dimensions whose pair is not the root (level-1) pair. This is
-/// the quantity the compression scheme calls the point's "frequency" count.
-inline int nonroot_count(MultiIndexView mi) {
-  int c = 0;
-  for (const auto& li : mi) c += (li.l != 1);
-  return c;
 }
 
 /// Physical coordinates in [0,1]^d of a point, written to `x` (size d).

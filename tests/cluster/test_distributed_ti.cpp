@@ -151,8 +151,8 @@ TEST(DistributedTi, DeviceOffloadInheritsBatchedPipeline) {
       r.policy->evaluate(0, std::vector<double>(3, 0.5), v);
       dev_policy = v;
       for (const auto& st : r.history) {
-        offloaded += st.device_offloaded;
-        batches += st.device_batches;
+        offloaded += st.device.offloaded_points;
+        batches += st.device.batches;
       }
     }
   });

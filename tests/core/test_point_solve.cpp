@@ -225,6 +225,15 @@ std::vector<double> surpluses(const DynamicModel& model, TimeIterationOptions op
                               std::size_t threads) {
   opts.threads = threads;
   const TimeIterationResult result = solve_time_iteration(model, opts);
+  // With a device attached every point must stay on the device kernel: a
+  // refused run falls back to the CPU kernel, so which kernel served a point
+  // would depend on queue timing.
+  std::uint64_t offloaded = 0;
+  for (const IterationStats& st : result.history) {
+    EXPECT_EQ(st.device.rejected_points, 0u) << "iteration " << st.iteration;
+    offloaded += st.device.offloaded_points;
+  }
+  EXPECT_EQ(offloaded > 0, opts.use_device);
   std::vector<double> all;
   for (int z = 0; z < result.policy->num_shocks(); ++z) {
     const auto& s = result.policy->grid(z).dense().surplus;
@@ -254,6 +263,12 @@ TEST(PointSolveThreads, IrbcAdaptiveSurplusesIndependentOfThreadCount) {
   opts.max_level = 4;
   opts.max_iterations = 4;
   opts.tolerance = 0.0;
+  expect_thread_count_independent(model, opts);
+  // With a simulated GPU attached, warm starts and residual gathers ride the
+  // device queue, whose combining waiters hand launches to each other
+  // inside real point solves.
+  opts.use_device = true;
+  opts.offload.queue_capacity = std::size_t{1} << 30;  // never refuse a run
   expect_thread_count_independent(model, opts);
 }
 

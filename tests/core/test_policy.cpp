@@ -284,70 +284,59 @@ TEST(AsgPolicy, GatherStatsDeltaIsolatesNewTraffic) {
   EXPECT_DOUBLE_EQ(delta.mean_requests(), 2.0);
 }
 
-TEST(AsgPolicy, SingleShockGatherFastPathBitIdenticalAndCounted) {
+TEST(AsgPolicy, SingleShockGatherBitIdenticalOnBothRoutes) {
   std::vector<std::unique_ptr<ShockGrid>> grids;
   grids.push_back(make_shock_grid(3, 3, 4, 101));
   grids.push_back(make_shock_grid(3, 3, 4, 102));
   const AsgPolicy policy(4, std::move(grids));
+  ASSERT_EQ(policy.shock_class(1), 0);  // shock 1 walks shock 0's index
 
   constexpr std::size_t kPoints = 9;
   util::Rng rng(29);
   std::vector<double> xs(kPoints * 3);
   for (auto& xi : xs) xi = rng.uniform();
 
-  // Identity request rows into a contiguous output: the zero-copy variant.
-  std::vector<GatherRequest> requests;
-  for (std::size_t p = 0; p < kPoints; ++p) requests.push_back({1, static_cast<std::uint32_t>(p)});
-  std::vector<double> gathered(requests.size() * 4);
-  const GatherStats before = policy.gather_stats();
-  policy.evaluate_gather(requests, xs, kPoints, gathered, 4);
-  const GatherStats delta = policy.gather_stats().since(before);
-  EXPECT_EQ(delta.gathers, 1u);
-  EXPECT_EQ(delta.fastpath_gathers, 1u) << "single-shock gather did not take the fast path";
+  // Gathers the requests over the first `npoints` rows into a block of
+  // `stride` doubles per request, checks every value bitwise against
+  // evaluate() and the stride padding untouched, and returns the chain walks
+  // the gather ran.
+  const auto gather_walks = [&](const std::vector<GatherRequest>& requests, std::size_t npoints,
+                                std::size_t stride) {
+    std::vector<double> gathered(requests.size() * stride, -7.0);
+    const GatherStats before = policy.gather_stats();
+    policy.evaluate_gather(requests, std::span<const double>(xs).first(npoints * 3), npoints,
+                           gathered, stride);
+    const GatherStats delta = policy.gather_stats().since(before);
+    EXPECT_EQ(delta.gathers, 1u);
+    EXPECT_EQ(delta.gathered_requests, requests.size());
+    std::vector<double> want(4);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      policy.evaluate(requests[i].z,
+                      std::span<const double>(xs).subspan(requests[i].point * 3, 3), want);
+      for (int dof = 0; dof < 4; ++dof)
+        EXPECT_EQ(gathered[i * stride + static_cast<std::size_t>(dof)],
+                  want[static_cast<std::size_t>(dof)])
+            << "request " << i;
+      for (std::size_t pad = 4; pad < stride; ++pad)
+        EXPECT_EQ(gathered[i * stride + pad], -7.0) << "request " << i;
+    }
+    return delta.walks;
+  };
 
-  std::vector<double> want(4);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    policy.evaluate(1, std::span<const double>(xs).subspan(requests[i].point * 3, 3), want);
-    for (int dof = 0; dof < 4; ++dof)
-      EXPECT_EQ(gathered[i * 4 + static_cast<std::size_t>(dof)], want[static_cast<std::size_t>(dof)])
-          << "request " << i;
-  }
+  // Identity rows into a contiguous block: one bucket, one walk per request.
+  std::vector<GatherRequest> identity;
+  for (std::size_t p = 0; p < kPoints; ++p) identity.push_back({1, static_cast<std::uint32_t>(p)});
+  EXPECT_EQ(gather_walks(identity, kPoints, 4), identity.size());
 
-  // A mixed-shock gather must NOT count as fast path.
-  std::vector<GatherRequest> mixed{{0, 0}, {1, 1}, {0, 2}};
-  std::vector<double> out2(mixed.size() * 4);
-  const GatherStats before2 = policy.gather_stats();
-  policy.evaluate_gather(mixed, xs, kPoints, out2, 4);
-  EXPECT_EQ(policy.gather_stats().since(before2).fastpath_gathers, 0u);
-}
+  // Shuffled rows, one repeated, into a strided block: as many requests as
+  // rows, so still the bucket route.
+  const std::vector<GatherRequest> shuffled{{1, 4}, {1, 1}, {1, 1}, {1, 3}, {1, 0}};
+  EXPECT_EQ(gather_walks(shuffled, 5, 6), shuffled.size());
 
-TEST(AsgPolicy, SingleShockFastPathHandlesShuffledRowsAndStride) {
-  std::vector<std::unique_ptr<ShockGrid>> grids;
-  grids.push_back(make_shock_grid(2, 3, 3, 111));
-  const AsgPolicy policy(3, std::move(grids));
-
-  constexpr std::size_t kPoints = 6;
-  constexpr std::size_t kStride = 5;  // > ndofs: strided output
-  util::Rng rng(31);
-  std::vector<double> xs(kPoints * 2);
-  for (auto& xi : xs) xi = rng.uniform();
-  // Repeated and out-of-order rows: the fast path must stage the gather copy
-  // but still skip the bucketing, bit-identical to the per-request loop.
-  const std::vector<GatherRequest> requests{{0, 4}, {0, 1}, {0, 1}, {0, 5}, {0, 0}};
-  std::vector<double> gathered(requests.size() * kStride, -7.0);
-  const GatherStats before = policy.gather_stats();
-  policy.evaluate_gather(requests, xs, kPoints, gathered, kStride);
-  EXPECT_EQ(policy.gather_stats().since(before).fastpath_gathers, 1u);
-
-  std::vector<double> want(3);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    policy.evaluate(0, std::span<const double>(xs).subspan(requests[i].point * 2, 2), want);
-    for (int dof = 0; dof < 3; ++dof)
-      EXPECT_EQ(gathered[i * kStride + static_cast<std::size_t>(dof)],
-                want[static_cast<std::size_t>(dof)]);
-    for (std::size_t pad = 3; pad < kStride; ++pad)
-      EXPECT_EQ(gathered[i * kStride + pad], -7.0);  // stride padding untouched
-  }
+  // Rows repeat (more requests than rows): the class walk, one walk per
+  // distinct row.
+  const std::vector<GatherRequest> repeated{{1, 2}, {1, 0}, {1, 2}, {1, 1}, {1, 0}, {1, 2}};
+  EXPECT_EQ(gather_walks(repeated, 3, 6), 3u);
 }
 
 TEST(AsgPolicy, GatherWithGradientValuesBitIdenticalAndCounted) {

@@ -349,24 +349,24 @@ TEST(TimeIteration, DeviceOffloadPipelineMatchesCpuAndReportsCounters) {
   // counters with batches of more than one point.
   for (std::size_t it = 1; it < b.history.size(); ++it) {
     const auto& st = b.history[it];
-    EXPECT_GT(st.device_offloaded + st.device_rejected, 0u) << "iteration " << it;
-    if (st.device_batches > 0) {
-      EXPECT_GE(st.device_mean_batch, 1.0);
+    EXPECT_GT(st.device.offloaded_points + st.device.rejected_points, 0u) << "iteration " << it;
+    if (st.device.batches > 0) {
+      EXPECT_GE(st.device.mean_batch(), 1.0);
     }
   }
   std::uint64_t total_offloaded = 0;
   double best_mean_batch = 0.0;
   for (const auto& st : b.history) {
-    total_offloaded += st.device_offloaded;
-    best_mean_batch = std::max(best_mean_batch, st.device_mean_batch);
+    total_offloaded += st.device.offloaded_points;
+    best_mean_batch = std::max(best_mean_batch, st.device.mean_batch());
   }
   EXPECT_GT(total_offloaded, 0u);
   EXPECT_GT(best_mean_batch, 1.0) << "warm starts never batched";
 
   // CPU runs report no device activity.
   for (const auto& st : a.history) {
-    EXPECT_EQ(st.device_offloaded, 0u);
-    EXPECT_EQ(st.device_batches, 0u);
+    EXPECT_EQ(st.device.offloaded_points, 0u);
+    EXPECT_EQ(st.device.batches, 0u);
   }
 }
 
@@ -401,20 +401,20 @@ TEST(TimeIteration, MultiStepRunReportsPerIterationDeltasNotCumulativeTotals) {
     const auto& later = reported[static_cast<std::size_t>(rep)];
     EXPECT_EQ(later.interpolations, first.interpolations) << "rep " << rep;
     EXPECT_EQ(later.solver_gathers, first.solver_gathers) << "rep " << rep;
-    EXPECT_EQ(later.policy_gathers, first.policy_gathers) << "rep " << rep;
-    EXPECT_EQ(later.gathered_requests, first.gathered_requests) << "rep " << rep;
+    EXPECT_EQ(later.gather.gathers, first.gather.gathers) << "rep " << rep;
+    EXPECT_EQ(later.gather.gathered_requests, first.gather.gathered_requests) << "rep " << rep;
     // Offloaded + rejected is the deterministic total the step pushed at the
     // device (the split can vary with queue timing).
-    EXPECT_EQ(later.device_offloaded + later.device_rejected,
-              first.device_offloaded + first.device_rejected)
+    EXPECT_EQ(later.device.offloaded_points + later.device.rejected_points,
+              first.device.offloaded_points + first.device.rejected_points)
         << "rep " << rep;
     EXPECT_EQ(later.solver_failures, first.solver_failures) << "rep " << rep;
   }
   // The per-solve gather path is live: far fewer gathers than point
   // interpolations, and p_next's gather counter delta matches per step.
   EXPECT_GT(reported[0].solver_gathers, 0u);
-  EXPECT_GT(reported[0].policy_gathers, 0u);
-  EXPECT_GE(reported[0].gathered_requests, reported[0].policy_gathers);
+  EXPECT_GT(reported[0].gather.gathers, 0u);
+  EXPECT_GE(reported[0].gather.gathered_requests, reported[0].gather.gathers);
   EXPECT_LT(reported[0].solver_gathers, reported[0].interpolations);
 }
 
