@@ -284,7 +284,35 @@ TEST(AsgPolicy, GatherStatsDeltaIsolatesNewTraffic) {
   EXPECT_DOUBLE_EQ(delta.mean_requests(), 2.0);
 }
 
-TEST(AsgPolicy, SingleShockGatherBitIdenticalOnBothRoutes) {
+// Gathers `requests` over the first `npoints` rows of `xs` (`dim` doubles per
+// row) into a block of `stride` doubles per request, checks every value
+// bitwise against evaluate() and the stride padding untouched, and returns
+// the chain walks the gather ran.
+std::uint64_t gather_walks_checked(const AsgPolicy& policy,
+                                   const std::vector<GatherRequest>& requests,
+                                   std::span<const double> xs, std::size_t npoints,
+                                   std::size_t dim, std::size_t stride) {
+  const std::size_t ndofs = static_cast<std::size_t>(policy.ndofs());
+  std::vector<double> gathered(requests.size() * stride, -7.0);
+  const GatherStats before = policy.gather_stats();
+  policy.evaluate_gather(requests, xs.first(npoints * dim), npoints, gathered, stride);
+  const GatherStats delta = policy.gather_stats().since(before);
+  EXPECT_EQ(delta.gathers, 1u);
+  EXPECT_EQ(delta.gathered_requests, requests.size());
+  std::vector<double> want(ndofs);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    policy.evaluate(requests[i].z, xs.subspan(requests[i].point * dim, dim), want);
+    for (std::size_t dof = 0; dof < ndofs; ++dof)
+      EXPECT_EQ(gathered[i * stride + dof], want[dof]) << "request " << i;
+    for (std::size_t pad = ndofs; pad < stride; ++pad)
+      EXPECT_EQ(gathered[i * stride + pad], -7.0) << "request " << i;
+  }
+  return delta.walks;
+}
+
+// Single-shock gathers have no route of their own: they take the route their
+// rows select, bit-identical to evaluate() on both.
+TEST(AsgPolicy, SingleShockGatherFastPathBitIdenticalAndCounted) {
   std::vector<std::unique_ptr<ShockGrid>> grids;
   grids.push_back(make_shock_grid(3, 3, 4, 101));
   grids.push_back(make_shock_grid(3, 3, 4, 102));
@@ -296,47 +324,41 @@ TEST(AsgPolicy, SingleShockGatherBitIdenticalOnBothRoutes) {
   std::vector<double> xs(kPoints * 3);
   for (auto& xi : xs) xi = rng.uniform();
 
-  // Gathers the requests over the first `npoints` rows into a block of
-  // `stride` doubles per request, checks every value bitwise against
-  // evaluate() and the stride padding untouched, and returns the chain walks
-  // the gather ran.
-  const auto gather_walks = [&](const std::vector<GatherRequest>& requests, std::size_t npoints,
-                                std::size_t stride) {
-    std::vector<double> gathered(requests.size() * stride, -7.0);
-    const GatherStats before = policy.gather_stats();
-    policy.evaluate_gather(requests, std::span<const double>(xs).first(npoints * 3), npoints,
-                           gathered, stride);
-    const GatherStats delta = policy.gather_stats().since(before);
-    EXPECT_EQ(delta.gathers, 1u);
-    EXPECT_EQ(delta.gathered_requests, requests.size());
-    std::vector<double> want(4);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      policy.evaluate(requests[i].z,
-                      std::span<const double>(xs).subspan(requests[i].point * 3, 3), want);
-      for (int dof = 0; dof < 4; ++dof)
-        EXPECT_EQ(gathered[i * stride + static_cast<std::size_t>(dof)],
-                  want[static_cast<std::size_t>(dof)])
-            << "request " << i;
-      for (std::size_t pad = 4; pad < stride; ++pad)
-        EXPECT_EQ(gathered[i * stride + pad], -7.0) << "request " << i;
-    }
-    return delta.walks;
-  };
-
   // Identity rows into a contiguous block: one bucket, one walk per request.
   std::vector<GatherRequest> identity;
   for (std::size_t p = 0; p < kPoints; ++p) identity.push_back({1, static_cast<std::uint32_t>(p)});
-  EXPECT_EQ(gather_walks(identity, kPoints, 4), identity.size());
-
-  // Shuffled rows, one repeated, into a strided block: as many requests as
-  // rows, so still the bucket route.
-  const std::vector<GatherRequest> shuffled{{1, 4}, {1, 1}, {1, 1}, {1, 3}, {1, 0}};
-  EXPECT_EQ(gather_walks(shuffled, 5, 6), shuffled.size());
+  EXPECT_EQ(gather_walks_checked(policy, identity, xs, kPoints, 3, 4), identity.size());
 
   // Rows repeat (more requests than rows): the class walk, one walk per
   // distinct row.
   const std::vector<GatherRequest> repeated{{1, 2}, {1, 0}, {1, 2}, {1, 1}, {1, 0}, {1, 2}};
-  EXPECT_EQ(gather_walks(repeated, 3, 6), 3u);
+  EXPECT_EQ(gather_walks_checked(policy, repeated, xs, 3, 3, 4), 3u);
+
+  // Mixed shocks take the same rule.
+  const std::vector<GatherRequest> mixed{{0, 0}, {1, 1}, {0, 2}};
+  EXPECT_EQ(gather_walks_checked(policy, mixed, xs, kPoints, 3, 4), mixed.size());
+}
+
+TEST(AsgPolicy, SingleShockFastPathHandlesShuffledRowsAndStride) {
+  std::vector<std::unique_ptr<ShockGrid>> grids;
+  grids.push_back(make_shock_grid(2, 3, 3, 111));
+  const AsgPolicy policy(3, std::move(grids));
+
+  constexpr std::size_t kPoints = 6;
+  constexpr std::size_t kStride = 5;  // > ndofs: strided output
+  util::Rng rng(31);
+  std::vector<double> xs(kPoints * 2);
+  for (auto& xi : xs) xi = rng.uniform();
+
+  // Shuffled rows, one repeated, into a strided block: as many requests as
+  // rows, so the bucket route, one walk per request.
+  const std::vector<GatherRequest> shuffled{{0, 4}, {0, 1}, {0, 1}, {0, 3}, {0, 0}};
+  EXPECT_EQ(gather_walks_checked(policy, shuffled, xs, 5, 2, kStride), shuffled.size());
+
+  // Out-of-order rows with more requests than rows: the class walk.
+  const std::vector<GatherRequest> repeated{{0, 4}, {0, 1}, {0, 1}, {0, 5}, {0, 0}, {0, 4},
+                                            {0, 2}};
+  EXPECT_EQ(gather_walks_checked(policy, repeated, xs, kPoints, 2, kStride), 5u);
 }
 
 TEST(AsgPolicy, GatherWithGradientValuesBitIdenticalAndCounted) {
