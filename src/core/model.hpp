@@ -40,10 +40,33 @@ inline void successor_requests(std::span<const double> pi, std::size_t ncols,
         requests.push_back({static_cast<std::int32_t>(zp), static_cast<std::uint32_t>(col)});
 }
 
+/// One gathered policy evaluation, values and optionally gradients: request
+/// i interpolates shock requests[i].z at row requests[i].point of `xs`
+/// (`npoints` rows of the state dimension; requests may repeat rows) and
+/// writes dofs [dof_begin, dof_end) of
+///   values[i*value_stride + dof]                  and, when grads is non-empty,
+///   grads[i*grad_stride + dof*d + t] = d p_dof / d x_t  (dof-major, t < d).
+/// Outputs of dofs outside the range are unspecified: an evaluator may leave
+/// them or fill whole rows (routes that cannot honor a range do). Strides
+/// stay those of the full rows: value_stride >= ndofs, grad_stride >=
+/// ndofs * d. Each dof's sum is independent, so a range changes no bit of
+/// the dofs it computes.
+struct GatherQuery {
+  std::span<const GatherRequest> requests;
+  std::span<const double> xs;
+  std::size_t npoints = 0;
+  int dof_begin = 0;
+  int dof_end = 0;
+  std::span<double> values;
+  std::size_t value_stride = 0;
+  std::span<double> grads{};  ///< empty: a value gather
+  std::size_t grad_stride = 0;
+};
+
 /// Counters a model's residual machinery reports out of one point solve.
 struct EvalCounters {
   int interpolations = 0;  ///< policy point-evaluations consumed
-  int gathers = 0;         ///< evaluate_gather entry-point calls issued
+  int gathers = 0;         ///< PolicyEvaluator::gather calls issued
   /// Records one gather carrying `requests` interpolations.
   void record_gather(std::size_t requests) {
     interpolations += static_cast<int>(requests);
@@ -90,8 +113,7 @@ class PolicyEvaluator {
   /// attached device; with one, chunks the saturated device refuses fall
   /// back to the CPU kernel exactly as evaluate_batch does (numerically
   /// equivalent, same caveat as the batch contract). The default loops
-  /// evaluate(); AsgPolicy overrides it to route each shock's requests
-  /// through evaluate_batch and therefore the offload pipeline.
+  /// evaluate(); AsgPolicy serves it as a full-range gather().
   virtual void evaluate_gather(std::span<const GatherRequest> requests,
                                std::span<const double> xs, std::size_t npoints,
                                std::span<double> out, std::size_t out_stride) const {
@@ -149,6 +171,21 @@ class PolicyEvaluator {
     }
   }
 
+  /// The models' gather entry point (see GatherQuery). The default forwards
+  /// to evaluate_gather, or to evaluate_gather_with_gradient when the query
+  /// carries gradients, and computes every dof; so a decorator that
+  /// overrides only those two still sees every gather a point solve issues.
+  /// AsgPolicy overrides it to compute only the range on its chain walks.
+  /// The two old entry points stay virtual only until the benchmark's
+  /// TracedPolicy decorates this one.
+  virtual void gather(const GatherQuery& q) const {
+    if (q.grads.empty())
+      evaluate_gather(q.requests, q.xs, q.npoints, q.values, q.value_stride);
+    else
+      evaluate_gather_with_gradient(q.requests, q.xs, q.npoints, q.values, q.value_stride,
+                                    q.grads, q.grad_stride);
+  }
+
   /// Finite-difference step of the default evaluate_gather_with_gradient.
   static constexpr double kDefaultGradientStep = 1e-6;
 };
@@ -164,7 +201,7 @@ struct PointSolveResult {
   int solver_iterations = 0;
   double residual_norm = 0.0;
   int interpolations = 0;  ///< p_next point-evaluations consumed (the 99% cost)
-  int gathers = 0;         ///< evaluate_gather calls that carried them
+  int gathers = 0;         ///< gather calls that carried them
   /// Jacobian refreshes of the point's Newton solve
   /// (solver::NewtonResult::jacobian_factorizations).
   int jacobian_refreshes = 0;

@@ -138,18 +138,19 @@ void bucket_requests(std::span<const GatherRequest> requests, std::size_t nkeys,
 
 /// The class path of both gathers: requests grouped by (shock class,
 /// coordinate row), and each group one shared walk over the class
-/// representative's index — `walk(index, x, targets)`, with target(i)
-/// giving request i's WalkTarget. Returns the number of walks.
+/// representative's index over the query's dof range — `walk(index, x,
+/// targets, dof_begin, dof_end)`, with target(i) giving request i's
+/// WalkTarget. Returns the number of walks.
 template <class Target, class Walk>
-std::uint64_t walk_classes(std::span<const GatherRequest> requests, std::span<const double> xs,
-                           std::size_t npoints, std::span<const int> class_of,
+std::uint64_t walk_classes(const GatherQuery& q, std::span<const int> class_of,
                            std::span<const std::unique_ptr<ShockGrid>> grids, Target target,
                            Walk walk) {
   thread_local std::vector<std::size_t> count, offset, order;
   thread_local std::vector<kernels::WalkTarget> targets;
-  const std::size_t d = xs.size() / npoints;
+  const std::size_t npoints = q.npoints;
+  const std::size_t d = q.xs.size() / npoints;
   bucket_requests(
-      requests, grids.size() * npoints,
+      q.requests, grids.size() * npoints,
       [&](const GatherRequest& r) {
         return static_cast<std::size_t>(class_of[static_cast<std::size_t>(r.z)]) * npoints +
                r.point;
@@ -160,8 +161,8 @@ std::uint64_t walk_classes(std::span<const GatherRequest> requests, std::span<co
     if (offset[key] == offset[key + 1]) continue;
     targets.clear();
     for (std::size_t m = offset[key]; m < offset[key + 1]; ++m) targets.push_back(target(order[m]));
-    walk(grids[key / npoints]->compressed(), xs.data() + (key % npoints) * d,
-         std::span<const kernels::WalkTarget>(targets));
+    walk(grids[key / npoints]->compressed(), q.xs.data() + (key % npoints) * d,
+         std::span<const kernels::WalkTarget>(targets), q.dof_begin, q.dof_end);
     ++walks;
   }
   return walks;
@@ -169,36 +170,50 @@ std::uint64_t walk_classes(std::span<const GatherRequest> requests, std::span<co
 
 }  // namespace
 
-void AsgPolicy::evaluate_gather(std::span<const GatherRequest> requests,
-                                std::span<const double> xs, std::size_t npoints,
-                                std::span<double> out, std::size_t out_stride) const {
-  if (requests.empty() || npoints == 0) return;
-  gathers_.fetch_add(1, std::memory_order_relaxed);
-  gathered_requests_.fetch_add(requests.size(), std::memory_order_relaxed);
+void AsgPolicy::gather(const GatherQuery& q) const {
+  if (q.requests.empty() || q.npoints == 0) return;
+  if (q.dof_begin < 0 || q.dof_begin > q.dof_end || q.dof_end > ndofs_)
+    throw std::invalid_argument("AsgPolicy::gather: dof range outside [0, ndofs]");
+  const bool with_gradient = !q.grads.empty();
+  const auto target = [&](std::size_t i) {
+    kernels::WalkTarget t{
+        grids_[static_cast<std::size_t>(q.requests[i].z)]->compressed().surplus.data(),
+        q.values.data() + i * q.value_stride};
+    if (with_gradient) t.grad = q.grads.data() + i * q.grad_stride;
+    return t;
+  };
 
-  // Exactly two routes, and the call selects one:
+  // Gradient gathers always take the class path: the gradient walk is the
+  // x86 arithmetic for every kernel tier and never uses the device, so one
+  // walk per (row, class) serves any request set.
+  if (with_gradient) {
+    gradient_gathers_.fetch_add(1, std::memory_order_relaxed);
+    gradient_requests_.fetch_add(q.requests.size(), std::memory_order_relaxed);
+    walks_.fetch_add(
+        walk_classes(q, class_of_, grids_, target, kernels::evaluate_shared_with_gradient),
+        std::memory_order_relaxed);
+    return;
+  }
+  gathers_.fetch_add(1, std::memory_order_relaxed);
+  gathered_requests_.fetch_add(q.requests.size(), std::memory_order_relaxed);
+
+  // Value gathers take exactly two routes, and the call selects one:
   // - class walk: rows repeat (requests.size() > npoints, the successor-shock
   //   pattern of every point solve), no device is attached and the grids are
-  //   x86. One chain walk per (row, shock class) writes straight into the out
-  //   slots (DESIGN.md, "Shock classes").
+  //   x86. One chain walk per (row, shock class) writes the dof range
+  //   straight into the out slots (DESIGN.md, "Shock classes").
   // - per-shock buckets through evaluate_batch: everything else, i.e.
   //   serving's one-request-per-row gathers, the device's ticketed launches
-  //   and the FMA tiers, whose bits the x86 walk would change.
+  //   and the FMA tiers, whose bits the x86 walk would change. The kernels
+  //   fill whole rows, which the range allows.
   // Both stay because each wins on its side. In alternating perfbench pairs,
   // serving the distinct-row queries by class walk read query_p10_us +18.5%
   // (irbc) and +9% (olg), and an x86 evaluate() as a one-target class walk
   // +20% (irbc) and +9.5% (olg). A single-shock gather takes whichever route
   // its rows select; both are bit-identical to evaluate().
-  if (requests.size() > npoints && dispatcher_ == nullptr && x86_grids_) {
-    const std::uint64_t walks = walk_classes(
-        requests, xs, npoints, class_of_, grids_,
-        [&](std::size_t i) {
-          return kernels::WalkTarget{
-              grids_[static_cast<std::size_t>(requests[i].z)]->compressed().surplus.data(),
-              out.data() + i * out_stride};
-        },
-        kernels::evaluate_shared);
-    walks_.fetch_add(walks, std::memory_order_relaxed);
+  if (q.requests.size() > q.npoints && dispatcher_ == nullptr && x86_grids_) {
+    walks_.fetch_add(walk_classes(q, class_of_, grids_, target, kernels::evaluate_shared),
+                     std::memory_order_relaxed);
     return;
   }
 
@@ -206,13 +221,13 @@ void AsgPolicy::evaluate_gather(std::span<const GatherRequest> requests,
   // evaluation of every worker.
   thread_local std::vector<std::size_t> count, offset, order;
   thread_local std::vector<double> xbuf, vbuf;
-  const std::size_t d = xs.size() / npoints;
+  const std::size_t d = q.xs.size() / q.npoints;
   const auto nd = static_cast<std::size_t>(ndofs_);
   const std::size_t Ns = grids_.size();
-  walks_.fetch_add(requests.size(), std::memory_order_relaxed);
+  walks_.fetch_add(q.requests.size(), std::memory_order_relaxed);
   bucket_requests(
-      requests, Ns, [](const GatherRequest& r) { return static_cast<std::size_t>(r.z); }, count,
-      offset, order);
+      q.requests, Ns, [](const GatherRequest& r) { return static_cast<std::size_t>(r.z); },
+      count, offset, order);
 
   // One evaluate_batch per populated shock: the bucket's coordinate rows are
   // staged contiguously, drained through the batch entry point (and with an
@@ -225,37 +240,16 @@ void AsgPolicy::evaluate_gather(std::span<const GatherRequest> requests,
     xbuf.resize(n * d);
     vbuf.resize(n * nd);
     for (std::size_t k = 0; k < n; ++k) {
-      const GatherRequest& r = requests[order[offset[z] + k]];
-      std::copy_n(xs.data() + static_cast<std::size_t>(r.point) * d, d, xbuf.begin() + static_cast<std::ptrdiff_t>(k * d));
+      const GatherRequest& r = q.requests[order[offset[z] + k]];
+      std::copy_n(q.xs.data() + static_cast<std::size_t>(r.point) * d, d,
+                  xbuf.begin() + static_cast<std::ptrdiff_t>(k * d));
     }
     evaluate_batch(static_cast<int>(z), xbuf, vbuf, n);
     for (std::size_t k = 0; k < n; ++k)
       std::copy_n(vbuf.begin() + static_cast<std::ptrdiff_t>(k * nd), nd,
-                  out.begin() + static_cast<std::ptrdiff_t>(order[offset[z] + k] * out_stride));
+                  q.values.begin() +
+                      static_cast<std::ptrdiff_t>(order[offset[z] + k] * q.value_stride));
   }
-}
-
-void AsgPolicy::evaluate_gather_with_gradient(std::span<const GatherRequest> requests,
-                                              std::span<const double> xs, std::size_t npoints,
-                                              std::span<double> values, std::size_t value_stride,
-                                              std::span<double> grads,
-                                              std::size_t grad_stride) const {
-  if (requests.empty() || npoints == 0) return;
-  gradient_gathers_.fetch_add(1, std::memory_order_relaxed);
-  gradient_requests_.fetch_add(requests.size(), std::memory_order_relaxed);
-
-  // Always the class path: the gradient walk is the x86 arithmetic for every
-  // kernel tier and never uses the device, so one walk per (row, class)
-  // serves any request set.
-  const std::uint64_t walks = walk_classes(
-      requests, xs, npoints, class_of_, grids_,
-      [&](std::size_t i) {
-        return kernels::WalkTarget{
-            grids_[static_cast<std::size_t>(requests[i].z)]->compressed().surplus.data(),
-            values.data() + i * value_stride, grads.data() + i * grad_stride};
-      },
-      kernels::evaluate_shared_with_gradient);
-  walks_.fetch_add(walks, std::memory_order_relaxed);
 }
 
 std::uint32_t AsgPolicy::total_points() const {

@@ -21,15 +21,15 @@
 
 namespace hddm::core {
 
-/// Monotonic counters of the per-solve gather entry point (evaluate_gather
-/// traffic on one policy object) — the counterpart of DispatcherStats one
+/// Monotonic counters of the per-solve gather entry point (gather traffic
+/// on one policy object) — the counterpart of DispatcherStats one
 /// layer up: gathers collapsing to ~1 per residual evaluation while
 /// gathered_requests stays at Ns x residual evaluations is the per-solve
 /// amortization working.
 struct GatherStats {
-  std::uint64_t gathers = 0;            ///< evaluate_gather calls served
+  std::uint64_t gathers = 0;            ///< value gathers served
   std::uint64_t gathered_requests = 0;  ///< requests carried by those calls
-  std::uint64_t gradient_gathers = 0;   ///< evaluate_gather_with_gradient calls
+  std::uint64_t gradient_gathers = 0;   ///< value + gradient gathers served
   std::uint64_t gradient_requests = 0;  ///< requests carried by those calls
   /// Chain walks the value and gradient gathers ran: one per request on the
   /// per-shock path, one per (coordinate row, shock class) on the class path
@@ -108,36 +108,42 @@ class AsgPolicy final : public PolicyEvaluator {
   void evaluate_batch(int z, std::span<const double> xs, std::span<double> out,
                       std::size_t npoints) const override;
 
-  /// Gathered evaluation (see PolicyEvaluator::evaluate_gather for the
-  /// bit-identity contract). When rows repeat (requests.size() > npoints),
-  /// no device is attached and the grids are bound to the x86 kernel, the
-  /// requests are grouped by (coordinate row, shock class) and each group is
-  /// ONE shared chain walk (kernels::evaluate_shared) writing straight into
-  /// the requests' out slots. Otherwise — serving's one-request-per-row
-  /// gathers, the device route, the other kernel tiers — requests are
-  /// bucketed by shock, stably, and each shock's bucket goes through
-  /// evaluate_batch (one kernel batch on the CPU or ticketed chunks on the
-  /// offload pipeline), then is scattered back. See DESIGN.md, "Shock
-  /// classes".
+  /// Gathered evaluation of the query's dof range (see GatherQuery; throws
+  /// std::invalid_argument unless 0 <= dof_begin <= dof_end <= ndofs).
+  /// - Gradient gathers: requests are grouped by (coordinate row, shock
+  ///   class) and each group is one shared value + gradient walk
+  ///   (kernels::evaluate_shared_with_gradient) over the range, bit-identical
+  ///   per request and dof to ShockGrid::evaluate_with_gradient. It is the x86
+  ///   arithmetic whatever the kernel tier, on the CPU only: the gradient
+  ///   walk never rides the device pipeline (DESIGN.md, "Jacobian pipeline").
+  /// - Value gathers, when rows repeat (requests.size() > npoints), no device
+  ///   is attached and the grids are bound to the x86 kernel: one shared
+  ///   chain walk (kernels::evaluate_shared) per (row, class) over the range.
+  ///   Otherwise (serving's one-request-per-row gathers, the device route,
+  ///   the other kernel tiers) requests are bucketed by shock, stably, and
+  ///   each shock's bucket goes through evaluate_batch (one kernel batch on
+  ///   the CPU or ticketed chunks on the offload pipeline) and is scattered
+  ///   back as whole rows. Values are bit-identical to evaluate() (see
+  ///   PolicyEvaluator::evaluate_gather). See DESIGN.md, "Shock classes".
+  void gather(const GatherQuery& q) const override;
+
+  /// The full-range value gather.
   void evaluate_gather(std::span<const GatherRequest> requests, std::span<const double> xs,
                        std::size_t npoints, std::span<double> out,
-                       std::size_t out_stride) const override;
+                       std::size_t out_stride) const override {
+    gather({requests, xs, npoints, 0, ndofs_, out, out_stride, {}, 0});
+  }
 
-  /// Gathered value + policy-gradient evaluation for the analytic Euler
-  /// Jacobians: requests are grouped by (coordinate row, shock class) and
-  /// each group is one shared value + gradient walk (kernels::
-  /// evaluate_shared_with_gradient), bit-identical per request to
-  /// ShockGrid::evaluate_with_gradient. It is the x86 arithmetic whatever the
-  /// kernel tier, on the CPU only — the gradient walk never rides the device
-  /// pipeline (see the contract on the base class and DESIGN.md, "Jacobian
-  /// pipeline" and "Shock classes").
+  /// The full-range value + gradient gather.
   void evaluate_gather_with_gradient(std::span<const GatherRequest> requests,
                                      std::span<const double> xs, std::size_t npoints,
                                      std::span<double> values, std::size_t value_stride,
                                      std::span<double> grads,
-                                     std::size_t grad_stride) const override;
+                                     std::size_t grad_stride) const override {
+    gather({requests, xs, npoints, 0, ndofs_, values, value_stride, grads, grad_stride});
+  }
 
-  /// Cumulative evaluate_gather traffic on this policy (thread-safe; the
+  /// Cumulative gather traffic on this policy (thread-safe; the
   /// drivers report per-iteration deltas of these, like the device stats).
   [[nodiscard]] GatherStats gather_stats() const {
     return {gathers_.load(std::memory_order_relaxed),

@@ -142,7 +142,13 @@ void IrbcModel::euler_residuals_batch(PointScratch& scratch,
   // One gather for every (successor shock with mass) x (trial column) pair.
   core::successor_requests(pi, ncols, scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * sN);
-  p_next.evaluate_gather(scratch.requests, scratch.x_unit, ncols, scratch.gathered, sN);
+  p_next.gather({.requests = scratch.requests,
+                 .xs = scratch.x_unit,
+                 .npoints = ncols,
+                 .dof_begin = 0,
+                 .dof_end = N,
+                 .values = scratch.gathered,
+                 .value_stride = sN});
   if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
   scratch.expected.assign(ncols * sN, 0.0);
@@ -228,8 +234,15 @@ void IrbcModel::euler_jacobian(PointScratch& scratch, std::span<const double> k_
   core::successor_requests(pi, 1, scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * sN);
   scratch.gathered_grad.resize(scratch.requests.size() * sN * sN);
-  p_next.evaluate_gather_with_gradient(scratch.requests, scratch.x_unit, 1, scratch.gathered,
-                                       sN, scratch.gathered_grad, sN * sN);
+  p_next.gather({.requests = scratch.requests,
+                 .xs = scratch.x_unit,
+                 .npoints = 1,
+                 .dof_begin = 0,
+                 .dof_end = N,
+                 .values = scratch.gathered,
+                 .value_stride = sN,
+                 .grads = scratch.gathered_grad,
+                 .grad_stride = sN * sN});
   if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
   // Accumulate E_j = sum_zp pi mu(c') R_j and its partials dE_j/du_i.

@@ -120,7 +120,7 @@ class IrbcModel final : public core::DynamicModel {
   /// Unit-free Euler residuals at the prepared point for `ncols` trial
   /// points (rows of N in `k_next_block`, residual rows of N in
   /// `out_block`): ALL successor-shock interpolations of the whole block are
-  /// issued as one p_next.evaluate_gather — the per-solve half of the
+  /// issued as one full-range p_next.gather — the per-solve half of the
   /// paper's interpolation amortization. Each column's result is the one a
   /// single-column call gives. Trial iterates with non-positive components
   /// are admissible: the gross-return and adjustment-cost terms evaluate on
@@ -137,12 +137,11 @@ class IrbcModel final : public core::DynamicModel {
   /// the trial point `k_next` of the prepared point (`jac` is N x N).
   /// Differentiates every term euler_residuals_batch evaluates — gross
   /// returns, adjustment costs, equalized consumption today and tomorrow,
-  /// and the interpolated policy via ONE
-  /// p_next.evaluate_gather_with_gradient — replicating the residual's guard
-  /// semantics exactly: components at the trial-capital floor and unit-cube
-  /// clamps contribute zero derivative, consumption clamped at its 1e-6
-  /// floor kills the marginal-utility derivative. Full derivation in
-  /// DESIGN.md, "Jacobian pipeline".
+  /// and the interpolated policy via ONE value + gradient p_next.gather —
+  /// replicating the residual's guard semantics exactly: components at the
+  /// trial-capital floor and unit-cube clamps contribute zero derivative,
+  /// consumption clamped at its 1e-6 floor kills the marginal-utility
+  /// derivative. Full derivation in DESIGN.md, "Jacobian pipeline".
   void euler_jacobian(PointScratch& scratch, std::span<const double> k_next,
                       const core::PolicyEvaluator& p_next, util::Matrix& jac,
                       core::EvalCounters* counters = nullptr) const;

@@ -67,15 +67,23 @@ struct WalkTarget {
 /// same point order with the same accumulate step as the x86 kernel, so it
 /// is bit-identical to that grid's x86 evaluate(). The gathers run this once
 /// per (coordinate row, shock class); see DESIGN.md, "Shock classes".
+///
+/// Only dofs [dof_begin, dof_end) are computed: value[dof] for dof in the
+/// range is written (value still points at dof 0 of the row), the rest of
+/// the row is left as it was. Each dof's sum is independent of the others,
+/// so the range changes no bit of the dofs it computes.
 void evaluate_shared(const core::CompressedGridData& index, const double* x,
-                     std::span<const WalkTarget> targets);
+                     std::span<const WalkTarget> targets, int dof_begin, int dof_end);
 
 /// Shared value + gradient walk over one compressed index: each point's
 /// prefix/suffix derivative products are formed once and applied to every
 /// target, whose value and grad (layout of evaluate_with_gradient) are
 /// bit-identical to a single-grid evaluate_with_gradient on its own grid.
+/// The dof range is evaluate_shared's: grad[dof * dim + t] is written for
+/// the dofs in range only, in the full row's dof-major layout.
 void evaluate_shared_with_gradient(const core::CompressedGridData& index, const double* x,
-                                   std::span<const WalkTarget> targets);
+                                   std::span<const WalkTarget> targets, int dof_begin,
+                                   int dof_end);
 
 /// Compressed-format value + gradient walk (scalar): value[0..ndofs) = u(x)
 /// and grad[dof * dim + t] = d u_dof / d x_t (row-major, one dim-row per

@@ -55,22 +55,26 @@ void evaluate_x86(const core::CompressedGridData& grid, const double* x, double*
 namespace hddm::kernels {
 
 void evaluate_shared(const core::CompressedGridData& index, const double* x,
-                     std::span<const WalkTarget> targets) {
-  const int nd = index.ndofs;
+                     std::span<const WalkTarget> targets, int dof_begin, int dof_end) {
+  const int nd = dof_end - dof_begin;
   thread_local std::vector<double> xpv;
   xpv.resize(index.xps_size());
   detail::compute_xpv(index, x, xpv.data());
-  for (const WalkTarget& t : targets) std::fill(t.value, t.value + nd, 0.0);
+  for (const WalkTarget& t : targets) std::fill(t.value + dof_begin, t.value + dof_end, 0.0);
   detail::walk_chains(index, xpv.data(), 0, index.nno,
                       [&](std::uint32_t p, double temp, std::size_t) {
-    const std::size_t row = static_cast<std::size_t>(p) * static_cast<std::size_t>(nd);
-    for (const WalkTarget& t : targets) detail::accumulate_row(t.value, t.surplus + row, nd, temp);
+    // The range's slice of surplus row p: dof_begin is the row's first dof.
+    const std::size_t row = static_cast<std::size_t>(p) * static_cast<std::size_t>(index.ndofs) +
+                            static_cast<std::size_t>(dof_begin);
+    for (const WalkTarget& t : targets)
+      detail::accumulate_row(t.value + dof_begin, t.surplus + row, nd, temp);
   });
 }
 
 void evaluate_shared_with_gradient(const core::CompressedGridData& index, const double* x,
-                                   std::span<const WalkTarget> targets) {
-  const int nd = index.ndofs;
+                                   std::span<const WalkTarget> targets, int dof_begin,
+                                   int dof_end) {
+  const int nd = dof_end - dof_begin;
   const auto d = static_cast<std::size_t>(index.dim);
   const auto nfreq = static_cast<std::size_t>(index.nfreq);
 
@@ -92,12 +96,13 @@ void evaluate_shared_with_gradient(const core::CompressedGridData& index, const 
   }
 
   // Gradients accumulate dimension-major (grad_by_dim[(c * d + j) * nd +
-  // dof]), so each term is the contiguous accumulate step over the dofs, and
-  // are transposed into the dof-major output at the end. Every element still
+  // dof], nd the range's width and dof counted from dof_begin), so each term
+  // is the contiguous accumulate step over the range's dofs, and are
+  // transposed into the dof-major output at the end. Every element still
   // starts at 0 and receives the same terms in the same order.
   const std::size_t grad_size = static_cast<std::size_t>(nd) * d;
   grad_by_dim.assign(targets.size() * grad_size, 0.0);
-  for (const WalkTarget& t : targets) std::fill(t.value, t.value + nd, 0.0);
+  for (const WalkTarget& t : targets) std::fill(t.value + dof_begin, t.value + dof_end, 0.0);
 
   detail::walk_chains(index, xpv.data(), 0, index.nno,
                       [&](std::uint32_t p, double temp, std::size_t len) {
@@ -126,11 +131,12 @@ void evaluate_shared_with_gradient(const core::CompressedGridData& index, const 
     // Each target sees the single-grid walk's operations in its order: the
     // value step of the x86 kernel, then the gradient terms slot by slot
     // from the last chain slot down.
-    const std::size_t row = static_cast<std::size_t>(p) * static_cast<std::size_t>(nd);
+    const std::size_t row = static_cast<std::size_t>(p) * static_cast<std::size_t>(index.ndofs) +
+                            static_cast<std::size_t>(dof_begin);
     for (std::size_t c = 0; c < targets.size(); ++c) {
       const double* srow = targets[c].surplus + row;
       double* grad = grad_by_dim.data() + c * grad_size;
-      detail::accumulate_row(targets[c].value, srow, nd, temp);
+      detail::accumulate_row(targets[c].value + dof_begin, srow, nd, temp);
       for (std::size_t k = 0; k < nonzero; ++k)
         detail::accumulate_row(grad + dims[k] * static_cast<std::size_t>(nd), srow, nd, dtemps[k]);
     }
@@ -140,7 +146,7 @@ void evaluate_shared_with_gradient(const core::CompressedGridData& index, const 
     const double* grad = grad_by_dim.data() + c * grad_size;
     for (std::size_t j = 0; j < d; ++j)
       for (int dof = 0; dof < nd; ++dof)
-        targets[c].grad[static_cast<std::size_t>(dof) * d + j] =
+        targets[c].grad[static_cast<std::size_t>(dof_begin + dof) * d + j] =
             grad[j * static_cast<std::size_t>(nd) + static_cast<std::size_t>(dof)];
   }
 }
@@ -148,7 +154,7 @@ void evaluate_shared_with_gradient(const core::CompressedGridData& index, const 
 void evaluate_with_gradient(const core::CompressedGridData& grid, const double* x, double* value,
                             double* grad) {
   const WalkTarget target{grid.surplus.data(), value, grad};
-  evaluate_shared_with_gradient(grid, x, {&target, 1});
+  evaluate_shared_with_gradient(grid, x, {&target, 1}, 0, grid.ndofs);
 }
 
 }  // namespace hddm::kernels

@@ -53,6 +53,22 @@ OlgModel::OlgModel(OlgEconomy economy, OlgModelOptions options)
   if (!steady_.converged)
     throw std::runtime_error("OlgModel: steady state did not converge — check calibration");
   capital_floor_ = 1e-3 * steady_.capital;
+
+  // The value half of initial_policy, which no state changes: the
+  // steady-state utility annuity of each age, stored in the
+  // certainty-equivalent transform like all value coefficients.
+  const int A = econ_.ages();
+  initial_values_.resize(static_cast<std::size_t>(A - 1));
+  for (int a = 1; a <= A - 1; ++a) {
+    const double u = prefs_.utility_unnormalized(steady_.consumption[a - 1]);
+    const int remaining = A - a + 1;
+    double annuity = 0.0, b = 1.0;
+    for (int k = 0; k < remaining; ++k) {
+      annuity += b * u;
+      b *= econ_.beta;
+    }
+    initial_values_[static_cast<std::size_t>(a - 1)] = prefs_.value_transform(annuity);
+  }
 }
 
 OlgModel::DecodedState OlgModel::decode_state(std::span<const double> x_phys) const {
@@ -176,7 +192,8 @@ solver::NewtonOptions OlgModel::prepare(int z, std::span<const double> x_unit,
 }
 
 void OlgModel::gather_successors(PointScratch& scratch, std::span<const double> savings_block,
-                                 std::size_t ncols, const core::PolicyEvaluator& p_next) const {
+                                 std::size_t ncols, const core::PolicyEvaluator& p_next,
+                                 int dof_begin, int dof_end) const {
   const std::size_t d = unknowns();
   const auto nd = static_cast<std::size_t>(ndofs());
   // Per column: tomorrow's aggregate state K' = sum k'_a (shock-independent),
@@ -193,11 +210,17 @@ void OlgModel::gather_successors(PointScratch& scratch, std::span<const double> 
   }
   // One gather for every (successor shock with mass) x (column) pair; row
   // si*ncols + col of `gathered` is the si-th such shock's policy at column
-  // col.
+  // col, valid in dofs [dof_begin, dof_end).
   core::successor_requests(econ_.chain.row(static_cast<std::size_t>(scratch.z)), ncols,
                            scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * nd);
-  p_next.evaluate_gather(scratch.requests, scratch.x_unit, ncols, scratch.gathered, nd);
+  p_next.gather({.requests = scratch.requests,
+                 .xs = scratch.x_unit,
+                 .npoints = ncols,
+                 .dof_begin = dof_begin,
+                 .dof_end = dof_end,
+                 .values = scratch.gathered,
+                 .value_stride = nd});
 }
 
 void OlgModel::euler_residuals_batch(PointScratch& scratch, std::span<const double> savings_block,
@@ -211,7 +234,8 @@ void OlgModel::euler_residuals_batch(PointScratch& scratch, std::span<const doub
   if (savings_block.size() < ncols * sd || out_block.size() < ncols * sd)
     throw std::invalid_argument("euler_residuals_batch: block size mismatch");
 
-  gather_successors(scratch, savings_block, ncols, p_next);
+  // The residual reads tomorrow's asset demands of ages 2..d: dofs [1, d).
+  gather_successors(scratch, savings_block, ncols, p_next, 1, d);
   if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
   // Per column, accumulate each age's expected discounted marginal utility
@@ -287,13 +311,21 @@ void OlgModel::euler_jacobian(PointScratch& scratch, std::span<const double> sav
     scratch.chain_w[t] = inside / (hi[t] - lo[t]);
   }
 
-  // One gather-with-gradient for all successor shocks with mass.
+  // One gather-with-gradient for all successor shocks with mass, of the
+  // asset demands the residual reads: dofs [1, d).
   const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
   core::successor_requests(pi, 1, scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * nd);
   scratch.gathered_grad.resize(scratch.requests.size() * nd * sd);
-  p_next.evaluate_gather_with_gradient(scratch.requests, scratch.x_unit, 1, scratch.gathered,
-                                       nd, scratch.gathered_grad, nd * sd);
+  p_next.gather({.requests = scratch.requests,
+                 .xs = scratch.x_unit,
+                 .npoints = 1,
+                 .dof_begin = 1,
+                 .dof_end = d,
+                 .values = scratch.gathered,
+                 .value_stride = nd,
+                 .grads = scratch.gathered_grad,
+                 .grad_stride = nd * sd});
   if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
   // Accumulate emu_a = sum_zp pi R' u'(c'_{a+1}) and its partials. All
@@ -363,33 +395,23 @@ void OlgModel::euler_jacobian(PointScratch& scratch, std::span<const double> sav
 
 std::vector<double> OlgModel::initial_policy(int z, std::span<const double> x_unit) const {
   (void)z;
-  const int A = econ_.ages();
-  const int d = A - 1;
-  const std::vector<double> x_phys = domain_.to_physical(x_unit);
-  const DecodedState s = decode_state(x_phys);
+  const int d = state_dim();
+  if (static_cast<int>(x_unit.size()) != d)
+    throw std::invalid_argument("OlgModel::initial_policy: dimension mismatch");
 
   // Scale the steady-state savings profile by the state's wealth position:
   // agents holding more wealth than steady state save proportionally more.
+  // Only aggregate capital is read: BoxDomain::to_physical's first
+  // coordinate, floored as decode_state floors it.
+  const double lo = domain_.lower()[0], hi = domain_.upper()[0];
+  const double capital = std::max(lo + (hi - lo) * x_unit[0], capital_floor_);
+  const double k_ratio = std::clamp(capital / steady_.capital, 0.25, 4.0);
   std::vector<double> dofs(static_cast<std::size_t>(2 * d));
-  const double k_ratio = std::clamp(s.capital / steady_.capital, 0.25, 4.0);
-  for (int a = 1; a <= A - 1; ++a)
-    dofs[a - 1] = std::max(steady_.savings[a - 1] * k_ratio, 0.0);
-
-  // Rough value guess: steady-state utility annuity, stored in the
-  // certainty-equivalent transform like all value coefficients.
-  for (int a = 1; a <= A - 1; ++a) {
-    const double u = prefs_.utility_unnormalized(steady_.consumption[a - 1]);
-    const int remaining = A - a + 1;
-    double annuity = 0.0, b = 1.0;
-    for (int k = 0; k < remaining; ++k) {
-      annuity += b * u;
-      b *= econ_.beta;
-    }
-    dofs[d + a - 1] = prefs_.value_transform(annuity);
-  }
+  for (int a = 1; a <= d; ++a)
+    dofs[static_cast<std::size_t>(a - 1)] = std::max(steady_.savings[a - 1] * k_ratio, 0.0);
+  std::copy(initial_values_.begin(), initial_values_.end(), dofs.begin() + d);
   return dofs;
 }
-
 
 double OlgModel::projected_residual_norm(PointScratch& scratch, std::span<const double> savings,
                                          const core::PolicyEvaluator& p_next,
@@ -432,8 +454,9 @@ void OlgModel::finish(PointScratch& scratch, std::span<const double> savings,
   const int d = A - 1;
   const auto nd = static_cast<std::size_t>(ndofs());
 
-  // Uncounted: the value recursion is not part of the solve.
-  gather_successors(scratch, savings, 1, p_next);
+  // Uncounted: the value recursion is not part of the solve. It reads the
+  // value coefficients of ages 2..d: dofs [d+1, 2d).
+  gather_successors(scratch, savings, 1, p_next, d + 1, 2 * d);
   const CobbDouglasTechnology::Intensity& intensity = scratch.intensity[0];
   const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
 

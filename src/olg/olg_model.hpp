@@ -135,8 +135,8 @@ class OlgModel final : public core::DynamicModel {
   /// Euler residuals at the prepared point for `ncols` savings columns
   /// (rows of d in `savings_block` / `out_block`): every successor-shock
   /// policy interpolation of the whole block goes out as a single
-  /// p_next.evaluate_gather. Each column's result is the one a
-  /// single-column call gives.
+  /// p_next.gather of the asset demands it reads (dofs [1, d)). Each
+  /// column's result is the one a single-column call gives.
   void euler_residuals_batch(PointScratch& scratch, std::span<const double> savings_block,
                              std::size_t ncols, const core::PolicyEvaluator& p_next,
                              std::span<double> out_block,
@@ -148,7 +148,7 @@ class OlgModel final : public core::DynamicModel {
   /// direct -u_a in today's consumption, tomorrow's factor prices and
   /// pension through K' = sum_a u_a (CobbDouglasTechnology::price_gradients),
   /// the gross return R', and the interpolated next-period asset demands via
-  /// ONE p_next.evaluate_gather_with_gradient — replicating the residual's
+  /// ONE value + gradient p_next.gather of dofs [1, d) — replicating the residual's
   /// guard semantics (capital floor on K', unit-cube clamps) with zero
   /// derivatives where the residual is locally constant. Full derivation in
   /// DESIGN.md, "Jacobian pipeline".
@@ -188,9 +188,11 @@ class OlgModel final : public core::DynamicModel {
                                                core::EvalCounters* counters) const;
 
   /// Maps `ncols` savings columns to tomorrow's states and gathers every
-  /// successor shock's policy there in one evaluate_gather.
+  /// successor shock's policy dofs [dof_begin, dof_end) there in one
+  /// p_next.gather.
   void gather_successors(PointScratch& scratch, std::span<const double> savings_block,
-                         std::size_t ncols, const core::PolicyEvaluator& p_next) const;
+                         std::size_t ncols, const core::PolicyEvaluator& p_next,
+                         int dof_begin, int dof_end) const;
   /// Tomorrow's aggregate capital implied by the savings choices (floored at
   /// capital_floor_); writes the physical next state x' = (K', k'_1, ...,
   /// k'_{A-2}) into `x_next` (size d). Single definition shared by the
@@ -213,6 +215,8 @@ class OlgModel final : public core::DynamicModel {
   CrraPreferences prefs_;
   sg::BoxDomain domain_;
   double capital_floor_ = 1e-3;  ///< price evaluation guard
+  /// initial_policy's value coefficients v_1..v_{A-1}: state-independent.
+  std::vector<double> initial_values_;
 };
 
 }  // namespace hddm::olg

@@ -1,7 +1,9 @@
 // The point-solve harness's resource contracts: a warmed-up point solve
 // allocates nothing but its returned dofs, a warmed-up Newton solve
-// allocates nothing at all, and the per-executor workspaces leave the
-// solved policy independent of the thread count.
+// allocates nothing at all, OLG's initial policy allocates only its dofs,
+// a decorator of the old gather entry points sees every gather a point
+// solve issues, and the per-executor workspaces leave the solved policy
+// independent of the thread count.
 #include "core/point_solve.hpp"
 
 #include <gtest/gtest.h>
@@ -174,6 +176,17 @@ TEST(PointSolveAllocations, OlgSolvePointAllocatesOnlyTheDofs) {
   EXPECT_LE(worst_point_solve_allocations(model, *policy, {center, off_center}), 1);
 }
 
+TEST(PointSolveAllocations, OlgInitialPolicyAllocatesOnlyItsDofs) {
+  // Step 0's p_next evaluates the analytic initial policy at every warm
+  // start and Jacobian probe: its returned vector is its one allocation.
+  const olg::OlgModel model(olg::build_economy(olg::reduced_calibration(8, 2, 2)));
+  std::vector<double> x(static_cast<std::size_t>(model.state_dim()), 0.4);
+  x[0] = 0.7;
+  std::vector<double> dofs;
+  EXPECT_EQ(allocations_in([&] { dofs = model.initial_policy(1, x); }), 1);
+  EXPECT_EQ(static_cast<int>(dofs.size()), model.ndofs());
+}
+
 /// Heap allocations per grid point of a warmed-up TimeIterationDriver::step
 /// (the second of two steps from the same p_next, a short solve's policy).
 double step_allocations_per_point(const DynamicModel& model, const TimeIterationOptions& opts) {
@@ -218,6 +231,84 @@ TEST(PointSolveAllocations, OlgStepAllocationsPerPointBounded) {
     opts.threads = threads;
     EXPECT_LE(step_allocations_per_point(model, opts), 4.5) << threads << " threads";
   }
+}
+
+/// A decorator overriding only the gather entry points perfbench's
+/// TracedPolicy decorates (evaluate_gather, evaluate_gather_with_gradient),
+/// counting the gathers it forwards, with full rows, to the inner policy.
+class OldEntryPointView final : public PolicyEvaluator {
+ public:
+  explicit OldEntryPointView(const PolicyEvaluator& inner) : inner_(inner) {}
+  [[nodiscard]] int num_shocks() const override { return inner_.num_shocks(); }
+  [[nodiscard]] int ndofs() const override { return inner_.ndofs(); }
+  void evaluate(int z, std::span<const double> x, std::span<double> out) const override {
+    inner_.evaluate(z, x, out);
+  }
+  void evaluate_gather(std::span<const GatherRequest> requests, std::span<const double> xs,
+                       std::size_t npoints, std::span<double> out,
+                       std::size_t out_stride) const override {
+    ++gathers;
+    inner_.evaluate_gather(requests, xs, npoints, out, out_stride);
+  }
+  void evaluate_gather_with_gradient(std::span<const GatherRequest> requests,
+                                     std::span<const double> xs, std::size_t npoints,
+                                     std::span<double> values, std::size_t value_stride,
+                                     std::span<double> grads,
+                                     std::size_t grad_stride) const override {
+    ++gathers;
+    inner_.evaluate_gather_with_gradient(requests, xs, npoints, values, value_stride, grads,
+                                         grad_stride);
+  }
+  mutable int gathers = 0;
+
+ private:
+  const PolicyEvaluator& inner_;
+};
+
+/// Point solves through OldEntryPointView against the same solves on the
+/// bare policy: equal dofs bit for bit, and the view sees every gather, the
+/// counted ones plus `uncounted` per solve (OLG's value recursion).
+void expect_decorator_sees_every_gather(const DynamicModel& model, const AsgPolicy& policy,
+                                        const std::vector<std::vector<double>>& points,
+                                        int uncounted) {
+  std::vector<double> warm(static_cast<std::size_t>(model.ndofs()));
+  for (const std::vector<double>& x : points) {
+    for (int z = 0; z < model.num_shocks(); ++z) {
+      policy.evaluate(z, x, warm);
+      const PointSolveResult bare = model.solve_point(z, x, policy, warm);
+      const OldEntryPointView view(policy);
+      const PointSolveResult viewed = model.solve_point(z, x, view, warm);
+      EXPECT_GT(viewed.gathers, 0) << "shock " << z;
+      EXPECT_EQ(view.gathers, viewed.gathers + uncounted) << "shock " << z;
+      EXPECT_EQ(viewed.gathers, bare.gathers) << "shock " << z;
+      EXPECT_EQ(viewed.solver_iterations, bare.solver_iterations) << "shock " << z;
+      ASSERT_EQ(viewed.dofs.size(), bare.dofs.size());
+      EXPECT_EQ(std::memcmp(viewed.dofs.data(), bare.dofs.data(),
+                            bare.dofs.size() * sizeof(double)),
+                0)
+          << "shock " << z;
+    }
+  }
+}
+
+TEST(PointSolveGathers, DecoratorOfTheOldEntryPointsSeesEveryIrbcGather) {
+  irbc::IrbcCalibration cal;
+  cal.countries = 3;
+  const irbc::IrbcModel model(cal);
+  const auto policy = short_solve(model, 2);
+  expect_decorator_sees_every_gather(model, *policy, {{0.5, 0.5, 0.5}, {0.1, 0.9, 0.3}}, 0);
+}
+
+TEST(PointSolveGathers, DecoratorOfTheOldEntryPointsSeesEveryOlgGather) {
+  // The model asks for dof ranges; the decorator's full rows must solve to
+  // the same bits.
+  const olg::OlgModel model(olg::build_economy(olg::reduced_calibration(8, 2, 2)));
+  const auto policy = short_solve(model, 2);
+  const std::vector<double> center(static_cast<std::size_t>(model.state_dim()), 0.5);
+  std::vector<double> off_center(center);
+  off_center[0] = 0.3;
+  off_center[1] = 0.7;
+  expect_decorator_sees_every_gather(model, *policy, {center, off_center}, 1);
 }
 
 /// Surpluses of a few time-iteration steps solved with `threads` workers.

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "converged_policies.hpp"
@@ -640,6 +642,134 @@ TEST(AsgPolicy, ConvergedOlgPolicyHasOneShockClass) {
   const TimeIterationResult result = solve_time_iteration(model, testing::olg_options());
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(count_classes(*result.policy), 1);
+}
+
+// --------------------------------------------------------------- dof ranges
+
+bool same_stats(const GatherStats& a, const GatherStats& b) {
+  return a.gathers == b.gathers && a.gathered_requests == b.gathered_requests &&
+         a.gradient_gathers == b.gradient_gathers && a.gradient_requests == b.gradient_requests &&
+         a.walks == b.walks;
+}
+
+/// Runs the full-range value and gradient gathers of `requests`, then the
+/// same queries over OLG's ranges ([1, d) and [d + 1, 2d) of 2d dofs), one
+/// dof and the full range, into padded strides. Every in-range output must
+/// equal the full gather's bit for bit, the stride padding stays untouched,
+/// and each ranged gather counts the same gathers, requests and walks.
+void expect_ranged_gathers_match_full(const AsgPolicy& policy,
+                                      std::span<const GatherRequest> requests,
+                                      std::span<const double> xs, std::size_t npoints,
+                                      const std::string& label) {
+  constexpr double kPad = -99.0;
+  const int nd = policy.ndofs();
+  const int half = nd / 2;
+  const auto und = static_cast<std::size_t>(nd);
+  const std::size_t d = xs.size() / npoints;
+  const std::size_t vstride = und + 2;
+  const std::size_t gstride = und * d + 3;
+  const std::size_t n = requests.size();
+  const std::pair<int, int> ranges[] = {{1, half}, {half + 1, nd}, {nd - 1, nd}, {0, nd}};
+
+  for (const bool with_gradient : {false, true}) {
+    const std::size_t ngrad = with_gradient ? n * gstride : 0;
+    std::vector<double> full(n * vstride, kPad), full_grad(ngrad, kPad);
+    GatherQuery q{requests, xs, npoints, 0, nd, full, vstride, full_grad, gstride};
+    const GatherStats before = policy.gather_stats();
+    policy.gather(q);
+    const GatherStats full_stats = policy.gather_stats().since(before);
+
+    for (const auto& [b, e] : ranges) {
+      const std::string where = label + (with_gradient ? ", gradient" : ", value") + " gather [" +
+                                std::to_string(b) + ", " + std::to_string(e) + ")";
+      std::vector<double> got(n * vstride, kPad), got_grad(ngrad, kPad);
+      q.dof_begin = b;
+      q.dof_end = e;
+      q.values = got;
+      q.grads = got_grad;
+      const GatherStats before_ranged = policy.gather_stats();
+      policy.gather(q);
+      EXPECT_TRUE(same_stats(policy.gather_stats().since(before_ranged), full_stats)) << where;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t lo = static_cast<std::size_t>(b), hi = static_cast<std::size_t>(e);
+        EXPECT_TRUE(same_bits(got.data() + i * vstride + lo, full.data() + i * vstride + lo,
+                              hi - lo))
+            << where << ", values of request " << i;
+        for (std::size_t k = und; k < vstride; ++k) EXPECT_EQ(got[i * vstride + k], kPad) << where;
+        if (!with_gradient) continue;
+        EXPECT_TRUE(same_bits(got_grad.data() + i * gstride + lo * d,
+                              full_grad.data() + i * gstride + lo * d, (hi - lo) * d))
+            << where << ", gradients of request " << i;
+        for (std::size_t k = und * d; k < gstride; ++k)
+          EXPECT_EQ(got_grad[i * gstride + k], kPad) << where;
+      }
+    }
+  }
+}
+
+/// Shocks 0, 2 on one level-3 point set and shock 1 on a level-4 set, d = 3
+/// with OLG's dof layout: 2d = 6 dofs.
+AsgPolicy olg_shaped_policy(kernels::KernelKind kind) {
+  std::vector<std::unique_ptr<ShockGrid>> grids;
+  for (int z = 0; z < 3; ++z)
+    grids.push_back(make_shock_grid(3, z % 2 == 0 ? 3 : 4, 6, 241 + static_cast<std::uint64_t>(z),
+                                    kind));
+  return AsgPolicy(6, std::move(grids));
+}
+
+TEST(AsgPolicy, RangedGathersMatchFullGathersOnEveryTierAndRoute) {
+  // Requests with repeated rows (the class walk on x86, which computes only
+  // the range), a duplicate request, and one request per row (the bucketed
+  // route). The other tiers and the device bucket route fill whole rows.
+  constexpr std::size_t kPoints = 4;
+  util::Rng rng(251);
+  std::vector<double> xs(kPoints * 3);
+  for (auto& xi : xs) xi = rng.uniform();
+  const std::vector<GatherRequest> repeated{{0, 1}, {1, 1}, {2, 1}, {2, 0}, {1, 0},
+                                            {2, 1}, {1, 3}, {0, 2}, {0, 1}};
+  const std::vector<GatherRequest> distinct{{2, 3}, {0, 0}, {1, 2}};
+  for (const kernels::KernelKind kind : kernels::kAllKernelKinds) {
+    if (!kernels::kernel_supported(kind)) continue;
+    const AsgPolicy policy = olg_shaped_policy(kind);
+    const std::string name(kernels::kernel_name(kind));
+    expect_ranged_gathers_match_full(policy, repeated, xs, kPoints, name + ", repeated rows");
+    expect_ranged_gathers_match_full(policy, distinct, xs, kPoints, name + ", distinct rows");
+  }
+  AsgPolicy device = olg_shaped_policy(kernels::KernelKind::X86);
+  device.attach_default_device(kernels::KernelKind::SimGpu,
+                               {.queue_capacity = 1024, .max_batch = 16});
+  expect_ranged_gathers_match_full(device, repeated, xs, kPoints, "device, repeated rows");
+  EXPECT_GT(device.device_stats().offloaded_points, 0u);
+}
+
+TEST(AsgPolicy, RangedGathersOnTheModelsSuccessorPattern) {
+  // All successors with mass at one row (residual, Jacobian, finish) and
+  // at n trial columns; the x86 class walk runs one walk per (row, class).
+  const AsgPolicy policy = olg_shaped_policy(kernels::KernelKind::X86);
+  const std::vector<double> pi{0.5, 0.2, 0.3};
+  util::Rng rng(257);
+  for (const std::size_t columns : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<double> xs(columns * 3);
+    for (auto& xi : xs) xi = rng.uniform();
+    std::vector<GatherRequest> requests;
+    successor_requests(pi, columns, requests);
+    expect_ranged_gathers_match_full(policy, requests, xs, columns,
+                                     std::to_string(columns) + " columns");
+    const GatherStats before = policy.gather_stats();
+    std::vector<double> values(requests.size() * 6);
+    policy.gather({requests, xs, columns, 1, 3, values, 6, {}, 0});
+    EXPECT_EQ(policy.gather_stats().since(before).walks, 2 * columns);
+  }
+}
+
+TEST(AsgPolicy, GatherRejectsARangeOutsideTheDofs) {
+  const AsgPolicy policy = olg_shaped_policy(kernels::KernelKind::X86);
+  const std::vector<double> xs{0.3, 0.4, 0.5};
+  const std::vector<GatherRequest> requests{{0, 0}, {1, 0}};
+  std::vector<double> values(requests.size() * 6);
+  for (const auto& [b, e] : {std::pair{-1, 3}, std::pair{4, 3}, std::pair{0, 7}})
+    EXPECT_THROW(policy.gather({requests, xs, 1, b, e, values, 6, {}, 0}), std::invalid_argument)
+        << "[" << b << ", " << e << ")";
 }
 
 TEST(PolicyEvaluatorDefault, GatherWithGradientFdFallbackApproximates) {

@@ -1,6 +1,6 @@
 // Exactness of the compressed chain walk. The kernels evaluate factors from
 // the compression's factor table and jump over zero-prefix runs with its
-// skip pointers; neither may change a single bit. Four checks:
+// skip pointers; neither may change a single bit. Five checks:
 //   * every compressed CPU tier and evaluate_with_gradient against a
 //     test-local reference walk that visits every point, evaluates factors
 //     with sg::hat_value / sg::hat_derivative from (l, i), and accumulates in
@@ -10,7 +10,9 @@
 //     point is ever jumped over);
 //   * the skip-table invariants, directly;
 //   * the shared walks (one walk, several surplus sets on one point set)
-//     against one single-grid walk per surplus set, with and without skips.
+//     against one single-grid walk per surplus set, with and without skips;
+//   * the shared walks over a dof range against the full-range walk: equal
+//     bits inside the range, nothing written outside it.
 // Grids are adaptive and shaped like the two models' (IRBC: d = 3, one dof
 // per country; OLG: d = 7, 14 dofs), plus one built without the point
 // reordering. Probes include hat kinks and support edges: 0, 1 and grid
@@ -263,17 +265,87 @@ TEST_P(ChainWalkExactness, SharedWalksMatchSeparateWalksBitForBit) {
         evaluate_with_gradient(grids[c % kGrids], x.data(), want_value[c].data(),
                                want_grad[c].data());
       }
-      evaluate_shared(*index, x.data(), targets);
+      evaluate_shared(*index, x.data(), targets, 0, s.ndofs);
       for (std::size_t c = 0; c < kTargets; ++c)
         EXPECT_TRUE(bitwise_equal(want[c], got[c]))
             << "shared value walk " << walk << ", target " << c << " on " << s.name;
-      evaluate_shared_with_gradient(*index, x.data(), targets);
+      evaluate_shared_with_gradient(*index, x.data(), targets, 0, s.ndofs);
       for (std::size_t c = 0; c < kTargets; ++c) {
         EXPECT_TRUE(bitwise_equal(want_value[c], got[c]))
             << "shared gradient walk value " << walk << ", target " << c << " on " << s.name;
         EXPECT_TRUE(bitwise_equal(want_grad[c], got_grad[c]))
             << "shared gradient walk gradient " << walk << ", target " << c << " on " << s.name;
       }
+    }
+  }
+}
+
+TEST_P(ChainWalkExactness, RangedSharedWalksMatchFullWalksBitForBit) {
+  // The dof range the gathers pass down: in-range outputs equal the full
+  // walk's bit for bit, and nothing outside the range is written, for the
+  // models' ranges ([1, d) and [d + 1, 2d) of OLG's 2d dofs), single dofs at
+  // either end and the full range.
+  const Shape& s = GetParam();
+  const Fixture fx = build(s);
+  const int nd = s.ndofs;
+  const auto und = static_cast<std::size_t>(nd);
+  const auto ud = static_cast<std::size_t>(s.d);
+  constexpr double kPad = -99.0;
+  // Two grids on the fixture's point set and grid 0 once more (a duplicate
+  // target).
+  std::vector<core::CompressedGridData> grids(2, fx.grid);
+  util::Rng rng(0x7A46);
+  for (auto& g : grids)
+    for (auto& v : g.surplus) v = rng.uniform(-1.0, 1.0);
+  constexpr std::size_t kTargets = 3;
+  std::vector<std::vector<double>> full(kTargets, std::vector<double>(und));
+  std::vector<std::vector<double>> full_grad(kTargets, std::vector<double>(und * ud));
+  std::vector<std::vector<double>> got(full), got_grad(full_grad);
+  std::vector<WalkTarget> full_targets, ranged_targets;
+  for (std::size_t c = 0; c < kTargets; ++c) {
+    const double* surplus = grids[c % 2].surplus.data();
+    full_targets.push_back({surplus, full[c].data(), full_grad[c].data()});
+    ranged_targets.push_back({surplus, got[c].data(), got_grad[c].data()});
+  }
+  const int half = nd / 2;
+  // {1, half} is empty for the 3-dof shapes: such a walk writes nothing.
+  const std::pair<int, int> ranges[] = {{1, half},  {half + 1, nd}, {1, nd},
+                                        {0, 1},     {nd - 1, nd},   {0, nd}};
+  for (const auto& x : probes(fx, s.d)) {
+    evaluate_shared(fx.grid, x.data(), full_targets, 0, nd);
+    const std::vector<std::vector<double>> full_value = full;
+    evaluate_shared_with_gradient(fx.grid, x.data(), full_targets, 0, nd);
+    for (const auto& [b, e] : ranges) {
+      for (std::size_t c = 0; c < kTargets; ++c) std::fill(got[c].begin(), got[c].end(), kPad);
+      evaluate_shared(fx.grid, x.data(), ranged_targets, b, e);
+      for (std::size_t c = 0; c < kTargets; ++c)
+        for (int dof = 0; dof < nd; ++dof) {
+          const auto k = static_cast<std::size_t>(dof);
+          const double want = dof >= b && dof < e ? full_value[c][k] : kPad;
+          EXPECT_EQ(std::memcmp(&got[c][k], &want, sizeof(double)), 0)
+              << "value walk [" << b << ", " << e << ") dof " << dof << ", target " << c
+              << " on " << s.name;
+        }
+      for (std::size_t c = 0; c < kTargets; ++c) {
+        std::fill(got[c].begin(), got[c].end(), kPad);
+        std::fill(got_grad[c].begin(), got_grad[c].end(), kPad);
+      }
+      evaluate_shared_with_gradient(fx.grid, x.data(), ranged_targets, b, e);
+      for (std::size_t c = 0; c < kTargets; ++c)
+        for (int dof = 0; dof < nd; ++dof) {
+          const auto k = static_cast<std::size_t>(dof);
+          const bool in = dof >= b && dof < e;
+          const double want = in ? full[c][k] : kPad;
+          EXPECT_EQ(std::memcmp(&got[c][k], &want, sizeof(double)), 0)
+              << "gradient walk value [" << b << ", " << e << ") dof " << dof << ", target "
+              << c << " on " << s.name;
+          for (std::size_t t = 0; t < ud; ++t) {
+            const double want_grad = in ? full_grad[c][k * ud + t] : kPad;
+            EXPECT_EQ(std::memcmp(&got_grad[c][k * ud + t], &want_grad, sizeof(double)), 0)
+                << "gradient walk [" << b << ", " << e << ") d/dx" << t << " of dof " << dof
+                << ", target " << c << " on " << s.name;
+          }
+        }
     }
   }
 }

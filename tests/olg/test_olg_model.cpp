@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "core/time_iteration.hpp"
@@ -362,6 +365,75 @@ TEST(OlgModel, InitialPolicyScalesWithCapital) {
     s_hi += p_hi[a];
   }
   EXPECT_GT(s_hi, s_lo);
+}
+
+/// initial_policy's formula as evaluated per call before its value half
+/// moved into the constructor: to_physical, decode_state, then the
+/// steady-state annuity loop of every age.
+std::vector<double> initial_policy_oracle(const OlgModel& m, std::span<const double> x_unit) {
+  const int A = m.economy().ages();
+  const int d = A - 1;
+  const SteadyState& ss = m.steady_state();
+  const std::vector<double> x_phys = m.domain().to_physical(x_unit);
+  const OlgModel::DecodedState s = m.decode_state(x_phys);
+  std::vector<double> dofs(static_cast<std::size_t>(2 * d));
+  const double k_ratio = std::clamp(s.capital / ss.capital, 0.25, 4.0);
+  for (int a = 1; a <= A - 1; ++a) dofs[a - 1] = std::max(ss.savings[a - 1] * k_ratio, 0.0);
+  for (int a = 1; a <= A - 1; ++a) {
+    const double u = m.preferences().utility_unnormalized(ss.consumption[a - 1]);
+    const int remaining = A - a + 1;
+    double annuity = 0.0, b = 1.0;
+    for (int k = 0; k < remaining; ++k) {
+      annuity += b * u;
+      b *= m.economy().beta;
+    }
+    dofs[d + a - 1] = m.preferences().value_transform(annuity);
+  }
+  return dofs;
+}
+
+void expect_initial_policy_matches_oracle(const OlgModel& m, std::span<const double> x_unit) {
+  const std::vector<double> got = m.initial_policy(1, x_unit);
+  const std::vector<double> want = initial_policy_oracle(m, x_unit);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k)
+    EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+        << "dof " << k << ": " << got[k] << " vs " << want[k] << " at x0 = " << x_unit[0];
+}
+
+TEST(OlgModel, InitialPolicyEqualsThePerCallFormulaBitForBit) {
+  const OlgModel m = make_model(6);
+  const auto d = static_cast<std::size_t>(m.state_dim());
+  util::Rng rng(61);
+  for (int k = 0; k < 32; ++k) expect_initial_policy_matches_oracle(m, rng.uniform_point(5));
+  // Box corners: all-low, all-high and alternating.
+  for (const double c : {0.0, 1.0}) {
+    std::vector<double> corner(d, c);
+    expect_initial_policy_matches_oracle(m, corner);
+    for (std::size_t t = 0; t < d; t += 2) corner[t] = 1.0 - c;
+    expect_initial_policy_matches_oracle(m, corner);
+  }
+
+  // A capital range reaching below the capital floor (1e-3 of steady-state
+  // capital): at its low face decode_state floors the capital.
+  OlgModelOptions wide;
+  wide.width_capital = 5000.0;
+  const OlgModel floored(build_economy(reduced_calibration(6)), wide);
+  for (const double x0 : {0.0, 1e-7, 0.5}) {
+    std::vector<double> x(d, 0.5);
+    x[0] = x0;
+    if (x0 == 0.0) {
+      const std::vector<double> x_phys = floored.domain().to_physical(x);
+      ASSERT_GT(floored.decode_state(x_phys).capital, x_phys[0]) << "the floor does not bind";
+    }
+    expect_initial_policy_matches_oracle(floored, x);
+  }
+}
+
+TEST(OlgModel, InitialPolicyRejectsADimensionMismatch) {
+  const OlgModel m = make_model(6);
+  EXPECT_THROW((void)m.initial_policy(0, std::vector<double>(4, 0.5)), std::invalid_argument);
+  EXPECT_THROW((void)m.initial_policy(0, std::vector<double>(6, 0.5)), std::invalid_argument);
 }
 
 TEST(OlgModel, EquilibriumResidualDetectsBadPolicy) {
