@@ -42,6 +42,7 @@
 #include "simgpu/perf_model.hpp"
 #include "sparse_grid/hierarchize.hpp"
 #include "sparse_grid/regular.hpp"
+#include "support/scalar_policy_view.hpp"
 #include "util/env.hpp"
 #include "util/table.hpp"
 

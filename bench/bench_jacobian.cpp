@@ -1,14 +1,15 @@
-// Jacobian-refresh benchmark: batched finite differences vs the analytic
+// Jacobian-refresh benchmark: finite differences vs the analytic
 // Euler-system columns (DESIGN.md, "Jacobian pipeline").
 //
-// PR 4 collapsed the per-solve interpolation traffic into gathers, leaving
-// the Newton hot loop dominated by Jacobian refreshes: a batched-FD sweep
-// still costs N full residual evaluations (one gathered interpolation pass
-// carrying Ns x N requests) per refresh, while the analytic refresh costs
-// ONE evaluate_gather_with_gradient of Ns requests. Benchmarks time the two
-// refresh paths on identical IRBC trial points:
+// With the per-solve interpolation traffic collapsed into gathers, the
+// Newton hot loop is dominated by Jacobian refreshes: an FD sweep costs N
+// full residual evaluations (N gathers of Ns requests each) per refresh,
+// while the analytic refresh costs ONE value + gradient gather of Ns
+// requests. Benchmarks time the two refresh paths on identical IRBC trial
+// points:
 //   jacobian/fd/N<k>        — solver::finite_difference_jacobian over the
-//                             batched residual (the PR 4 regime)
+//                             residual, the refresh solve_newton runs
+//                             without a JacobianFn
 //   jacobian/analytic/N<k>  — IrbcModel::euler_jacobian (closed-form columns)
 // across country counts N (d = ndofs = N, Ns = 2^min(N,4)).
 //
@@ -16,14 +17,14 @@
 // model's residual, its Newton settings and capital box
 // (IrbcModel::newton_options), one warm start, solved by solver::solve_newton
 // once with and once without euler_jacobian — and FAILS (non-zero exit) if
-//   * at N >= 4 the analytic sweep does not beat the batched-FD sweep, on
+//   * at N >= 4 the analytic sweep does not beat the FD sweep, on
 //     the medians of 21 interleaved samples of each that the check times
 //     itself,
 //   * the analytic and FD-refreshed solutions diverge beyond the documented
 //     trajectory tolerance (1e-6 inf-norm on converged dofs — both solve to
 //     residual 1e-10, so agreeing endpoints are the correctness statement;
 //     iteration paths may differ),
-//   * any refresh of those analytic solves deviates from the batched-FD
+//   * any refresh of those analytic solves deviates from the FD
 //     reference by solver::jacobian_deviation > 1e-3 (the audit), or
 //   * no sampled point produced a converged trajectory pair at some N.
 // Solves where BOTH runs fail to converge are excluded: an unconverged
@@ -151,13 +152,10 @@ Setup make_setup(int countries) {
     irbc::IrbcModel::PointScratch scratch;
     (void)model.prepare(z, xp, scratch);
     const auto residual = [&](std::span<const double> u, std::span<double> out) {
-      model.euler_residuals_batch(scratch, u, 1, *s.policy, out);
-    };
-    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
-      model.euler_residuals_batch(scratch, us, ncols, *s.policy, fs);
+      model.euler_residuals(scratch, u, *s.policy, out);
     };
     // Steps with the analytic columns and audits each refresh against the
-    // batched-FD reference at the same iterate.
+    // FD reference at the same iterate.
     long long flagged = 0;
     double max_dev = 0.0;
     solver::FdBuffers fd_buffers;
@@ -166,7 +164,7 @@ Setup make_setup(int countries) {
       std::vector<double> fu(N);
       residual(u, fu);
       util::Matrix reference(N, N);
-      solver::finite_difference_jacobian(batch, u, fu, kFdEpsilon, reference, fd_buffers);
+      solver::finite_difference_jacobian(residual, u, fu, kFdEpsilon, reference, fd_buffers);
       const double dev = solver::jacobian_deviation(jac, reference);
       max_dev = std::max(max_dev, dev);
       if (dev > kAuditTolerance) ++flagged;
@@ -208,17 +206,17 @@ class Refreshes {
     (void)s.model->prepare(0, s.x_unit, scratch_);
   }
 
-  /// The refresh as solve_newton runs it: residual at u, then the batched
-  /// N-column sweep (one gather carrying Ns x N requests).
+  /// The refresh as solve_newton runs it: residual at u, then the N-column
+  /// sweep (N residual evaluations, one gather of Ns requests each).
   void fd() {
     const irbc::IrbcModel& model = *s_.model;
-    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
-      model.euler_residuals_batch(scratch_, us, ncols, *s_.policy, fs);
+    const auto residual = [&](std::span<const double> u, std::span<double> out) {
+      model.euler_residuals(scratch_, u, *s_.policy, out);
     };
     for (std::size_t sweep = 0; sweep < s_.sweeps; ++sweep) {
       const std::span<const double> u(s_.us.data() + sweep * n_, n_);
-      model.euler_residuals_batch(scratch_, u, 1, *s_.policy, f0_);
-      solver::finite_difference_jacobian(batch, u, f0_, kFdEpsilon, jac_, fd_buffers_);
+      residual(u, f0_);
+      solver::finite_difference_jacobian(residual, u, f0_, kFdEpsilon, jac_, fd_buffers_);
     }
     benchlib::do_not_optimize(jac_.data());
   }
@@ -287,9 +285,9 @@ CheckMedians check_medians(Setup& s) {
 }
 
 int jacobian_report(const benchlib::RunReport& report) {
-  bench::print_header("Jacobian refresh: batched-FD sweep vs analytic columns");
+  bench::print_header("Jacobian refresh: FD sweep vs analytic columns");
   std::printf("(one refresh = the Jacobian work of one Newton iteration at one grid point;\n"
-              " FD pays N residual columns through one gather, analytic pays one\n"
+              " FD pays N residual columns, one gather each, analytic pays one\n"
               " gather-with-gradient — see DESIGN.md, \"Jacobian pipeline\")\n");
 
   util::Table table({"countries", "Ns", "path", "host s/refresh", "speedup"});
@@ -306,26 +304,26 @@ int jacobian_report(const benchlib::RunReport& report) {
     const double fd_s = fd->seconds_per_item();
     const double an_s = an->seconds_per_item();
     const double speedup = an_s > 0.0 ? fd_s / an_s : 0.0;
-    table.add_row({std::to_string(countries), std::to_string(Ns), "batched-fd",
+    table.add_row({std::to_string(countries), std::to_string(Ns), "fd",
                    util::fmt_seconds(fd_s), "1.00"});
     table.add_row({std::to_string(countries), std::to_string(Ns), "analytic",
                    util::fmt_seconds(an_s), util::fmt_double(speedup, 2)});
 
     // Acceptance at N >= 4 — the paper-relevant scale: the analytic refresh
-    // must actually be faster than the batched-FD sweep it replaces, on the
+    // must actually be faster than the FD sweep it replaces, on the
     // medians of the check's own interleaved samples.
     if (countries >= 4) checks.emplace_back(countries, check_medians(s));
   }
   bench::print_table(table);
 
   for (const auto& [countries, m] : checks) {
-    std::printf("speed-up check N=%d: median of %d interleaved samples, batched-fd %.3e "
+    std::printf("speed-up check N=%d: median of %d interleaved samples, fd %.3e "
                 "s/refresh, analytic %.3e s/refresh\n",
                 countries, kCheckSamples, m.fd_s, m.an_s);
     if (!(m.an_s < m.fd_s)) {
       std::fprintf(stderr,
                    "FAIL: jacobian/analytic/N%d (median %.3e s/refresh) does not beat the "
-                   "batched-FD sweep (median %.3e s/refresh)\n",
+                   "FD sweep (median %.3e s/refresh)\n",
                    countries, m.an_s, m.fd_s);
       rc = 1;
     }

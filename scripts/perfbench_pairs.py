@@ -16,6 +16,10 @@ ratio change / parent, the number of pairs in which the change was better
 (the direction BENCHMARK.json gives) and the parent's interquartile range,
 the noise a median difference has to exceed.
 
+Warns when exactly one of the two checkouts is a git checkout: the build
+bakes `git rev-parse --short=12 HEAD` (or "unknown") into SnapshotMeta::git_sha,
+so snapshot_bytes then differs by 5 B with identical surpluses.
+
 Exits 1 when a run fails or reports `correct: false` or a failed operation.
 With --trace 1 it also exits 1 unless the deterministic per-layer counts and
 euler_error of each pair are equal on both sides: a change that claims to
@@ -46,6 +50,17 @@ def run_side(checkout, target_dir, args, seed):
     if proc.returncode != 0:
         sys.exit(f"perfbench_pairs: {checkout}: run.py exited with {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def in_git_checkout(checkout):
+    """Whether a build of `checkout` records a SHA rather than "unknown"
+    (src/benchlib/CMakeLists.txt runs the same command)."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"], cwd=checkout,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    except OSError:
+        return False
+    return proc.returncode == 0 and proc.stdout.strip() != ""
 
 
 def better_direction(checkouts):
@@ -85,6 +100,15 @@ def main():
                       else os.path.join(checkouts[side], ".bench_build"))
                for side in SIDES}
     better = better_direction(checkouts.values())
+    in_git = {side: in_git_checkout(checkouts[side]) for side in SIDES}
+    provenance_warning = None
+    if in_git["parent"] != in_git["change"]:
+        git_side = "parent" if in_git["parent"] else "change"
+        provenance_warning = (
+            f"warning: only the {git_side} is a git checkout, so SnapshotMeta::git_sha is a "
+            "12-character SHA on one side and \"unknown\" on the other: snapshot_bytes differs "
+            "by 5 B even with identical surpluses; compare two checkouts of the same kind")
+        print(f"perfbench_pairs: {provenance_warning}", file=sys.stderr)
 
     results = {side: [] for side in SIDES}
     failures = []
@@ -124,6 +148,8 @@ def main():
               f"{ratio:>8.4f} {improved:>3}/{args.pairs:<3} "
               f"{quartile_range(series['parent']):>11.4g}")
 
+    if provenance_warning:
+        print(f"perfbench_pairs: {provenance_warning}", file=sys.stderr)
     for failure in failures:
         print(f"perfbench_pairs: {failure}", file=sys.stderr)
     return 1 if failures else 0

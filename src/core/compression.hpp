@@ -79,8 +79,6 @@ struct RemappedPair {
 
 /// Fig. 3's per-dimension preprocessing.
 RemappedPair remap_pair(sg::LevelIndex li);
-/// Inverse of remap_pair (used by tests and the decompressor).
-sg::LevelIndex unmap_pair(RemappedPair rp);
 
 struct CompressionStats {
   double xi_zero_fraction = 0.0;  ///< fraction of zero pairs in Xi (Fig. 3b)
@@ -136,14 +134,6 @@ struct CompressOptions {
 
 /// Runs the full Sec. IV-B pipeline on a dense grid.
 CompressedGridData compress(const sg::DenseGridData& dense, const CompressOptions& options = {});
-
-/// Inverse of compress(): reconstructs the dense ("gold") grid — multi-index
-/// pairs from the chains (dimensions absent from a chain are root pairs) and
-/// surplus rows permuted back through `order` to the original point order.
-/// compress() is lossless, so decompress(compress(g)) reproduces g exactly
-/// (bit-identical pairs and surpluses); the round-trip property test relies
-/// on this to prove the compressed kernels see the same interpolant.
-sg::DenseGridData decompress(const CompressedGridData& compressed);
 
 /// Replaces the surpluses of an existing compressed grid (same point set)
 /// with freshly computed dense-order surpluses; avoids re-running the index

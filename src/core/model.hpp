@@ -28,16 +28,12 @@ struct GatherRequest {
   std::uint32_t point = 0;  ///< row into xs (npoints rows of state_dim)
 };
 
-/// The models' gather pattern: one request per (successor shock with
-/// pi[zp] != 0) x (trial column), shock-major, so request slot * ncols + col
-/// is the slot-th successor at column col and AsgPolicy's buckets are runs.
-inline void successor_requests(std::span<const double> pi, std::size_t ncols,
-                               std::vector<GatherRequest>& requests) {
+/// The models' gather pattern: one request per successor shock with
+/// pi[zp] != 0, in shock order, all at row 0 (the one trial point).
+inline void successor_requests(std::span<const double> pi, std::vector<GatherRequest>& requests) {
   requests.clear();
   for (std::size_t zp = 0; zp < pi.size(); ++zp)
-    if (pi[zp] != 0.0)
-      for (std::size_t col = 0; col < ncols; ++col)
-        requests.push_back({static_cast<std::int32_t>(zp), static_cast<std::uint32_t>(col)});
+    if (pi[zp] != 0.0) requests.push_back({static_cast<std::int32_t>(zp), 0});
 }
 
 /// One gathered policy evaluation, values and optionally gradients: request
@@ -101,10 +97,9 @@ class PolicyEvaluator {
   }
 
   /// Gathered evaluation across shocks — the per-solve entry point of the
-  /// interpolation amortization: a Newton residual (or a whole
-  /// finite-difference Jacobian sweep) collects every successor-shock
-  /// request it needs and issues them in one call. Request i fills
-  /// out[i*out_stride .. i*out_stride + ndofs); `xs` holds `npoints` rows of
+  /// interpolation amortization: a Newton residual collects every
+  /// successor-shock request it needs and issues them in one call. Request
+  /// i fills out[i*out_stride .. i*out_stride + ndofs); `xs` holds `npoints` rows of
   /// the state dimension and requests may repeat rows. `out_stride` must be
   /// >= ndofs.
   ///

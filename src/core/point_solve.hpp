@@ -34,7 +34,7 @@ inline PointWorkspace& executor_workspace() {
 
 /// Solves model `system`'s equilibrium at grid point (z, x_unit) from the
 /// warm start (size ndofs). The model provides PointScratch, unknowns(),
-/// prepare(), euler_residuals_batch() and euler_jacobian(), and optionally
+/// prepare(), euler_residuals() and euler_jacobian(), and optionally
 /// accept() and finish() (see DESIGN.md, "Point-solve harness").
 template <class S>
 PointSolveResult solve_point(const S& system, int z, std::span<const double> x_unit,
@@ -47,7 +47,7 @@ PointSolveResult solve_point(const S& system, int z, std::span<const double> x_u
 
   EvalCounters counters;
   const auto residual = [&](std::span<const double> u, std::span<double> out) {
-    system.euler_residuals_batch(scratch, u, 1, p_next, out, &counters);
+    system.euler_residuals(scratch, u, p_next, out, &counters);
   };
   const auto jacobian = [&](std::span<const double> u, util::Matrix& jac) {
     system.euler_jacobian(scratch, u, p_next, jac, &counters);

@@ -80,7 +80,7 @@ class ShockGrid {
   /// bit-identical to the x86 kernel's evaluate() (same chain walk — see
   /// kernels::evaluate_with_gradient), ULP-bounded vs the other kernels; the
   /// gradient is the exact a.e. derivative of the piecewise-multilinear
-  /// interpolant (validated against sg::reference_interpolate_with_gradient).
+  /// interpolant (validated against the test suite's reference interpolant).
   void evaluate_with_gradient(std::span<const double> x_unit, std::span<double> out,
                               std::span<double> grad) const;
 
@@ -198,37 +198,6 @@ class AsgPolicy final : public PolicyEvaluator {
   mutable std::atomic<std::uint64_t> gradient_gathers_{0};
   mutable std::atomic<std::uint64_t> gradient_requests_{0};
   mutable std::atomic<std::uint64_t> walks_{0};
-};
-
-/// Per-point view of another evaluator: forwards evaluate() but keeps the
-/// PolicyEvaluator default evaluate_batch/evaluate_gather loops — the
-/// pre-gather scalar regime. Parity tests and bench_gather wrap the same
-/// AsgPolicy in this view to pit gathered against per-shock scalar
-/// evaluation bit for bit. The gradient entry point forwards to the inner
-/// evaluator unchanged: it is not part of the scalar-vs-gathered value
-/// contract under test, and forwarding keeps solve trajectories bit-
-/// identical across the two views. The models' analytic Euler Jacobians
-/// read p_next's gradients through this entry point; the base-class
-/// finite-difference default would perturb them.
-class ScalarPolicyView final : public PolicyEvaluator {
- public:
-  explicit ScalarPolicyView(const PolicyEvaluator& inner) : inner_(inner) {}
-  [[nodiscard]] int num_shocks() const override { return inner_.num_shocks(); }
-  [[nodiscard]] int ndofs() const override { return inner_.ndofs(); }
-  void evaluate(int z, std::span<const double> x_unit, std::span<double> out) const override {
-    inner_.evaluate(z, x_unit, out);
-  }
-  void evaluate_gather_with_gradient(std::span<const GatherRequest> requests,
-                                     std::span<const double> xs, std::size_t npoints,
-                                     std::span<double> values, std::size_t value_stride,
-                                     std::span<double> grads,
-                                     std::size_t grad_stride) const override {
-    inner_.evaluate_gather_with_gradient(requests, xs, npoints, values, value_stride, grads,
-                                         grad_stride);
-  }
-
- private:
-  const PolicyEvaluator& inner_;
 };
 
 /// Iteration-0 policy: wraps DynamicModel::initial_policy.

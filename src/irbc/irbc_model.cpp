@@ -108,84 +108,70 @@ solver::NewtonOptions IrbcModel::prepare(int z, std::span<const double> x_unit,
   return newton_options();
 }
 
-void IrbcModel::euler_residuals_batch(PointScratch& scratch,
-                                      std::span<const double> k_next_block, std::size_t ncols,
-                                      const core::PolicyEvaluator& p_next,
-                                      std::span<double> out_block,
-                                      core::EvalCounters* counters) const {
+void IrbcModel::euler_residuals(PointScratch& scratch, std::span<const double> k_next,
+                                const core::PolicyEvaluator& p_next, std::span<double> out,
+                                core::EvalCounters* counters) const {
   const int N = cal_.countries;
-  const int Ns = num_shocks();
   const auto sN = static_cast<std::size_t>(N);
-  if (k_next_block.size() < ncols * sN || out_block.size() < ncols * sN)
-    throw std::invalid_argument("euler_residuals_batch: block size mismatch");
+  if (k_next.size() < sN || out.size() < sN)
+    throw std::invalid_argument("euler_residuals: size mismatch");
   const int z = scratch.z;
   const std::span<const double> k = scratch.k;
   const auto pi = chain_.row(static_cast<std::size_t>(z));
   const double theta = cal_.theta;
 
-  // Guarded copies of the trial iterates and their shock-independent powers;
-  // their unit-cube images feed the gather (to_unit clamps to the box, so
+  // Guarded copy of the trial iterate and its shock-independent powers; its
+  // unit-cube image feeds the gather (to_unit clamps to the box, so
   // flooring changes nothing there either for feasible points).
-  scratch.k_next.assign(k_next_block.begin(), k_next_block.begin() + static_cast<std::ptrdiff_t>(ncols * sN));
-  scratch.kn_theta.resize(ncols * sN);
-  scratch.kn_theta1.resize(ncols * sN);
-  for (std::size_t i = 0; i < ncols * sN; ++i) {
+  scratch.k_next.assign(k_next.begin(), k_next.begin() + N);
+  scratch.kn_theta.resize(sN);
+  scratch.kn_theta1.resize(sN);
+  for (std::size_t i = 0; i < sN; ++i) {
     const double kn = std::max(scratch.k_next[i], kTrialCapitalFloor);
     scratch.k_next[i] = kn;
     scratch.kn_theta[i] = std::pow(kn, theta);
     scratch.kn_theta1[i] = std::pow(kn, theta - 1.0);
   }
   scratch.x_unit = scratch.k_next;
-  for (std::size_t col = 0; col < ncols; ++col)
-    domain_.to_unit_inplace(std::span<double>(scratch.x_unit).subspan(col * sN, sN));
+  domain_.to_unit_inplace(scratch.x_unit);
 
-  // One gather for every (successor shock with mass) x (trial column) pair.
-  core::successor_requests(pi, ncols, scratch.requests);
+  // One gather for every successor shock with mass.
+  core::successor_requests(pi, scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * sN);
   p_next.gather({.requests = scratch.requests,
                  .xs = scratch.x_unit,
-                 .npoints = ncols,
+                 .npoints = 1,
                  .dof_begin = 0,
                  .dof_end = N,
                  .values = scratch.gathered,
                  .value_stride = sN});
   if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
-  scratch.expected.assign(ncols * sN, 0.0);
-  std::size_t slot = 0;
-  for (int zp = 0; zp < Ns; ++zp) {
+  const std::span<const double> kc = scratch.k_next;
+  scratch.expected.assign(sN, 0.0);
+  for (std::size_t slot = 0; slot < scratch.requests.size(); ++slot) {
+    const int zp = scratch.requests[slot].z;
     const double prob = pi[static_cast<std::size_t>(zp)];
-    if (prob == 0.0) continue;
     const double* tfp = scaled_tfp_.data() + static_cast<std::size_t>(zp) * sN;
-    for (std::size_t col = 0; col < ncols; ++col) {
-      const std::span<const double> kc(scratch.k_next.data() + col * sN, sN);
-      const std::span<const double> kc_theta(scratch.kn_theta.data() + col * sN, sN);
-      const double* kc_theta1 = scratch.kn_theta1.data() + col * sN;
-      const std::span<const double> dofs(scratch.gathered.data() + (slot * ncols + col) * sN, sN);
-      double* expected = scratch.expected.data() + col * sN;
+    const std::span<const double> dofs(scratch.gathered.data() + slot * sN, sN);
 
-      const double c_tomorrow = consumption(zp, kc, kc_theta, dofs);
-      const double mu_tomorrow = prefs_.marginal_utility(std::max(c_tomorrow, 1e-6));
-      for (std::size_t j = 0; j < sN; ++j) {
-        const double g = dofs[j] / kc[j];
-        const double gross_return = tfp[j] * theta * kc_theta1[j] + 1.0 - cal_.delta +
-                                    0.5 * cal_.phi * (g * g - 1.0);
-        expected[j] += prob * mu_tomorrow * gross_return;
-      }
+    const double c_tomorrow = consumption(zp, kc, scratch.kn_theta, dofs);
+    const double mu_tomorrow = prefs_.marginal_utility(std::max(c_tomorrow, 1e-6));
+    for (std::size_t j = 0; j < sN; ++j) {
+      const double g = dofs[j] / kc[j];
+      const double gross_return = tfp[j] * theta * scratch.kn_theta1[j] + 1.0 - cal_.delta +
+                                  0.5 * cal_.phi * (g * g - 1.0);
+      scratch.expected[j] += prob * mu_tomorrow * gross_return;
     }
-    ++slot;
   }
 
-  for (std::size_t col = 0; col < ncols; ++col) {
-    const std::span<const double> kc(scratch.k_next.data() + col * sN, sN);
-    const double c_today = consumption(z, k, scratch.k_theta, kc);
-    const double mu_today = prefs_.marginal_utility(std::max(c_today, 1e-6));
-    for (std::size_t j = 0; j < sN; ++j) {
-      const double marginal_cost = mu_today * (1.0 + cal_.phi * (kc[j] / k[j] - 1.0));
-      // Unit-free: 1 - beta E[...] / marginal cost; identical roots, O(1)
-      // scale regardless of the consumption level.
-      out_block[col * sN + j] = 1.0 - cal_.beta * scratch.expected[col * sN + j] / marginal_cost;
-    }
+  const double c_today = consumption(z, k, scratch.k_theta, kc);
+  const double mu_today = prefs_.marginal_utility(std::max(c_today, 1e-6));
+  for (std::size_t j = 0; j < sN; ++j) {
+    const double marginal_cost = mu_today * (1.0 + cal_.phi * (kc[j] / k[j] - 1.0));
+    // Unit-free: 1 - beta E[...] / marginal cost; identical roots, O(1)
+    // scale regardless of the consumption level.
+    out[j] = 1.0 - cal_.beta * scratch.expected[j] / marginal_cost;
   }
 }
 
@@ -230,8 +216,8 @@ void IrbcModel::euler_jacobian(PointScratch& scratch, std::span<const double> k_
   }
 
   // One gather-with-gradient for all successor shocks with mass — the
-  // analytic replacement for the FD sweep's N-column gather.
-  core::successor_requests(pi, 1, scratch.requests);
+  // analytic replacement for the FD sweep's N gathers.
+  core::successor_requests(pi, scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * sN);
   scratch.gathered_grad.resize(scratch.requests.size() * sN * sN);
   p_next.gather({.requests = scratch.requests,
@@ -338,7 +324,7 @@ double IrbcModel::equilibrium_residual(int z, std::span<const double> x_unit,
   for (double& v : k_next) v = std::clamp(v, 0.2, 3.0);
 
   std::vector<double> res(unknowns());
-  euler_residuals_batch(scratch, k_next, 1, p, res);
+  euler_residuals(scratch, k_next, p, res);
   double worst = 0.0;
   for (const double r : res) worst = std::max(worst, std::fabs(r));
   return worst;

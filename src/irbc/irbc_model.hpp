@@ -89,13 +89,13 @@ class IrbcModel final : public core::DynamicModel {
     int z = 0;                               ///< today's shock
     std::vector<double> k;                   ///< today's capital (N)
     std::vector<double> k_theta;             ///< k_j^theta (N)
-    std::vector<double> k_next;              ///< ncols rows of N (guarded copies)
+    std::vector<double> k_next;              ///< N (guarded copy of the trial point)
     std::vector<double> kn_theta;            ///< k'^theta per trial component
     std::vector<double> kn_theta1;           ///< k'^(theta-1) per trial component
-    std::vector<double> x_unit;              ///< ncols rows of N in [0,1]
+    std::vector<double> x_unit;              ///< N in [0,1]
     std::vector<core::GatherRequest> requests;
     std::vector<double> gathered;            ///< one N-row per request
-    std::vector<double> expected;            ///< ncols rows of N
+    std::vector<double> expected;            ///< N
     // Analytic-Jacobian workspace (euler_jacobian only): policy gradients,
     // floor/clamp gates, k'^(theta-2) and the E / dE / dc accumulators of
     // the derivation in DESIGN.md, "Jacobian pipeline".
@@ -117,25 +117,22 @@ class IrbcModel final : public core::DynamicModel {
   solver::NewtonOptions prepare(int z, std::span<const double> x_unit,
                                 PointScratch& scratch) const;
 
-  /// Unit-free Euler residuals at the prepared point for `ncols` trial
-  /// points (rows of N in `k_next_block`, residual rows of N in
-  /// `out_block`): ALL successor-shock interpolations of the whole block are
-  /// issued as one full-range p_next.gather — the per-solve half of the
-  /// paper's interpolation amortization. Each column's result is the one a
-  /// single-column call gives. Trial iterates with non-positive components
-  /// are admissible: the gross-return and adjustment-cost terms evaluate on
-  /// copies floored at a tiny positive capital (identical results for
-  /// feasible iterates — the solve box's lower bound is far above the
-  /// floor), so line-search trial steps through zero yield finite residuals
-  /// instead of NaN/Inf.
-  void euler_residuals_batch(PointScratch& scratch, std::span<const double> k_next_block,
-                             std::size_t ncols, const core::PolicyEvaluator& p_next,
-                             std::span<double> out_block,
-                             core::EvalCounters* counters = nullptr) const;
+  /// Unit-free Euler residuals at the prepared point for the trial point
+  /// `k_next` (N), written to `out` (N): every successor-shock interpolation
+  /// is issued as one full-range p_next.gather — the per-solve half of the
+  /// paper's interpolation amortization. Trial iterates with non-positive
+  /// components are admissible: the gross-return and adjustment-cost terms
+  /// evaluate on copies floored at a tiny positive capital (identical
+  /// results for feasible iterates — the solve box's lower bound is far
+  /// above the floor), so line-search trial steps through zero yield finite
+  /// residuals instead of NaN/Inf.
+  void euler_residuals(PointScratch& scratch, std::span<const double> k_next,
+                       const core::PolicyEvaluator& p_next, std::span<double> out,
+                       core::EvalCounters* counters = nullptr) const;
 
   /// Closed-form Jacobian d r_j / d k'_i of the unit-free Euler residuals at
   /// the trial point `k_next` of the prepared point (`jac` is N x N).
-  /// Differentiates every term euler_residuals_batch evaluates — gross
+  /// Differentiates every term euler_residuals evaluates — gross
   /// returns, adjustment costs, equalized consumption today and tomorrow,
   /// and the interpolated policy via ONE value + gradient p_next.gather —
   /// replicating the residual's guard semantics exactly: components at the

@@ -191,92 +191,81 @@ solver::NewtonOptions OlgModel::prepare(int z, std::span<const double> x_unit,
   return newton;
 }
 
-void OlgModel::gather_successors(PointScratch& scratch, std::span<const double> savings_block,
-                                 std::size_t ncols, const core::PolicyEvaluator& p_next,
-                                 int dof_begin, int dof_end) const {
+void OlgModel::gather_successors(PointScratch& scratch, std::span<const double> savings,
+                                 const core::PolicyEvaluator& p_next, int dof_begin,
+                                 int dof_end) const {
   const std::size_t d = unknowns();
   const auto nd = static_cast<std::size_t>(ndofs());
-  // Per column: tomorrow's aggregate state K' = sum k'_a (shock-independent),
-  // unit-mapped into a row of the gather's coordinate block, and the
-  // capital-intensity powers every successor shock's prices share.
-  scratch.k_next.resize(ncols);
-  scratch.intensity.resize(ncols);
-  scratch.x_unit.resize(ncols * d);
-  for (std::size_t col = 0; col < ncols; ++col) {
-    const std::span<double> row = std::span<double>(scratch.x_unit).subspan(col * d, d);
-    scratch.k_next[col] = next_state(savings_block.subspan(col * d, d), row);
-    domain_.to_unit_inplace(row);
-    scratch.intensity[col] = tech_.intensity(scratch.k_next[col], econ_.total_labor);
-  }
-  // One gather for every (successor shock with mass) x (column) pair; row
-  // si*ncols + col of `gathered` is the si-th such shock's policy at column
-  // col, valid in dofs [dof_begin, dof_end).
-  core::successor_requests(econ_.chain.row(static_cast<std::size_t>(scratch.z)), ncols,
+  // Tomorrow's aggregate state K' = sum k'_a (shock-independent), unit-mapped
+  // into the gather's coordinate row, and the capital-intensity powers every
+  // successor shock's prices share.
+  scratch.x_unit.resize(d);
+  const double k_next = next_state(savings, scratch.x_unit);
+  domain_.to_unit_inplace(scratch.x_unit);
+  scratch.intensity = tech_.intensity(k_next, econ_.total_labor);
+  // One gather for every successor shock with mass; row si of `gathered` is
+  // the si-th such shock's policy, valid in dofs [dof_begin, dof_end).
+  core::successor_requests(econ_.chain.row(static_cast<std::size_t>(scratch.z)),
                            scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * nd);
   p_next.gather({.requests = scratch.requests,
                  .xs = scratch.x_unit,
-                 .npoints = ncols,
+                 .npoints = 1,
                  .dof_begin = dof_begin,
                  .dof_end = dof_end,
                  .values = scratch.gathered,
                  .value_stride = nd});
 }
 
-void OlgModel::euler_residuals_batch(PointScratch& scratch, std::span<const double> savings_block,
-                                     std::size_t ncols, const core::PolicyEvaluator& p_next,
-                                     std::span<double> out_block,
-                                     core::EvalCounters* counters) const {
+void OlgModel::euler_residuals(PointScratch& scratch, std::span<const double> savings,
+                               const core::PolicyEvaluator& p_next, std::span<double> out,
+                               core::EvalCounters* counters) const {
   const int A = econ_.ages();
   const int d = A - 1;
   const auto sd = static_cast<std::size_t>(d);
   const auto nd = static_cast<std::size_t>(ndofs());
-  if (savings_block.size() < ncols * sd || out_block.size() < ncols * sd)
-    throw std::invalid_argument("euler_residuals_batch: block size mismatch");
+  if (savings.size() < sd || out.size() < sd)
+    throw std::invalid_argument("euler_residuals: size mismatch");
 
   // The residual reads tomorrow's asset demands of ages 2..d: dofs [1, d).
-  gather_successors(scratch, savings_block, ncols, p_next, 1, d);
+  gather_successors(scratch, savings, p_next, 1, d);
   if (counters != nullptr) counters->record_gather(scratch.requests.size());
 
-  // Per column, accumulate each age's expected discounted marginal utility
-  // tomorrow, emu_a = sum over successors of pi R' u'(c'_{a+1}), shock by
-  // shock: a successor's prices and pension depend only on K', so they are
-  // computed once per (shock, column).
+  // Accumulate each age's expected discounted marginal utility tomorrow,
+  // emu_a = sum over successors of pi R' u'(c'_{a+1}), shock by shock: a
+  // successor's prices and pension depend only on K', so they are computed
+  // once per shock.
   const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
-  const std::size_t nshocks = scratch.requests.size() / std::max<std::size_t>(ncols, 1);
   std::vector<double>& emu = scratch.e_acc;
-  for (std::size_t col = 0; col < ncols; ++col) {
-    const std::span<const double> savings = savings_block.subspan(col * sd, sd);
-    emu.assign(sd, 0.0);
-    for (std::size_t si = 0; si < nshocks; ++si) {
-      const int zp = scratch.requests[si * ncols].z;
-      const double prob = pi[static_cast<std::size_t>(zp)];
-      const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
-      const SuccessorPrices sp = successor_prices(zp, scratch.intensity[col]);
-      const double Rp = 1.0 + sp.prices.rate * (1.0 - shock.tau_capital);
-      // Next-period savings of age a+1 come from the interpolated policy;
-      // the oldest generation saves nothing.
-      const double* dofs = scratch.gathered.data() + (si * ncols + col) * nd;
-      for (int a = 1; a <= A - 1; ++a) {
-        const int ap = a + 1;  // age tomorrow
-        const double labor_inc =
-            (1.0 - shock.tau_labor) * sp.prices.wage * econ_.efficiency[ap - 1];
-        const double pension_inc = econ_.is_retired(ap) ? sp.pension : 0.0;
-        const double k_tomorrow = (ap <= A - 1) ? dofs[ap - 1] : 0.0;
-        const double c_tomorrow =
-            Rp * savings[static_cast<std::size_t>(a - 1)] + labor_inc + pension_inc - k_tomorrow;
-        emu[static_cast<std::size_t>(a - 1)] += prob * Rp * prefs_.marginal_utility(c_tomorrow);
-      }
+  emu.assign(sd, 0.0);
+  for (std::size_t si = 0; si < scratch.requests.size(); ++si) {
+    const int zp = scratch.requests[si].z;
+    const double prob = pi[static_cast<std::size_t>(zp)];
+    const ShockState& shock = econ_.shocks[static_cast<std::size_t>(zp)];
+    const SuccessorPrices sp = successor_prices(zp, scratch.intensity);
+    const double Rp = 1.0 + sp.prices.rate * (1.0 - shock.tau_capital);
+    // Next-period savings of age a+1 come from the interpolated policy;
+    // the oldest generation saves nothing.
+    const double* dofs = scratch.gathered.data() + si * nd;
+    for (int a = 1; a <= A - 1; ++a) {
+      const int ap = a + 1;  // age tomorrow
+      const double labor_inc =
+          (1.0 - shock.tau_labor) * sp.prices.wage * econ_.efficiency[ap - 1];
+      const double pension_inc = econ_.is_retired(ap) ? sp.pension : 0.0;
+      const double k_tomorrow = (ap <= A - 1) ? dofs[ap - 1] : 0.0;
+      const double c_tomorrow =
+          Rp * savings[static_cast<std::size_t>(a - 1)] + labor_inc + pension_inc - k_tomorrow;
+      emu[static_cast<std::size_t>(a - 1)] += prob * Rp * prefs_.marginal_utility(c_tomorrow);
     }
-    // The Euler equation u'(c_a) = beta E[...] expressed in consumption
-    // units, c_a - (u')^{-1}(beta E[...]): a strictly monotone transform
-    // with identical roots but uniform O(c) scaling across ages — marginal
-    // utilities near the consumption floor are ~1e6 and would otherwise
-    // wreck the Newton line search's merit function.
-    for (std::size_t age = 0; age < sd; ++age) {
-      const double c_today = scratch.resources[age] - savings[age];
-      out_block[col * sd + age] = c_today - prefs_.inverse_marginal(econ_.beta * emu[age]);
-    }
+  }
+  // The Euler equation u'(c_a) = beta E[...] expressed in consumption
+  // units, c_a - (u')^{-1}(beta E[...]): a strictly monotone transform
+  // with identical roots but uniform O(c) scaling across ages — marginal
+  // utilities near the consumption floor are ~1e6 and would otherwise
+  // wreck the Newton line search's merit function.
+  for (std::size_t age = 0; age < sd; ++age) {
+    const double c_today = scratch.resources[age] - savings[age];
+    out[age] = c_today - prefs_.inverse_marginal(econ_.beta * emu[age]);
   }
 }
 
@@ -314,7 +303,7 @@ void OlgModel::euler_jacobian(PointScratch& scratch, std::span<const double> sav
   // One gather-with-gradient for all successor shocks with mass, of the
   // asset demands the residual reads: dofs [1, d).
   const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
-  core::successor_requests(pi, 1, scratch.requests);
+  core::successor_requests(pi, scratch.requests);
   scratch.gathered.resize(scratch.requests.size() * nd);
   scratch.gathered_grad.resize(scratch.requests.size() * nd * sd);
   p_next.gather({.requests = scratch.requests,
@@ -418,7 +407,7 @@ double OlgModel::projected_residual_norm(PointScratch& scratch, std::span<const 
                                          core::EvalCounters* counters) const {
   const std::size_t d = unknowns();
   scratch.residual.resize(d);
-  euler_residuals_batch(scratch, savings, 1, p_next, scratch.residual, counters);
+  euler_residuals(scratch, savings, p_next, scratch.residual, counters);
 
   double worst = 0.0;
   for (std::size_t a = 0; a < d; ++a) {
@@ -456,8 +445,8 @@ void OlgModel::finish(PointScratch& scratch, std::span<const double> savings,
 
   // Uncounted: the value recursion is not part of the solve. It reads the
   // value coefficients of ages 2..d: dofs [d+1, 2d).
-  gather_successors(scratch, savings, 1, p_next, d + 1, 2 * d);
-  const CobbDouglasTechnology::Intensity& intensity = scratch.intensity[0];
+  gather_successors(scratch, savings, p_next, d + 1, 2 * d);
+  const CobbDouglasTechnology::Intensity& intensity = scratch.intensity;
   const auto pi = econ_.chain.row(static_cast<std::size_t>(scratch.z));
 
   // The value recursion runs on unnormalized CRRA utilities with a floored

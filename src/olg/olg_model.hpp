@@ -105,9 +105,8 @@ class OlgModel final : public core::DynamicModel {
     DecodedState state;                       ///< x_phys decoded
     std::vector<double> resources;            ///< consumption before saving, per age (A)
     std::vector<double> lower, upper;         ///< feasibility box (d)
-    std::vector<double> x_unit;               ///< ncols rows of d
-    std::vector<double> k_next;               ///< ncols aggregate capitals
-    std::vector<CobbDouglasTechnology::Intensity> intensity;  ///< per column, at k_next
+    std::vector<double> x_unit;               ///< tomorrow's state (d)
+    CobbDouglasTechnology::Intensity intensity;  ///< at tomorrow's aggregate capital
     std::vector<core::GatherRequest> requests;
     std::vector<double> gathered;             ///< one ndofs-row per request
     std::vector<double> residual;             ///< the KKT projection's residual (d)
@@ -132,19 +131,17 @@ class OlgModel final : public core::DynamicModel {
   solver::NewtonOptions prepare(int z, std::span<const double> x_unit,
                                 PointScratch& scratch) const;
 
-  /// Euler residuals at the prepared point for `ncols` savings columns
-  /// (rows of d in `savings_block` / `out_block`): every successor-shock
-  /// policy interpolation of the whole block goes out as a single
-  /// p_next.gather of the asset demands it reads (dofs [1, d)). Each
-  /// column's result is the one a single-column call gives.
-  void euler_residuals_batch(PointScratch& scratch, std::span<const double> savings_block,
-                             std::size_t ncols, const core::PolicyEvaluator& p_next,
-                             std::span<double> out_block,
-                             core::EvalCounters* counters = nullptr) const;
+  /// Euler residuals at the prepared point for the savings choices
+  /// `savings` (d), written to `out` (d): every successor-shock policy
+  /// interpolation goes out as a single p_next.gather of the asset demands
+  /// it reads (dofs [1, d)).
+  void euler_residuals(PointScratch& scratch, std::span<const double> savings,
+                       const core::PolicyEvaluator& p_next, std::span<double> out,
+                       core::EvalCounters* counters = nullptr) const;
 
   /// Closed-form Jacobian d r_a / d u_i of the consumption-unit Euler
   /// residuals at the savings choices `savings` (`jac` is d x d, d = A-1).
-  /// Differentiates every channel euler_residuals_batch evaluates: the
+  /// Differentiates every channel euler_residuals evaluates: the
   /// direct -u_a in today's consumption, tomorrow's factor prices and
   /// pension through K' = sum_a u_a (CobbDouglasTechnology::price_gradients),
   /// the gross return R', and the interpolated next-period asset demands via
@@ -187,12 +184,12 @@ class OlgModel final : public core::DynamicModel {
                                                const core::PolicyEvaluator& p_next,
                                                core::EvalCounters* counters) const;
 
-  /// Maps `ncols` savings columns to tomorrow's states and gathers every
+  /// Maps the savings choices to tomorrow's state and gathers every
   /// successor shock's policy dofs [dof_begin, dof_end) there in one
   /// p_next.gather.
-  void gather_successors(PointScratch& scratch, std::span<const double> savings_block,
-                         std::size_t ncols, const core::PolicyEvaluator& p_next,
-                         int dof_begin, int dof_end) const;
+  void gather_successors(PointScratch& scratch, std::span<const double> savings,
+                         const core::PolicyEvaluator& p_next, int dof_begin,
+                         int dof_end) const;
   /// Tomorrow's aggregate capital implied by the savings choices (floored at
   /// capital_floor_); writes the physical next state x' = (K', k'_1, ...,
   /// k'_{A-2}) into `x_next` (size d). Single definition shared by the

@@ -38,32 +38,6 @@ void finite_difference_jacobian(ResidualFn residual, std::span<const double> u,
   }
 }
 
-void finite_difference_jacobian(BatchResidualFn residual_batch, std::span<const double> u,
-                                std::span<const double> f_of_u, double epsilon, util::Matrix& jac,
-                                FdBuffers& buffers, int* eval_count) {
-  const std::size_t n = u.size();
-  std::vector<double>& us = buffers.points;
-  std::vector<double>& fs = buffers.values;
-  std::vector<double>& steps = buffers.steps;
-  us.resize(n * n);
-  fs.resize(n * n);
-  steps.resize(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    double* col = us.data() + c * n;
-    std::copy(u.begin(), u.end(), col);
-    const double h = epsilon * std::max(1.0, std::fabs(u[c]));
-    const double saved = col[c];
-    col[c] = saved + h;
-    steps[c] = col[c] - saved;  // exact representable step
-  }
-  residual_batch(us, fs, n);
-  if (eval_count != nullptr) *eval_count += static_cast<int>(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    const double* fp = fs.data() + c * n;
-    for (std::size_t r = 0; r < n; ++r) jac(r, c) = (fp[r] - f_of_u[r]) / steps[c];
-  }
-}
-
 double jacobian_deviation(const util::Matrix& analytic, const util::Matrix& reference) {
   if (analytic.rows() != reference.rows() || analytic.cols() != reference.cols())
     throw std::invalid_argument("jacobian_deviation: shape mismatch");

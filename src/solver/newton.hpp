@@ -32,14 +32,6 @@ namespace hddm::solver {
 
 /// Residual callback: writes F(u) into `out` (both of size n).
 using ResidualFn = util::function_ref<void(std::span<const double> u, std::span<double> out)>;
-/// Batched residual callback: `us` holds ncols trial points (rows of n),
-/// `fs` receives the ncols residual vectors (rows of n). Must compute each
-/// column exactly as the scalar ResidualFn would — models back it with one
-/// PolicyEvaluator::evaluate_gather over all columns' successor-shock
-/// requests, so a whole finite-difference Jacobian sweep issues its policy
-/// interpolations together instead of once per column.
-using BatchResidualFn =
-    util::function_ref<void(std::span<const double> us, std::span<double> fs, std::size_t ncols)>;
 /// Optional analytic Jacobian callback: fills `jac` (n x n) with
 /// dF_r/du_c at the trial point `u`.
 using JacobianFn = util::function_ref<void(std::span<const double> u, util::Matrix& jac)>;
@@ -79,12 +71,11 @@ inline constexpr std::size_t kNewtonStatusCount = 4;
 /// Short lower-case name ("converged", "max-iterations", ...).
 std::string to_string(NewtonStatus status);
 
-/// Buffers of a finite-difference Jacobian sweep: the perturbed trial points,
-/// their residuals and the per-column steps.
+/// Buffers of a finite-difference Jacobian sweep: the perturbed trial point
+/// and its residual.
 struct FdBuffers {
   std::vector<double> points;
   std::vector<double> values;
-  std::vector<double> steps;
 };
 
 /// Everything one solve_newton run writes besides its result: iterates,
@@ -141,16 +132,6 @@ void finite_difference_jacobian(ResidualFn residual, std::span<const double> u,
                                 std::span<const double> f_of_u, double epsilon,
                                 util::Matrix& jac, FdBuffers& buffers,
                                 int* eval_count = nullptr);
-
-/// Batched-column variant: builds every perturbed trial point first, issues
-/// ONE BatchResidualFn call for the whole sweep, and fills the columns from
-/// the returned block. Same per-column steps and difference arithmetic as
-/// the scalar overload (identical Jacobian when the batch residual matches
-/// the scalar residual column-wise). `eval_count` still advances by n —
-/// it counts residual evaluations, not callback invocations.
-void finite_difference_jacobian(BatchResidualFn residual_batch, std::span<const double> u,
-                                std::span<const double> f_of_u, double epsilon, util::Matrix& jac,
-                                FdBuffers& buffers, int* eval_count = nullptr);
 
 /// Worst column-scaled deviation of `analytic` from `reference` (both
 /// n x n): the maximum over columns c of

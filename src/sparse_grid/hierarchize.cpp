@@ -4,7 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "sparse_grid/interpolate.hpp"
+#include "sparse_grid/multi_index.hpp"
 
 namespace hddm::sg {
 
@@ -24,35 +24,6 @@ void subtract_partial_interpolant(const DenseGridData& grid,
 }
 
 }  // namespace
-
-void hierarchize_in_place(DenseGridData& grid) {
-  // Process points in ascending level-sum order; ties are independent
-  // (same-level-sum basis functions vanish at each other's points).
-  std::vector<std::uint32_t> order(grid.nno);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&grid](std::uint32_t a, std::uint32_t b) {
-    return level_sum(grid.point(a)) < level_sum(grid.point(b));
-  });
-
-  std::vector<std::uint32_t> processed;
-  processed.reserve(grid.nno);
-  std::vector<double> x(static_cast<std::size_t>(grid.dim));
-  std::size_t pos = 0;
-  while (pos < order.size()) {
-    // All points sharing this level sum form one batch.
-    const int lsum = level_sum(grid.point(order[pos]));
-    std::size_t end = pos;
-    while (end < order.size() && level_sum(grid.point(order[end])) == lsum) ++end;
-
-    for (std::size_t k = pos; k < end; ++k) {
-      const std::uint32_t p = order[k];
-      point_coordinates(grid.point(p), x);
-      subtract_partial_interpolant(grid, processed, x, grid.surplus_row(p));
-    }
-    for (std::size_t k = pos; k < end; ++k) processed.push_back(order[k]);
-    pos = end;
-  }
-}
 
 void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known) {
   // The first n_known points hold final surpluses. For the tail to be
@@ -97,7 +68,7 @@ DenseGridData hierarchize_function(const GridStorage& storage, int ndofs, const 
       throw std::invalid_argument("hierarchize_function: f returned wrong arity");
     std::copy(vals.begin(), vals.end(), grid.surplus_row(p));
   }
-  hierarchize_in_place(grid);
+  hierarchize_tail(grid, 0);
   return grid;
 }
 

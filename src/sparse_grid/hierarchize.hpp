@@ -21,17 +21,13 @@
 
 namespace hddm::sg {
 
-/// In-place hierarchization of a dense grid whose surplus matrix initially
-/// contains *nodal values* f(x_p) (point-major, ndofs per point). On return
-/// the matrix contains hierarchical surpluses. O(nno^2 * d) — intended for
-/// test- and example-scale grids; the time-iteration driver hierarchizes
-/// incrementally level-by-level instead.
-void hierarchize_in_place(DenseGridData& grid);
-
 /// Incremental hierarchization step: given `grid` whose first `n_known`
-/// points already hold surpluses (all with level sum < that of every later
-/// point), converts the nodal values of points [n_known, nno) into surpluses.
-/// Points must be ordered by ascending level sum.
+/// points already hold surpluses (an ancestor-closed set), converts the
+/// nodal values f(x_p) of points [n_known, nno) (point-major, ndofs per
+/// point) into hierarchical surpluses, processing them in ascending
+/// level-sum order. n_known = 0 hierarchizes the whole grid, in
+/// O(nno^2 * d) — test- and example-scale grids; the time-iteration driver
+/// hierarchizes incrementally level by level instead.
 void hierarchize_tail(DenseGridData& grid, std::uint32_t n_known);
 
 /// Evaluates f at every grid point of `storage` and returns the hierarchized

@@ -7,8 +7,8 @@
 #include <tuple>
 
 #include "sparse_grid/hierarchize.hpp"
-#include "sparse_grid/interpolate.hpp"
 #include "sparse_grid/regular.hpp"
+#include "support/decompress.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::core {

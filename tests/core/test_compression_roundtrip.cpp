@@ -11,8 +11,9 @@
 #include <cstring>
 
 #include "sparse_grid/adaptive.hpp"
-#include "sparse_grid/interpolate.hpp"
 #include "sparse_grid/regular.hpp"
+#include "support/decompress.hpp"
+#include "support/interpolate.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::core {

@@ -12,6 +12,7 @@
 #include "converged_policies.hpp"
 #include "sparse_grid/hierarchize.hpp"
 #include "sparse_grid/regular.hpp"
+#include "support/scalar_policy_view.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::core {
@@ -452,6 +453,18 @@ bool same_bits(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
+/// successor_requests' pattern repeated over `columns` trial rows,
+/// shock-major: request slot * columns + col is the slot-th successor with
+/// mass at row col. A gather with repeated rows per shock class.
+std::vector<GatherRequest> successors_at_rows(std::span<const double> pi, std::size_t columns) {
+  std::vector<GatherRequest> one, requests;
+  successor_requests(pi, one);
+  for (const GatherRequest& r : one)
+    for (std::size_t col = 0; col < columns; ++col)
+      requests.push_back({r.z, static_cast<std::uint32_t>(col)});
+  return requests;
+}
+
 /// Runs one value gather and one gradient gather of `requests` into strided
 /// outputs and checks every request bit for bit against per-request
 /// evaluate() and ShockGrid::evaluate_with_gradient, with the stride padding
@@ -563,16 +576,14 @@ TEST(AsgPolicy, ClassGathersBitIdenticalOnInterleavedClassesAndDuplicates) {
 }
 
 TEST(AsgPolicy, ClassGathersBitIdenticalOnFdSweepPattern) {
-  // The n-column finite-difference sweep: every successor shock with mass
-  // at each of n trial columns, shock-major.
+  // Every successor shock with mass at each of n trial rows, shock-major.
   const AsgPolicy policy = two_class_policy();
   constexpr std::size_t kColumns = 3;
   util::Rng rng(223);
   std::vector<double> xs(kColumns * 3);
   for (auto& xi : xs) xi = rng.uniform();
   const std::vector<double> pi{0.2, 0.3, 0.0, 0.4, 0.1};
-  std::vector<GatherRequest> requests;
-  successor_requests(pi, kColumns, requests);
+  const std::vector<GatherRequest> requests = successors_at_rows(pi, kColumns);
   const auto [value_walks, gradient_walks] =
       expect_gathers_match_per_request(policy, requests, xs, kColumns);
   EXPECT_EQ(value_walks, 2 * kColumns);
@@ -591,8 +602,7 @@ TEST(AsgPolicy, VectorTierValueGathersKeepThePerShockPath) {
     std::vector<double> xs(kPoints * 3);
     for (auto& xi : xs) xi = rng.uniform();
     const std::vector<double> pi(5, 0.2);
-    std::vector<GatherRequest> requests;
-    successor_requests(pi, kPoints, requests);
+    const std::vector<GatherRequest> requests = successors_at_rows(pi, kPoints);
     const auto [value_walks, gradient_walks] =
         expect_gathers_match_per_request(policy, requests, xs, kPoints);
     EXPECT_EQ(value_walks, requests.size()) << kernels::kernel_name(kind);
@@ -620,15 +630,15 @@ TEST(AsgPolicy, TwoConvergedIrbcGridSetsGiveTwoShockClassesAndExactClassGathers)
   const AsgPolicy policy(model.ndofs(), std::move(grids));
   EXPECT_EQ(count_classes(policy), 2);
 
-  // The models' own request patterns on this mixed adaptive policy: all
-  // successors at one row (residual, Jacobian) and at n trial columns.
+  // The models' own request pattern on this mixed adaptive policy (all
+  // successors at one row: residual, Jacobian), and the same over n rows.
   util::Rng rng(229);
   for (const std::size_t columns : {std::size_t{1}, std::size_t{3}}) {
     for (int z = 0; z < model.num_shocks(); z += 3) {
       std::vector<double> xs(columns * 3);
       for (auto& xi : xs) xi = rng.uniform();
-      std::vector<GatherRequest> requests;
-      successor_requests(model.chain().row(static_cast<std::size_t>(z)), columns, requests);
+      const std::vector<GatherRequest> requests =
+          successors_at_rows(model.chain().row(static_cast<std::size_t>(z)), columns);
       const auto [value_walks, gradient_walks] =
           expect_gathers_match_per_request(policy, requests, xs, columns);
       EXPECT_EQ(value_walks, 2 * columns);
@@ -743,16 +753,15 @@ TEST(AsgPolicy, RangedGathersMatchFullGathersOnEveryTierAndRoute) {
 }
 
 TEST(AsgPolicy, RangedGathersOnTheModelsSuccessorPattern) {
-  // All successors with mass at one row (residual, Jacobian, finish) and
-  // at n trial columns; the x86 class walk runs one walk per (row, class).
+  // All successors with mass at one row (residual, Jacobian, finish), and
+  // the same over n rows; the x86 class walk runs one walk per (row, class).
   const AsgPolicy policy = olg_shaped_policy(kernels::KernelKind::X86);
   const std::vector<double> pi{0.5, 0.2, 0.3};
   util::Rng rng(257);
   for (const std::size_t columns : {std::size_t{1}, std::size_t{3}}) {
     std::vector<double> xs(columns * 3);
     for (auto& xi : xs) xi = rng.uniform();
-    std::vector<GatherRequest> requests;
-    successor_requests(pi, columns, requests);
+    const std::vector<GatherRequest> requests = successors_at_rows(pi, columns);
     expect_ranged_gathers_match_full(policy, requests, xs, columns,
                                      std::to_string(columns) + " columns");
     const GatherStats before = policy.gather_stats();

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/time_iteration.hpp"
+#include "support/scalar_policy_view.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::irbc {
@@ -76,7 +77,7 @@ TEST(IrbcModel, SteadyStateIsEulerFixedPointWithoutRisk) {
   const std::vector<double> k = point.k;
   ASSERT_EQ(k, std::vector<double>(3, 1.0));
   std::vector<double> res(3);
-  m.euler_residuals_batch(point, k, 1, pnext, res);
+  m.euler_residuals(point, k, pnext, res);
   for (const double r : res) EXPECT_NEAR(r, 0.0, 1e-10);
 }
 
@@ -237,7 +238,7 @@ TEST(IrbcModel, EulerResidualsFiniteForNonPositiveTrialIterates) {
   for (const std::vector<double>& k_next :
        {std::vector<double>{0.0, 1.0, 1.0}, {1.0, -0.5, 1.0}, {0.0, 0.0, 0.0}, {-1.0, -1.0, -1.0}}) {
     std::vector<double> res(3);
-    m.euler_residuals_batch(point, k_next, 1, pnext, res);
+    m.euler_residuals(point, k_next, pnext, res);
     for (const double r : res) EXPECT_TRUE(std::isfinite(r)) << "k_next[0]=" << k_next[0];
   }
 }
@@ -262,7 +263,7 @@ TEST(IrbcModel, NewtonTrialStepThroughZeroStaysFiniteAndDiagnosable) {
   double min_trial = 1e300;
   const auto residual = [&](std::span<const double> u, std::span<double> out) {
     for (const double ui : u) min_trial = std::min(min_trial, ui);
-    m.euler_residuals_batch(point, u, 1, pnext, out);
+    m.euler_residuals(point, u, pnext, out);
     for (const double r : out)
       if (!std::isfinite(r)) all_finite = false;
   };
@@ -351,9 +352,9 @@ std::shared_ptr<core::AsgPolicy> two_step_policy(const IrbcModel& m) {
 
 }  // namespace
 
-TEST(IrbcModel, AnalyticJacobianMatchesBatchedFdColumns) {
+TEST(IrbcModel, AnalyticJacobianMatchesFdColumns) {
   // Column parity at generic (non-kink) trial points: the closed-form
-  // Jacobian must agree with the batched-FD sweep within the FD truncation
+  // Jacobian must agree with the FD sweep within the FD truncation
   // error — far inside the 1e-3 audit threshold of DESIGN.md.
   IrbcCalibration cal;
   cal.countries = 3;
@@ -376,13 +377,13 @@ TEST(IrbcModel, AnalyticJacobianMatchesBatchedFdColumns) {
     util::Matrix jf(static_cast<std::size_t>(N), static_cast<std::size_t>(N));
     m.euler_jacobian(scratch, u, *policy, ja);
 
-    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
-      m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
+    const auto residual = [&](std::span<const double> v, std::span<double> out) {
+      m.euler_residuals(scratch, v, *policy, out);
     };
     std::vector<double> f0(static_cast<std::size_t>(N));
-    m.euler_residuals_batch(scratch, u, 1, *policy, f0);
+    residual(u, f0);
     solver::FdBuffers fd;
-    solver::finite_difference_jacobian(batch, u, f0, 1e-7, jf, fd);
+    solver::finite_difference_jacobian(residual, u, f0, 1e-7, jf, fd);
 
     worst = std::max(worst, solver::jacobian_deviation(ja, jf));
   }
@@ -410,7 +411,7 @@ TEST(IrbcModel, JacobianModesConvergeToTheSameSolution) {
     core::EvalCounters fd_counters, an_counters;
     core::EvalCounters* counters = &fd_counters;
     const auto residual = [&](std::span<const double> u, std::span<double> out) {
-      m.euler_residuals_batch(scratch, u, 1, *policy, out, counters);
+      m.euler_residuals(scratch, u, *policy, out, counters);
     };
     const auto analytic = [&](std::span<const double> u, util::Matrix& jac) {
       m.euler_jacobian(scratch, u, *policy, jac, counters);
@@ -436,7 +437,7 @@ TEST(IrbcModel, JacobianModesConvergeToTheSameSolution) {
 }
 
 TEST(IrbcModel, FdCheckModeAuditsCleanlyOnRealSolves) {
-  // Every refresh of a real solve is audited against the batched-FD sweep;
+  // Every refresh of a real solve is audited against the FD sweep;
   // the audit steps with the analytic columns, so the solve is solve_point's.
   IrbcCalibration cal;
   cal.countries = 2;
@@ -451,10 +452,7 @@ TEST(IrbcModel, FdCheckModeAuditsCleanlyOnRealSolves) {
   IrbcModel::PointScratch scratch;
   const solver::NewtonOptions options = m.prepare(0, x_unit, scratch);
   const auto residual = [&](std::span<const double> u, std::span<double> out) {
-    m.euler_residuals_batch(scratch, u, 1, *policy, out);
-  };
-  const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
-    m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
+    m.euler_residuals(scratch, u, *policy, out);
   };
   int refreshes = 0;
   double worst = 0.0;
@@ -464,7 +462,7 @@ TEST(IrbcModel, FdCheckModeAuditsCleanlyOnRealSolves) {
     std::vector<double> fu(u.size());
     residual(u, fu);
     util::Matrix reference(u.size(), u.size());
-    solver::finite_difference_jacobian(batch, u, fu, 1e-7, reference, fd);
+    solver::finite_difference_jacobian(residual, u, fu, 1e-7, reference, fd);
     worst = std::max(worst, solver::jacobian_deviation(jac, reference));
     ++refreshes;
   };

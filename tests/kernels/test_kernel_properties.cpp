@@ -8,8 +8,8 @@
 #include "kernels/kernel_api.hpp"
 #include "sparse_grid/adaptive.hpp"
 #include "sparse_grid/hierarchize.hpp"
-#include "sparse_grid/interpolate.hpp"
 #include "sparse_grid/regular.hpp"
+#include "support/interpolate.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::kernels {

@@ -10,8 +10,8 @@
 #include <thread>
 
 #include "sparse_grid/hierarchize.hpp"
-#include "sparse_grid/interpolate.hpp"
 #include "sparse_grid/regular.hpp"
+#include "support/interpolate.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::kernels {

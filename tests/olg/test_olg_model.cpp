@@ -10,6 +10,7 @@
 
 #include "core/policy.hpp"
 #include "core/time_iteration.hpp"
+#include "support/scalar_policy_view.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::olg {
@@ -133,49 +134,6 @@ TEST(OlgModel, SolvePointConvergesAcrossStateSpace) {
   EXPECT_GE(converged, trials - 1);
 }
 
-TEST(OlgModel, EulerResidualsBatchMatchesScalarColumns) {
-  // The batched residual must reproduce single-column calls exactly —
-  // the equivalence the batched finite-difference Jacobian relies on.
-  const OlgModel m = make_model(6);
-  const SteadyPolicy pnext(m);
-  const int d = m.state_dim();
-  const auto sd = static_cast<std::size_t>(d);
-
-  const std::vector<double> x_unit(sd, 0.5);
-  OlgModel::PointScratch scratch;
-  (void)m.prepare(0, x_unit, scratch);
-
-  // A few perturbed savings columns around the steady-state profile.
-  const SteadyState& ss = m.steady_state();
-  constexpr std::size_t kCols = 4;
-  std::vector<double> block(kCols * sd);
-  util::Rng rng(31);
-  for (std::size_t col = 0; col < kCols; ++col)
-    for (int a = 0; a < d; ++a)
-      block[col * sd + static_cast<std::size_t>(a)] =
-          std::max(ss.savings[static_cast<std::size_t>(a)], 0.05) * (0.8 + 0.4 * rng.uniform());
-
-  core::EvalCounters counters;
-  std::vector<double> batched(kCols * sd);
-  m.euler_residuals_batch(scratch, block, kCols, pnext, batched, &counters);
-  EXPECT_EQ(counters.gathers, 1);
-  // One interpolation per (successor shock with mass) x (column).
-  int nonzero_successors = 0;
-  for (const double prob : m.economy().chain.row(0))
-    if (prob > 0.0) ++nonzero_successors;
-  EXPECT_EQ(counters.interpolations, nonzero_successors * static_cast<int>(kCols));
-
-  std::vector<double> scalar(sd);
-  for (std::size_t col = 0; col < kCols; ++col) {
-    m.euler_residuals_batch(scratch, std::span<const double>(block).subspan(col * sd, sd), 1, pnext,
-                            scalar);
-    for (int a = 0; a < d; ++a)
-      EXPECT_EQ(batched[col * sd + static_cast<std::size_t>(a)],
-                scalar[static_cast<std::size_t>(a)])
-          << "column " << col << " age " << a;
-  }
-}
-
 TEST(OlgModel, SolvePointGatheredMatchesScalarBitIdentical) {
   // Same contract as the IRBC parity test, on the OLG Euler system: routing
   // the Newton-internal interpolations through AsgPolicy::evaluate_gather
@@ -207,9 +165,9 @@ TEST(OlgModel, SolvePointGatheredMatchesScalarBitIdentical) {
   }
 }
 
-TEST(OlgModel, AnalyticJacobianMatchesBatchedFdColumns) {
+TEST(OlgModel, AnalyticJacobianMatchesFdColumns) {
   // Column parity of the per-cohort closed-form Jacobian against the
-  // batched-FD sweep at generic savings points (cf. the IRBC twin test).
+  // FD sweep at generic savings points (cf. the IRBC twin test).
   const OlgModel m = make_model(6);
   core::TimeIterationOptions topts;
   topts.base_level = 2;
@@ -235,13 +193,13 @@ TEST(OlgModel, AnalyticJacobianMatchesBatchedFdColumns) {
     util::Matrix jf(static_cast<std::size_t>(d), static_cast<std::size_t>(d));
     m.euler_jacobian(scratch, u, *policy, ja);
 
-    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
-      m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
+    const auto residual = [&](std::span<const double> v, std::span<double> out) {
+      m.euler_residuals(scratch, v, *policy, out);
     };
     std::vector<double> f0(static_cast<std::size_t>(d));
-    m.euler_residuals_batch(scratch, u, 1, *policy, f0);
+    residual(u, f0);
     solver::FdBuffers fd;
-    solver::finite_difference_jacobian(batch, u, f0, 1e-6, jf, fd);
+    solver::finite_difference_jacobian(residual, u, f0, 1e-6, jf, fd);
 
     worst = std::max(worst, solver::jacobian_deviation(ja, jf));
   }
@@ -252,7 +210,7 @@ TEST(OlgModel, JacobianModesConvergeToTheSameSolution) {
   // FD-refreshed and analytic Newton runs on the model's residual must land
   // on the same per-cohort equilibrium (documented 1e-6 trajectory
   // tolerance); a third run audits every analytic refresh against the
-  // batched-FD sweep without flagging.
+  // FD sweep without flagging.
   const OlgModel m(build_economy(reduced_calibration(6)));
   core::TimeIterationOptions topts;
   topts.base_level = 2;
@@ -277,7 +235,7 @@ TEST(OlgModel, JacobianModesConvergeToTheSameSolution) {
     core::EvalCounters fd_counters, an_counters;
     core::EvalCounters* counters = &fd_counters;
     const auto residual = [&](std::span<const double> u, std::span<double> out) {
-      m.euler_residuals_batch(scratch, u, 1, *policy, out, counters);
+      m.euler_residuals(scratch, u, *policy, out, counters);
     };
     const auto analytic = [&](std::span<const double> u, util::Matrix& jac) {
       m.euler_jacobian(scratch, u, *policy, jac, counters);
@@ -297,9 +255,6 @@ TEST(OlgModel, JacobianModesConvergeToTheSameSolution) {
     EXPECT_EQ(point.status, an.status);
     EXPECT_EQ(point.jacobian_refreshes, an.jacobian_factorizations);
 
-    const auto batch = [&](std::span<const double> us, std::span<double> fs, std::size_t ncols) {
-      m.euler_residuals_batch(scratch, us, ncols, *policy, fs);
-    };
     counters = nullptr;
     int refreshes = 0;
     double worst = 0.0;
@@ -309,7 +264,7 @@ TEST(OlgModel, JacobianModesConvergeToTheSameSolution) {
       std::vector<double> fu(sd);
       residual(u, fu);
       util::Matrix reference(sd, sd);
-      solver::finite_difference_jacobian(batch, u, fu, 1e-6, reference, fd_buffers);
+      solver::finite_difference_jacobian(residual, u, fu, 1e-6, reference, fd_buffers);
       worst = std::max(worst, solver::jacobian_deviation(jac, reference));
       ++refreshes;
     };
@@ -335,8 +290,16 @@ TEST(OlgModel, EulerResidualZeroAfterSolve) {
   (void)m.prepare(0, x_unit, point);
   std::vector<double> savings(res.dofs.begin(), res.dofs.begin() + 5);
   std::vector<double> r(5);
-  m.euler_residuals_batch(point, savings, 1, pnext, r);
+  core::EvalCounters counters;
+  m.euler_residuals(point, savings, pnext, r, &counters);
   for (const double v : r) EXPECT_NEAR(v, 0.0, 1e-7);
+  // One residual call issues exactly one gather, carrying one request per
+  // successor shock with mass.
+  int nonzero_successors = 0;
+  for (const double prob : m.economy().chain.row(0))
+    if (prob > 0.0) ++nonzero_successors;
+  EXPECT_EQ(counters.gathers, 1);
+  EXPECT_EQ(counters.interpolations, nonzero_successors);
 }
 
 TEST(OlgModel, ValueCoefficientsAreDiscountedUtilities) {

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "sparse_grid/hierarchize.hpp"
-#include "sparse_grid/interpolate.hpp"
 #include "sparse_grid/regular.hpp"
 
 namespace hddm::sg {

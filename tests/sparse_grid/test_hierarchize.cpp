@@ -6,8 +6,8 @@
 #include <map>
 
 #include "sparse_grid/adaptive.hpp"
-#include "sparse_grid/interpolate.hpp"
 #include "sparse_grid/regular.hpp"
+#include "support/interpolate.hpp"
 #include "util/rng.hpp"
 
 namespace hddm::sg {
@@ -121,7 +121,7 @@ TEST(Hierarchize, TailMatchesFullHierarchization) {
   }
   DenseGridData incremental = full;  // same nodal values
 
-  hierarchize_in_place(full);
+  hierarchize_tail(full, 0);
 
   const auto n_level2 = static_cast<std::uint32_t>(count_regular_points(d, 2));
   // First hierarchize the level-<=2 prefix, then the tail.
@@ -130,7 +130,7 @@ TEST(Hierarchize, TailMatchesFullHierarchization) {
     head.nno = n_level2;
     head.pairs.resize(static_cast<std::size_t>(n_level2) * d);
     head.surplus.resize(static_cast<std::size_t>(n_level2) * 2);
-    hierarchize_in_place(head);
+    hierarchize_tail(head, 0);
     std::copy(head.surplus.begin(), head.surplus.end(), incremental.surplus.begin());
   }
   hierarchize_tail(incremental, n_level2);

@@ -1,4 +1,4 @@
-#include "sparse_grid/interpolate.hpp"
+#include "support/interpolate.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -2,8 +2,8 @@
 //
 // Evaluates Eq. (14) by direct summation over all points with per-dimension
 // early exit — semantically identical to the `gold` kernel but written for
-// clarity. Tests validate every optimized kernel against this implementation;
-// hierarchization uses it on small grids.
+// clarity. A test oracle (hddm_test_support): tests validate every optimized
+// kernel, the compressed round trip and hierarchization against it.
 #pragma once
 
 #include <span>
