@@ -62,8 +62,8 @@ PointSolveResult solve_point(const S& system, int z, std::span<const double> x_u
   result.solver_iterations = nres.iterations;
   result.residual_norm = nres.residual_norm;
   result.jacobian_refreshes = nres.jacobian_factorizations;
-  if constexpr (requires { system.accept(scratch, nres.solution, p_next, result, &counters); })
-    system.accept(scratch, nres.solution, p_next, result, &counters);
+  if constexpr (requires { system.accept(scratch, nres.solution, nres.residual, result); })
+    system.accept(scratch, nres.solution, nres.residual, result);
 
   result.dofs.resize(static_cast<std::size_t>(system.ndofs()));  // the one allocation
   std::copy(nres.solution.begin(), nres.solution.end(), result.dofs.begin());

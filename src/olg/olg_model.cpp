@@ -405,13 +405,16 @@ std::vector<double> OlgModel::initial_policy(int z, std::span<const double> x_un
 double OlgModel::projected_residual_norm(PointScratch& scratch, std::span<const double> savings,
                                          const core::PolicyEvaluator& p_next,
                                          core::EvalCounters* counters) const {
-  const std::size_t d = unknowns();
-  scratch.residual.resize(d);
+  scratch.residual.resize(unknowns());
   euler_residuals(scratch, savings, p_next, scratch.residual, counters);
+  return kkt_projected_norm(scratch, savings, scratch.residual);
+}
 
+double OlgModel::kkt_projected_norm(const PointScratch& scratch, std::span<const double> savings,
+                                    std::span<const double> residual) const {
   double worst = 0.0;
-  for (std::size_t a = 0; a < d; ++a) {
-    double r = scratch.residual[a];
+  for (std::size_t a = 0; a < unknowns(); ++a) {
+    double r = residual[a];
     const double u = savings[a];
     const double span = std::max(1e-12, scratch.upper[a] - scratch.lower[a]);
     const double edge = std::max(1e-8 * span, 1e-10);
@@ -429,10 +432,9 @@ double OlgModel::projected_residual_norm(PointScratch& scratch, std::span<const 
   return worst;
 }
 
-void OlgModel::accept(PointScratch& scratch, std::span<const double> savings,
-                      const core::PolicyEvaluator& p_next, core::PointSolveResult& result,
-                      core::EvalCounters* counters) const {
-  const double projected = projected_residual_norm(scratch, savings, p_next, counters);
+void OlgModel::accept(const PointScratch& scratch, std::span<const double> savings,
+                      std::span<const double> residual, core::PointSolveResult& result) const {
+  const double projected = kkt_projected_norm(scratch, savings, residual);
   result.converged = result.converged || projected < 1e-6;
   result.residual_norm = std::min(result.residual_norm, projected);
 }

@@ -109,7 +109,7 @@ class OlgModel final : public core::DynamicModel {
     CobbDouglasTechnology::Intensity intensity;  ///< at tomorrow's aggregate capital
     std::vector<core::GatherRequest> requests;
     std::vector<double> gathered;             ///< one ndofs-row per request
-    std::vector<double> residual;             ///< the KKT projection's residual (d)
+    std::vector<double> residual;             ///< projected_residual_norm's fresh F (d)
     std::vector<double> e_acc;                ///< emu_a accumulator (d)
     // Analytic-Jacobian workspace (euler_jacobian only): policy gradients,
     // unit-cube chain weights, and the demu accumulator of the derivation in
@@ -155,10 +155,18 @@ class OlgModel final : public core::DynamicModel {
 
   /// Accept hook: at box corners the equilibrium is constrained, so a
   /// solution whose KKT-projected residual is below 1e-6 counts as
-  /// converged even when the raw Euler residual cannot vanish.
-  void accept(PointScratch& scratch, std::span<const double> savings,
-              const core::PolicyEvaluator& p_next, core::PointSolveResult& result,
-              core::EvalCounters* counters) const;
+  /// converged even when the raw Euler residual cannot vanish. `residual`
+  /// is Newton's final F(savings), so accepting gathers nothing.
+  void accept(const PointScratch& scratch, std::span<const double> savings,
+              std::span<const double> residual, core::PointSolveResult& result) const;
+
+  /// Unit-free KKT-projected Euler residual norm at the prepared point,
+  /// from a fresh euler_residuals evaluation at `savings` (see
+  /// kkt_projected_norm).
+  [[nodiscard]] double projected_residual_norm(PointScratch& scratch,
+                                               std::span<const double> savings,
+                                               const core::PolicyEvaluator& p_next,
+                                               core::EvalCounters* counters) const;
 
   /// Finish hook: the value-function coefficients v_1..v_{A-1} implied by
   /// the solved savings, into `values` (size d).
@@ -174,15 +182,15 @@ class OlgModel final : public core::DynamicModel {
   void feasibility_box(std::span<const double> resources, std::span<double> lower,
                        std::span<double> upper) const;
 
-  /// Unit-free KKT-projected Euler residual norm at the prepared point:
-  /// components blocked by a binding borrowing limit (residual > 0 at the
-  /// lower bound) or by the consumption floor (residual < 0 at the upper
-  /// bound) are admissible and count as zero; the rest is normalized by
-  /// today's consumption.
-  [[nodiscard]] double projected_residual_norm(PointScratch& scratch,
-                                               std::span<const double> savings,
-                                               const core::PolicyEvaluator& p_next,
-                                               core::EvalCounters* counters) const;
+  /// Unit-free KKT projection of the Euler residual `residual` at the
+  /// prepared point and `savings`: components blocked by a binding
+  /// borrowing limit (residual < 0 at the lower bound) or by the
+  /// consumption floor (residual > 0 at the upper bound) are admissible and
+  /// count as zero; the rest is normalized by today's consumption. Returns
+  /// the largest.
+  [[nodiscard]] double kkt_projected_norm(const PointScratch& scratch,
+                                          std::span<const double> savings,
+                                          std::span<const double> residual) const;
 
   /// Maps the savings choices to tomorrow's state and gathers every
   /// successor shock's policy dofs [dof_begin, dof_end) there in one

@@ -55,6 +55,11 @@ double jacobian_deviation(const util::Matrix& analytic, const util::Matrix& refe
 
 namespace {
 
+// A full Newton step on the full system that shrinks ||F||_inf to at most
+// this fraction keeps its LU factors for the next iteration (a chord step);
+// any slower contraction refreshes the Jacobian (Kelley's Shamanskii rule).
+constexpr double kChordContraction = 0.1;
+
 void clip_to_box(std::vector<double>& u, const NewtonOptions& options) {
   if (!options.lower.empty())
     for (std::size_t t = 0; t < u.size(); ++t) u[t] = std::max(u[t], options.lower[t]);
@@ -134,31 +139,39 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
   double fnorm = inf_norm(f);
   double m0 = merit(f);
 
-  // One Newton iteration: refresh and factorize the Jacobian at u (or, for
-  // the kink retry, at ws.u_kink), take the Newton direction for F(u), run
-  // the active-set pass and the Armijo line search from u. Stopped means
-  // result.status is final.
+  // One Newton iteration: take the Newton direction for F(u) from the
+  // Jacobian's LU factors, run the active-set pass and the Armijo line
+  // search from u. The factors are refreshed at u (Fresh), refreshed at
+  // ws.u_kink (Kink), or kept from the last iteration (Chord). Stopped means
+  // result.status is final. An accepted attempt sets full_step when it took
+  // lambda = 1 with no variable pinned, so ws.lu still holds the full
+  // Jacobian's factors.
+  enum class Linearize { Fresh, Kink, Chord };
   enum class Attempt { Accepted, LineSearchFailed, Stopped };
-  const auto attempt = [&](bool kink_retry) {
+  bool full_step = false;
+  const auto attempt = [&](Linearize linearize) {
     // Rebuild and factorize the Jacobian: closed-form columns when the
     // caller supplies them, a forward-difference sweep (n residual
     // evaluations, plus F at the retry's point) otherwise.
-    const std::span<const double> lin = kink_retry ? ws.u_kink : u;
-    if (jacobian) {
-      jacobian(lin, jac);
-    } else {
-      if (kink_retry) {
-        residual(lin, f_trial);
-        ++result.residual_evaluations;
+    if (linearize != Linearize::Chord) {
+      const bool kink_retry = linearize == Linearize::Kink;
+      const std::span<const double> lin = kink_retry ? ws.u_kink : u;
+      if (jacobian) {
+        jacobian(lin, jac);
+      } else {
+        if (kink_retry) {
+          residual(lin, f_trial);
+          ++result.residual_evaluations;
+        }
+        finite_difference_jacobian(residual, lin, kink_retry ? f_trial : f, options.fd_epsilon,
+                                   jac, ws.fd, &result.residual_evaluations);
       }
-      finite_difference_jacobian(residual, lin, kink_retry ? f_trial : f, options.fd_epsilon,
-                                 jac, ws.fd, &result.residual_evaluations);
+      if (!ws.lu.factor(jac)) {
+        result.status = NewtonStatus::SingularJacobian;
+        return Attempt::Stopped;
+      }
+      ++result.jacobian_factorizations;
     }
-    if (!ws.lu.factor(jac)) {
-      result.status = NewtonStatus::SingularJacobian;
-      return Attempt::Stopped;
-    }
-    ++result.jacobian_factorizations;
 
     // Newton direction du = -J^{-1} F on the full system.
     ws.lu.solve(f, du);
@@ -168,8 +181,8 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
     // an outward-pointing step are pinned; the reduced system over the free
     // variables is re-solved with the pinned columns/rows removed.
     std::fill(active.begin(), active.end(), false);
+    bool any_active = false;
     if (bounded) {
-      bool any_active = false;
       for (std::size_t i = 0; i < n; ++i) {
         if ((at_lower(i) && du[i] < 0.0) || (at_upper(i) && du[i] > 0.0)) {
           active[i] = true;
@@ -228,14 +241,17 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
       residual(u_trial, f_trial);
       ++result.residual_evaluations;
       const double m_trial = merit_free(f_trial, active);
-      if (m_trial <= (1.0 - 2.0 * options.armijo_c * lambda) * m0 || m_trial < m0 * 1e-8)
+      if (m_trial <= (1.0 - 2.0 * options.armijo_c * lambda) * m0 || m_trial < m0 * 1e-8) {
+        full_step = bt == 0 && !any_active;
         return Attempt::Accepted;
+      }
       lambda *= 0.5;
       if (lambda < options.min_damping) break;
     }
     return Attempt::LineSearchFailed;
   };
 
+  bool chord = false;  // this iteration keeps the last iteration's factors
   for (int it = 0; it < options.max_iterations; ++it) {
     result.iterations = it;
     if (fnorm <= options.tolerance) {
@@ -243,7 +259,15 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
       break;
     }
 
-    Attempt outcome = attempt(false);
+    const double fnorm_at_u = fnorm;
+    Attempt outcome = attempt(chord ? Linearize::Chord : Linearize::Fresh);
+    if (chord && outcome == Attempt::LineSearchFailed) {
+      // The kept factors no longer give a descent direction: refresh at u
+      // and retry the iteration before anything else.
+      fnorm = inf_norm(f);
+      m0 = merit(f);
+      outcome = attempt(Linearize::Fresh);
+    }
     if (outcome == Attempt::LineSearchFailed) {
       // Kink retry: at a kink of F (a policy clamped at its domain face)
       // the Jacobian at u is one side's derivative, and the direction it
@@ -253,7 +277,7 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
       clip_to_box(ws.u_kink, options);
       fnorm = inf_norm(f);
       m0 = merit(f);
-      outcome = attempt(true);
+      outcome = attempt(Linearize::Kink);
     }
     if (outcome == Attempt::Stopped) break;
     if (outcome == Attempt::LineSearchFailed) {
@@ -265,12 +289,14 @@ NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
     f.swap(f_trial);
     fnorm = inf_norm(f);
     m0 = merit(f);
+    chord = full_step && fnorm <= kChordContraction * fnorm_at_u;
     result.iterations = it + 1;
   }
 
   if (result.status == NewtonStatus::MaxIterations && fnorm <= options.tolerance)
     result.status = NewtonStatus::Converged;
   result.solution = u;
+  result.residual = f;
   result.residual_norm = fnorm;
   return result;
 }

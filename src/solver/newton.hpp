@@ -6,12 +6,14 @@
 // 0.5 ||F||^2 is the standard choice for smooth Euler systems; optional box
 // clipping keeps iterates inside economically meaningful ranges.
 //
-// There is one entry point, solve_newton. Every iteration refreshes the
-// Jacobian through the caller's JacobianFn when one is given (the models'
+// There is one entry point, solve_newton. It refreshes the Jacobian
+// through the caller's JacobianFn when one is given (the models'
 // closed-form Euler-system columns) and through a forward finite-difference
 // sweep of the residual when not — the inputs decide, not a mode switch.
-// An iteration whose line search fails is retried once with the Jacobian
-// taken just across a kink of F (see solve_newton).
+// After a full step that cut ||F||_inf at least tenfold, the next iteration
+// keeps the factored Jacobian (a chord step); every other iteration
+// refreshes it. An iteration whose line search fails is retried once with
+// the Jacobian taken just across a kink of F (see solve_newton).
 // All buffers live in a caller-owned NewtonWorkspace, so a warmed-up solve
 // allocates nothing. jacobian_deviation audits an analytic Jacobian against a finite-difference
 // reference (see DESIGN.md, "Jacobian pipeline").
@@ -102,25 +104,39 @@ struct NewtonResult {
   /// Final iterate (the root when converged). A view into the workspace,
   /// valid until the workspace's next solve.
   std::span<const double> solution;
-  double residual_norm = 0.0;    ///< final ||F||_inf
+  /// F(solution) as the ResidualFn wrote it, bit for bit. A view into the
+  /// workspace like `solution`.
+  std::span<const double> residual;
+  /// Final ||F||_inf (over the free components when variables are pinned).
+  double residual_norm = 0.0;
   int iterations = 0;            ///< Newton iterations performed
   int residual_evaluations = 0;  ///< ResidualFn evaluations consumed
-  int jacobian_factorizations = 0;  ///< Jacobian refreshes that were LU-factorized
+  /// Jacobian refreshes that were LU-factorized. Chord iterations refresh
+  /// nothing, so this can be below `iterations`.
+  int jacobian_factorizations = 0;
   /// True when status == NewtonStatus::Converged.
   [[nodiscard]] bool converged() const { return status == NewtonStatus::Converged; }
 };
 
-/// Solves F(u) = 0 starting from `initial`, in `workspace`. Each iteration
-/// refreshes the Jacobian through `jacobian` when it is set (no residual
-/// evaluations spent on the refresh) and through the scalar
+/// Solves F(u) = 0 starting from `initial`, in `workspace`. A refresh of
+/// the Jacobian goes through `jacobian` when it is set (no residual
+/// evaluations spent on it) and through the scalar
 /// finite_difference_jacobian of `residual` with step scale
 /// options.fd_epsilon otherwise (n residual evaluations per refresh).
 ///
-/// Kink retry: when an iteration's line search fails, the iteration is
-/// retried once with the Jacobian refreshed at u + min_damping * du (the
-/// side of a kink of F the failed direction points into) instead of at u;
-/// only if that retry fails too does the solve stop with LineSearchFailed.
-/// Solves whose line searches never fail are untouched by it, bit for bit.
+/// Refresh rule (chord steps): an iteration whose line search accepted the
+/// full step, pinned no variable, and cut ||F||_inf to at most 0.1 of its
+/// value at the iteration's start leaves the next iteration the same LU
+/// factors: no refresh, no factorization. Every other iteration refreshes
+/// at u. A chord iteration whose line search fails is retried with a fresh
+/// Jacobian at u first.
+///
+/// Kink retry: when a freshly linearized iteration's line search fails, the
+/// iteration is retried once with the Jacobian refreshed at
+/// u + min_damping * du (the side of a kink of F the failed direction points
+/// into) instead of at u; only if that retry fails too does the solve stop
+/// with LineSearchFailed. Solves whose line searches never fail are
+/// untouched by it, bit for bit.
 NewtonResult solve_newton(ResidualFn residual, std::span<const double> initial,
                           const NewtonOptions& options, NewtonWorkspace& workspace,
                           JacobianFn jacobian = {});

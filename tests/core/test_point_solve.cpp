@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -187,13 +188,60 @@ TEST(PointSolveAllocations, OlgInitialPolicyAllocatesOnlyItsDofs) {
   EXPECT_EQ(static_cast<int>(dofs.size()), model.ndofs());
 }
 
+/// Forwards every call to the wrapped model and counts the distinct threads
+/// that have run one of its point solves, without allocating.
+class ExecutorCountingModel final : public DynamicModel {
+ public:
+  explicit ExecutorCountingModel(const DynamicModel& inner) : inner_(inner) {}
+  [[nodiscard]] int state_dim() const override { return inner_.state_dim(); }
+  [[nodiscard]] int num_shocks() const override { return inner_.num_shocks(); }
+  [[nodiscard]] int ndofs() const override { return inner_.ndofs(); }
+  [[nodiscard]] int indicator_dofs() const override { return inner_.indicator_dofs(); }
+  [[nodiscard]] const sg::BoxDomain& domain() const override { return inner_.domain(); }
+  [[nodiscard]] std::vector<double> initial_policy(int z,
+                                                   std::span<const double> x) const override {
+    return inner_.initial_policy(z, x);
+  }
+  [[nodiscard]] PointSolveResult solve_point(int z, std::span<const double> x,
+                                             const PolicyEvaluator& p_next,
+                                             std::span<const double> warm) const override {
+    // A thread counts once per model instance. Instances are told apart by
+    // a serial number, not their address, which a later one may reuse.
+    thread_local std::uint64_t counted_for = 0;
+    if (counted_for != serial_) {
+      counted_for = serial_;
+      executors_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return inner_.solve_point(z, x, p_next, warm);
+  }
+  [[nodiscard]] double equilibrium_residual(int z, std::span<const double> x,
+                                            const PolicyEvaluator& p) const override {
+    return inner_.equilibrium_residual(z, x, p);
+  }
+  /// Distinct threads that have solved a point through this model.
+  [[nodiscard]] std::size_t executors() const { return executors_.load(); }
+
+ private:
+  static inline std::atomic<std::uint64_t> instances_{0};
+  const DynamicModel& inner_;
+  const std::uint64_t serial_ = ++instances_;
+  mutable std::atomic<std::size_t> executors_{0};
+};
+
 /// Heap allocations per grid point of a warmed-up TimeIterationDriver::step
-/// (the second of two steps from the same p_next, a short solve's policy).
+/// from a short solve's policy. Every executor of the driver's pool (its
+/// workers and the calling thread) first solves points in warm-up steps
+/// from the same p_next, so the measured step grows no thread's
+/// thread_local buffers.
 double step_allocations_per_point(const DynamicModel& model, const TimeIterationOptions& opts) {
   const std::shared_ptr<AsgPolicy> p_next = solve_time_iteration(model, opts).policy;
-  TimeIterationDriver driver(model, opts);
+  const ExecutorCountingModel counting(model);
+  TimeIterationDriver driver(counting, opts);
   IterationStats stats;
-  (void)driver.step(*p_next, stats);  // warm-up
+  const std::size_t executors = opts.threads + 1;
+  for (int warmups = 0; warmups < 20 && counting.executors() < executors; ++warmups)
+    (void)driver.step(*p_next, stats);
+  EXPECT_EQ(counting.executors(), executors) << "executors left cold by 20 warm-up steps";
   std::shared_ptr<AsgPolicy> next;
   const long n = allocations_in([&] { next = driver.step(*p_next, stats); });
   EXPECT_GT(stats.total_points, 0u);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -300,6 +301,64 @@ TEST(OlgModel, EulerResidualZeroAfterSolve) {
     if (prob > 0.0) ++nonzero_successors;
   EXPECT_EQ(counters.gathers, 1);
   EXPECT_EQ(counters.interpolations, nonzero_successors);
+}
+
+TEST(OlgModel, AcceptProjectsNewtonsFinalResidual) {
+  // accept() projects the F(savings) Newton returns instead of gathering it
+  // again: the same bits as a fresh projected_residual_norm, and the point
+  // solve issues one gather per residual evaluation and per Jacobian
+  // refresh, none for accepting.
+  const OlgModel m = make_model(6);
+  core::TimeIterationOptions topts;
+  topts.base_level = 2;
+  topts.max_iterations = 2;
+  topts.tolerance = 0.0;
+  const auto policy = core::solve_time_iteration(m, topts).policy;
+  const auto sd = static_cast<std::size_t>(m.state_dim());
+
+  std::vector<double> warm(static_cast<std::size_t>(m.ndofs()));
+  for (const double corner : {0.02, 0.5, 0.98}) {
+    std::vector<double> x_unit(sd, 0.5);
+    x_unit[0] = corner;
+    for (int z = 0; z < m.num_shocks(); ++z) {
+      policy->evaluate(z, x_unit, warm);
+      OlgModel::PointScratch scratch;
+      const solver::NewtonOptions options = m.prepare(z, x_unit, scratch);
+      core::EvalCounters residual_counters;
+      int refreshes = 0;
+      const auto residual = [&](std::span<const double> u, std::span<double> out) {
+        m.euler_residuals(scratch, u, *policy, out, &residual_counters);
+      };
+      const auto jacobian = [&](std::span<const double> u, util::Matrix& jac) {
+        m.euler_jacobian(scratch, u, *policy, jac);
+        ++refreshes;
+      };
+      solver::NewtonWorkspace ws;
+      const solver::NewtonResult nres = solver::solve_newton(
+          residual, std::span<const double>(warm).first(sd), options, ws, jacobian);
+      EXPECT_EQ(residual_counters.gathers, nres.residual_evaluations);
+
+      core::PointSolveResult accepted;
+      accepted.residual_norm = std::numeric_limits<double>::infinity();
+      m.accept(scratch, nres.solution, nres.residual, accepted);
+      OlgModel::PointScratch fresh;
+      (void)m.prepare(z, x_unit, fresh);
+      core::EvalCounters fresh_counters;
+      const double projected =
+          m.projected_residual_norm(fresh, nres.solution, *policy, &fresh_counters);
+      EXPECT_EQ(fresh_counters.gathers, 1);
+      EXPECT_EQ(std::memcmp(&accepted.residual_norm, &projected, sizeof(double)), 0)
+          << "x0 " << corner << " shock " << z << ": " << accepted.residual_norm << " vs "
+          << projected;
+      EXPECT_EQ(accepted.converged, projected < 1e-6);
+
+      const core::PointSolveResult point = m.solve_point(z, x_unit, *policy, warm);
+      EXPECT_EQ(point.solver_iterations, nres.iterations);
+      EXPECT_EQ(point.jacobian_refreshes, refreshes);
+      EXPECT_EQ(point.gathers, nres.residual_evaluations + refreshes)
+          << "x0 " << corner << " shock " << z;
+    }
+  }
 }
 
 TEST(OlgModel, ValueCoefficientsAreDiscountedUtilities) {

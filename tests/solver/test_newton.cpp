@@ -438,10 +438,21 @@ TEST(NewtonKinkRetry, RetryThatAlsoFailsReportsLineSearchFailed) {
   EXPECT_EQ(r.jacobian_factorizations, 2);
 }
 
+/// The refresh rule's contraction factor, as solve_newton applies it.
+constexpr double kChordContraction = 0.1;
+
+double inf_norm(std::span<const double> v) {
+  double m = 0.0;
+  for (const double x : v) m = std::max(m, std::fabs(x));
+  return m;
+}
+
 TEST(NewtonKinkRetry, SmoothSolveKeepsThePlainNewtonIteratesBitForBit) {
   // A smooth system whose full Newton steps are all accepted: every
-  // residual evaluation is an iterate u_{k+1} = u_k - J(u_k)^{-1} F(u_k),
-  // bit for bit the plain Newton recursion computed here with the same LU.
+  // residual evaluation is an iterate u_{k+1} = u_k - J_k^{-1} F(u_k), bit
+  // for bit the chord-Newton recursion computed here with the same LU: J_k
+  // is refreshed at u_k unless the previous step cut ||F||_inf at least
+  // tenfold, in which case J_k = J_{k-1}.
   const auto f = [](std::span<const double> u, std::span<double> out) {
     out[0] = u[0] + 0.1 * u[1] * u[1] - 1.2;
     out[1] = 0.2 * u[0] * u[0] + u[1] - 0.9;
@@ -461,20 +472,145 @@ TEST(NewtonKinkRetry, SmoothSolveKeepsThePlainNewtonIteratesBitForBit) {
   const NewtonResult r = solve_newton(recording, std::vector<double>{1.0, 1.0}, {}, ws, jac);
   ASSERT_TRUE(r.converged());
   EXPECT_EQ(r.residual_evaluations, r.iterations + 1);  // no backtracking, no retry
-  EXPECT_EQ(r.jacobian_factorizations, r.iterations);
 
   std::vector<double> u{1.0, 1.0}, fu(2), du(2);
   util::Matrix m(2, 2);
   util::LuFactorization lu;
+  int refreshes = 0;
+  double previous_norm = 0.0;
   ASSERT_EQ(evaluated.size(), static_cast<std::size_t>(r.iterations) + 1);
-  for (const std::vector<double>& iterate : evaluated) {
-    EXPECT_EQ(iterate, u);  // bitwise
+  for (std::size_t k = 0; k < evaluated.size(); ++k) {
+    EXPECT_EQ(evaluated[k], u) << "iterate " << k;  // bitwise
     f(u, fu);
-    jac(u, m);
-    ASSERT_TRUE(lu.factor(m));
+    const double norm = inf_norm(fu);
+    if (k == static_cast<std::size_t>(r.iterations)) break;
+    if (k == 0 || norm > kChordContraction * previous_norm) {
+      jac(u, m);
+      ASSERT_TRUE(lu.factor(m));
+      ++refreshes;
+    }
     lu.solve(fu, du);
     for (std::size_t t = 0; t < 2; ++t) u[t] = u[t] + 1.0 * -du[t];
+    previous_norm = norm;
   }
+  EXPECT_EQ(r.jacobian_factorizations, refreshes);
+  EXPECT_LT(refreshes, r.iterations);  // some iteration kept its factors
+  EXPECT_TRUE(std::ranges::equal(r.residual, fu));  // F at the solution, as evaluated
+}
+
+TEST(NewtonChord, LinearConvergenceRefreshesEveryIteration) {
+  // A double root: Newton halves the distance to it, so ||F|| = (u - 1)^2
+  // only falls to a quarter per step, short of the tenfold cut a chord step
+  // needs. Every iteration refreshes.
+  const auto f = [](std::span<const double> u, std::span<double> out) {
+    out[0] = (u[0] - 1.0) * (u[0] - 1.0);
+  };
+  const auto jac = [](std::span<const double> u, util::Matrix& m) { m(0, 0) = 2.0 * (u[0] - 1.0); };
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{2.0}, {}, ws, jac);
+  ASSERT_TRUE(r.converged());
+  EXPECT_GT(r.iterations, 10);
+  EXPECT_EQ(r.jacobian_factorizations, r.iterations);
+  EXPECT_EQ(r.residual_evaluations, r.iterations + 1);
+}
+
+TEST(NewtonChord, DampedStepRefreshesEvenWhenItContracts) {
+  // F = atan(u) from u = 1.45: the full Newton step overshoots to -1.55,
+  // where |F| is larger, and the halved step lands at u1 ~ -0.05, a 19-fold
+  // cut of |F|. A damped step keeps no factors, so the next iteration
+  // refreshes at u1; the fast steps after it are chord steps.
+  const auto f = [](std::span<const double> u, std::span<double> out) { out[0] = std::atan(u[0]); };
+  std::vector<double> linearized_at;
+  const auto jac = [&](std::span<const double> u, util::Matrix& m) {
+    linearized_at.push_back(u[0]);
+    m(0, 0) = 1.0 / (1.0 + u[0] * u[0]);
+  };
+  std::vector<double> evaluated;
+  const auto recording = [&](std::span<const double> u, std::span<double> out) {
+    evaluated.push_back(u[0]);
+    f(u, out);
+  };
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(recording, std::vector<double>{1.45}, {}, ws, jac);
+  ASSERT_TRUE(r.converged()) << to_string(r.status);
+  EXPECT_GT(r.iterations, 2);
+  ASSERT_GE(evaluated.size(), 3u);
+  EXPECT_LT(evaluated[1], -1.0);  // the rejected full step
+  ASSERT_EQ(linearized_at.size(), 2u);
+  EXPECT_EQ(r.jacobian_factorizations, 2);
+  EXPECT_EQ(linearized_at[1], evaluated[2]);  // at the accepted half step
+}
+
+TEST(NewtonChord, FailedChordStepRefreshesAtTheIterateBeforeTheKinkRetry) {
+  // F = -u (u - 2)(u - 4). From u = 2.999 the concave cubic's tangent lands
+  // at u1 ~ 0.018, past the trough's far side: ||F|| falls 21-fold, so the
+  // next iteration keeps the slope from u = 2.999 (positive). At u1 the
+  // slope is negative, so that chord direction climbs out of the root at 0
+  // and its line search fails at every step fraction. The iteration is then
+  // retried with the Jacobian refreshed at u1 itself, not at the kink
+  // retry's u1 + min_damping du, and converges with chord steps from there.
+  const auto f = [](std::span<const double> u, std::span<double> out) {
+    out[0] = -u[0] * (u[0] - 2.0) * (u[0] - 4.0);
+  };
+  std::vector<double> linearized_at;
+  const auto jac = [&](std::span<const double> u, util::Matrix& m) {
+    linearized_at.push_back(u[0]);
+    m(0, 0) = -3.0 * u[0] * u[0] + 12.0 * u[0] - 8.0;
+  };
+  std::vector<double> evaluated;
+  const auto recording = [&](std::span<const double> u, std::span<double> out) {
+    evaluated.push_back(u[0]);
+    f(u, out);
+  };
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(recording, std::vector<double>{2.999}, {}, ws, jac);
+  ASSERT_TRUE(r.converged()) << to_string(r.status);
+  EXPECT_NEAR(r.solution[0], 0.0, 1e-9);
+  ASSERT_GE(evaluated.size(), 2u);
+  const double u1 = evaluated[1];  // the first iteration's full step
+  EXPECT_LT(u1, 0.1);
+  // One refresh at the start, one at u1 after the failed chord line search;
+  // every later iteration keeps the factors.
+  EXPECT_EQ(r.jacobian_factorizations, 2);
+  ASSERT_EQ(linearized_at.size(), 2u);
+  EXPECT_EQ(linearized_at[0], 2.999);
+  EXPECT_EQ(linearized_at[1], u1);  // bitwise: at the iterate, not the kink retry's point
+  // The failed chord line search tried points beyond u1, away from the root.
+  EXPECT_GT(evaluated[2], u1);
+}
+
+TEST(NewtonChord, ActiveSetIterationIsFollowedByARefresh) {
+  // u0 starts on its lower bound 0 and its Newton step points outward, so
+  // the first iteration pins it and solves the reduced system for u1. That
+  // step is full and cuts ||F||_inf from 2 to 0.01, but ws.lu then holds
+  // the reduced block's factors, so the next iteration must refresh.
+  const auto f = [](std::span<const double> u, std::span<double> out) {
+    out[0] = u[0] + 0.01 - 0.5 * (u[1] - 1.0) * (u[1] - 1.0);
+    out[1] = u[1] - 1.0;
+  };
+  std::vector<std::vector<double>> linearized_at;
+  const auto jac = [&](std::span<const double> u, util::Matrix& m) {
+    linearized_at.emplace_back(u.begin(), u.end());
+    m(0, 0) = 1.0;
+    m(0, 1) = -(u[1] - 1.0);
+    m(1, 0) = 0.0;
+    m(1, 1) = 1.0;
+  };
+  NewtonOptions options;
+  const double lower[] = {0.0, -10.0};
+  options.lower = lower;
+  NewtonWorkspace ws;
+  const NewtonResult r = solve_newton(f, std::vector<double>{0.0, 3.0}, options, ws, jac);
+  ASSERT_TRUE(r.converged()) << to_string(r.status);
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_EQ(r.solution[0], 0.0);
+  EXPECT_EQ(r.solution[1], 1.0);
+  EXPECT_EQ(r.jacobian_factorizations, 2);
+  ASSERT_EQ(linearized_at.size(), 2u);
+  EXPECT_EQ(linearized_at[1], (std::vector<double>{0.0, 1.0}));
+  // The pinned component keeps its KKT residual; the free one vanished.
+  EXPECT_NEAR(r.residual[0], 0.01, 1e-15);
+  EXPECT_EQ(r.residual[1], 0.0);
 }
 
 TEST(NewtonWorkspaceReuse, ReusedWorkspaceReproducesAFreshSolveBitForBit) {
